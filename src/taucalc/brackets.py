@@ -1,7 +1,14 @@
 """Exact psi-class intersection numbers <tau_{d_1} ... tau_{d_n}>_g.
 
-Genus 0 uses the closed form (n-3)!/prod(d_j!).  Higher genus descends on
-the largest exponent with the DVV form of the KdV/Virasoro recursion:
+Genus 0 uses the closed form (n-3)!/prod(d_j!).  In higher genus every key
+is first brought to canonical form, with all exponents >= 2, by the string
+and dilaton equations:
+
+  <tau_0 prod tau_{d_j}>_g = sum_j <... tau_{d_j - 1} ...>_g
+  <tau_1 prod tau_{d_j}>_{g,n+1} = (2g-2+n) <prod tau_{d_j}>_{g,n}
+
+A canonical key then descends on its largest exponent with the DVV form of
+the KdV/Virasoro recursion:
 
   (2k+3)!! <tau_{k+1} prod tau_{d_j}>_g =
       sum_j [(2d_j+1)(2d_j+3)...(2d_j+2k+1)] <... tau_{d_j+k} ...>_g
@@ -10,17 +17,20 @@ the largest exponent with the DVV form of the KdV/Virasoro recursion:
           sum_{I ⊔ J, g'} <tau_r prod_I>_{g'} <tau_s prod_J>_{g-g'}
 
 with ordered pairs (I, J) and unstable or dimension-violating brackets
-equal to 0.  The one value the displayed recursion cannot reach is
-<tau_1>_1 = 1/24 (the constraint's anomaly constant); it is kept as a base
-case and pinned by a string-equation consistency test.
+equal to 0.  Sub-keys with a tau_0 or tau_1 are canonicalized in turn, and
+every key visited is memoized under its own exponents.  The one base case
+is <tau_1>_1 = 1/24, which neither equation reaches; the test suite checks
+it, and both equations, against the n-point series engine.
 
 Brackets are total functions: out-of-range input returns 0, never raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import os
 from fractions import Fraction
 from math import factorial
 from typing import IO, Iterable, NamedTuple
@@ -193,11 +203,42 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fr
     if v is not None:
         return v
 
-    # pivot: largest exponent by default (sum d >= n for g >= 1, so one is >= 1)
-    if pivot_min:
-        idx = next(i for i, x in enumerate(d) if x >= 1)
+    if d[0] == 0:
+        value = _string(g, d[1:], t, pivot_min)
+    elif d[0] == 1:
+        value = (2 * g - 3 + n) * _bracket(g, d[1:], t, pivot_min)
     else:
-        idx = n - 1
+        value = _dvv(g, d, t, pivot_min)
+    t.put(key, value)
+    return value
+
+
+def _string(g: int, rest: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fraction:
+    """<tau_0 prod tau_{rest}>_g = sum_j <... tau_{rest_j - 1} ...>_g (g >= 1)."""
+    total = _ZERO
+    i = 0
+    while i < len(rest):
+        j = i
+        while j < len(rest) and rest[j] == rest[i]:
+            j += 1
+        if rest[i] >= 1:
+            # lowering the first of a run of equal values keeps the tuple sorted
+            sub = rest[:i] + (rest[i] - 1,) + rest[i + 1 :]
+            total += (j - i) * _bracket(g, sub, t, pivot_min)
+        i = j
+    return total
+
+
+def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fraction:
+    """DVV descent for g >= 1 on a key whose exponents are all >= 2.
+
+    Every sub-key with a tau_0 or tau_1 goes back through _bracket, which
+    strips it by the string or dilaton equation.  No boundary factor is
+    ever genus 0: <tau_r prod_I>_0 needs exponents summing to |I| - 2,
+    but each exponent of rest is >= 2.
+    """
+    # pivot: largest exponent by default
+    idx = 0 if pivot_min else len(d) - 1
     k = d[idx] - 1
     rest = d[:idx] + d[idx + 1 :]
 
@@ -217,33 +258,33 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fr
         total += (j - i) * coeff * _bracket(g, sub, t, pivot_min)
         i = j
 
-    # boundary terms exist only for k >= 1
-    if k >= 1:
-        splits = submultiset_splits(rest)
-        for r in range(k):
-            s = k - 1 - r
-            w = odd_double_factorial(r) * odd_double_factorial(s)
-            # irreducible: genus drops, both new insertions on one component
-            total += _HALF * w * _bracket(g - 1, tuple(sorted(rest + (r, s))), t, pivot_min)
-            # reducible: ordered splits; the left factor's genus is forced
-            # by its dimension, other genera contribute 0
-            for left, right, count in splits:
-                gl, rem = divmod(r + sum(left) - len(left) + 2, 3)
-                if rem or gl < 0 or gl > g:
-                    continue
-                lv = _bracket(gl, tuple(sorted((r,) + left)), t, pivot_min)
-                if lv:
-                    rv = _bracket(g - gl, tuple(sorted((s,) + right)), t, pivot_min)
-                    if rv:
-                        total += _HALF * w * count * lv * rv
+    # boundary terms (k >= 1 since every exponent is >= 2)
+    splits = submultiset_splits(rest)
+    for r in range(k):
+        s = k - 1 - r
+        w = odd_double_factorial(r) * odd_double_factorial(s)
+        # irreducible: genus drops, both new insertions on one component
+        total += _HALF * w * _bracket(g - 1, tuple(sorted(rest + (r, s))), t, pivot_min)
+        # reducible: ordered splits; the left factor's genus is forced
+        # by its dimension, other genera contribute 0
+        for left, right, count in splits:
+            gl, rem = divmod(r + sum(left) - len(left) + 2, 3)
+            if rem or gl < 0 or gl > g:
+                continue
+            lv = _bracket(gl, tuple(sorted((r,) + left)), t, pivot_min)
+            if lv:
+                rv = _bracket(g - gl, tuple(sorted((s,) + right)), t, pivot_min)
+                if rv:
+                    total += _HALF * w * count * lv * rv
 
-    value = total / odd_double_factorial(k + 1)
-    t.put(key, value)
-    return value
+    return total / odd_double_factorial(k + 1)
 
 
 class CacheError(ValueError):
     """Raised when a cache file fails to parse or verify."""
+
+
+_TRAILER = "#sha256="
 
 
 def _cache_lines(table: BracketTable) -> list[str]:
@@ -255,15 +296,27 @@ def _cache_lines(table: BracketTable) -> list[str]:
 
 
 def cache_save(table: BracketTable, destination: str | IO[str]) -> int:
-    """Write the table in the TAUCACHE v1 text format; returns entry count."""
+    """Write the table in the TAUCACHE v1 text format; returns entry count.
+
+    A path is written through a temporary file in the same directory that
+    then replaces the target, so a crash mid-write never leaves a
+    truncated cache behind.
+    """
     lines = _cache_lines(table)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     body = f"TAUCACHE {BracketTable.VERSION}\n"
     body += "".join(line + "\n" for line in lines)
-    body += f"#sha256={digest}\n"
+    body += f"{_TRAILER}{digest}\n"
     if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        tmp = f"{destination}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(body)
+            os.replace(tmp, destination)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     else:
         destination.write(body)
     return len(lines)
@@ -272,6 +325,8 @@ def cache_save(table: BracketTable, destination: str | IO[str]) -> int:
 def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     """Parse a TAUCACHE file into a fresh table.
 
+    The file must end with the checksum trailer that cache_save writes;
+    a file without it, or with entries after it, is rejected.
     With verify=True every entry is recomputed from scratch (through a
     private empty table) and compared; any disagreement aborts the load.
     """
@@ -297,13 +352,17 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     # recomputed values, never the file's claims
     scratch = BracketTable()
     entry_lines: list[str] = []
+    sealed = False
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        if line.startswith("#sha256="):
+        if sealed:
+            raise CacheError(f"line {lineno}: entry after the checksum trailer")
+        if line.startswith(_TRAILER):
             digest = hashlib.sha256("\n".join(entry_lines).encode()).hexdigest()
-            if line[len("#sha256=") :].strip() != digest:
+            if line[len(_TRAILER) :].strip() != digest:
                 raise CacheError(f"line {lineno}: checksum failure")
+            sealed = True
             continue
         parts = line.split("|")
         if len(parts) != 3:
@@ -312,12 +371,12 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
             g = int(parts[0])
             exps = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
             value = parse_rational(parts[2])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise CacheError(f"line {lineno}: malformed entry {line!r}: {exc}") from None
         if tuple(sorted(exps)) != exps:
             raise CacheError(f"line {lineno}: exponents not ascending in {line!r}")
         if verify:
-            recomputed = _bracket(g, exps, scratch, False) if g > 0 else genus0_closed(exps)
+            recomputed = bracket(g, exps, scratch)
             if recomputed != value:
                 raise CacheError(
                     f"line {lineno}: stored value {parts[2]} contradicts "
@@ -325,6 +384,10 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
                 )
         entry_lines.append(line)
         table.put((g, exps), value)
+    if not sealed:
+        raise CacheError(
+            f"line {len(lines) + 1}: missing {_TRAILER} trailer (truncated file?)"
+        )
     return table
 
 

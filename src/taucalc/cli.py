@@ -9,8 +9,8 @@ Verbs:
   monotone        long-running monotonicity modes with progress streaming
   cache           export / import the bracket memo table
 
-Exit codes: 0 success or all-pass, 1 any verification failure, 2 usage
-errors.  All rationals print as num/den.
+Exit codes: 0 success or all-pass, 1 any verification failure, 2 usage,
+input or I/O errors.  All rationals print as num/den.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _with_cache(args, cache_body)
 
         raise AssertionError(args.verb)  # pragma: no cover
-    except (br.CacheError, ids.ParameterError, ValueError) as exc:
+    except (br.CacheError, ids.ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taucalc.brackets as br
 from taucalc.brackets import (
     BracketTable,
     CacheError,
@@ -18,6 +20,8 @@ from taucalc.brackets import (
     genus0_closed,
     one_point,
 )
+from taucalc.combinat import multisets_with_sum
+from taucalc.npoint import npoint_series, warm_table_from_series
 from oracles import REFERENCE_BRACKETS, genus0_string, three_point_with_tau0
 
 
@@ -31,9 +35,10 @@ def test_normalization_and_base_values():
 
 
 def test_tau11_pinned_by_string_equation_fixed_point():
-    # <tau_0 tau_2>_1 computed by descent on tau_2 must equal <tau_1>_1,
-    # which pins the base case: 15 x = 3 x + 1/2.
-    assert bracket(1, [0, 2]) == bracket(1, [1]) == Fraction(1, 24)
+    # the engine reaches <tau_0 tau_2>_1 from its base case <tau_1>_1 by
+    # the string equation; the n-point series gets it without either
+    series = npoint_series(2, 1)
+    assert bracket(1, [0, 2]) == bracket(1, [1]) == series.bracket((0, 2)) == Fraction(1, 24)
 
 
 def test_against_published_reference_values():
@@ -110,7 +115,9 @@ def test_string_equation(g, data):
     total = 3 * g - 2 + n  # sum for the key with the tau_0 removed
     cuts = sorted(data.draw(st.integers(0, total)) for _ in range(n - 1))
     d = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    lhs = bracket(g, [0] + d)
+    # the tau_0 side comes from the n-point series, not from the engine's
+    # own string-equation shortcut
+    lhs = npoint_series(n + 1, 5).bracket([0] + d)
     rhs = sum(
         bracket(g, d[:j] + [d[j] - 1] + d[j + 1 :]) for j in range(n) if d[j] >= 1
     )
@@ -124,7 +131,8 @@ def test_dilaton_equation(g, data):
     total = 3 * g - 3 + n
     cuts = sorted(data.draw(st.integers(0, total)) for _ in range(n - 1))
     d = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    assert bracket(g, [1] + d) == (2 * g - 2 + n) * bracket(g, d)
+    lhs = npoint_series(n + 1, 5).bracket([1] + d)
+    assert lhs == (2 * g - 2 + n) * bracket(g, d)
 
 
 def test_positivity_on_admissible_range():
@@ -140,10 +148,23 @@ def test_positivity_on_admissible_range():
 
 def test_pivot_strategies_agree():
     cases = [(2, (1, 1, 3)), (3, (2, 3, 4)), (4, (9, 1)), (2, (0, 1, 2, 4)), (5, (13,))]
-    for g, d in cases:
+    # canonical keys (n >= 3, all exponents >= 2, not all equal) reach the
+    # DVV descent directly, so the two pivots take different paths
+    canonical = [(4, (2, 3, 4, 4)), (5, (2, 2, 5, 7)), (6, (2, 3, 4, 5, 6))]
+    for g, d in cases + canonical:
         assert bracket(g, d, BracketTable(), pivot="max") == bracket(
             g, d, BracketTable(), pivot="min"
         ), (g, d)
+    assert all(bracket(g, d) != 0 for g, d in canonical)
+
+
+def test_canonical_engine_memo_size():
+    # a cold (8, 5) stratum stores 1975 keys; DVV descent on keys with a
+    # tau_0 or tau_1 stored 6550
+    table = BracketTable()
+    for d in multisets_with_sum(5, 3 * 8 - 3 + 5):
+        bracket(8, d, table)
+    assert len(table) <= 3000
 
 
 def test_bracket_any_genus():
@@ -187,9 +208,62 @@ def test_cache_round_trip():
     assert cache_dumps(loaded) == text
 
 
+def _sealed(*entries: str) -> str:
+    digest = hashlib.sha256("\n".join(entries).encode()).hexdigest()
+    return "TAUCACHE v1\n" + "".join(e + "\n" for e in entries) + f"#sha256={digest}\n"
+
+
 def test_cache_single_line_parse():
-    table = cache_load(io.StringIO("TAUCACHE v1\n1|1|1/24\n"))
+    table = cache_load(io.StringIO(_sealed("1|1|1/24")))
     assert table.get((1, (1,))) == Fraction(1, 24)
+
+
+def test_cache_requires_trailer_and_nothing_after_it():
+    with pytest.raises(CacheError, match="line 3: missing #sha256= trailer"):
+        cache_load(io.StringIO("TAUCACHE v1\n1|1|1/24\n"))
+    with pytest.raises(CacheError, match="line 4: entry after the checksum trailer"):
+        cache_load(io.StringIO(_sealed("1|1|1/24") + "2|4|1/1152\n"))
+    with pytest.raises(CacheError, match="line 2: malformed entry"):
+        cache_load(io.StringIO(_sealed("1|1|1/0")))
+
+
+def test_truncated_cache_with_altered_value_is_rejected():
+    # a cache cut off before its trailer, whose last value was changed
+    table = BracketTable()
+    assert bracket(4, [2, 2, 2, 4, 4], table) == Fraction(5609, 23040)
+    lines = cache_dumps(table).splitlines()
+    assert lines[-2] == "4|2,2,2,4,4|5609/23040"
+    truncated = "\n".join(lines[:-2] + ["4|2,2,2,4,4|5609/7"]) + "\n"
+    with pytest.raises(CacheError, match="trailer"):
+        cache_load(io.StringIO(truncated))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_cache_is_rejected_or_equal(data):
+    table = BracketTable()
+    bracket(3, [2, 3, 4], table)
+    text = cache_dumps(table)
+    if data.draw(st.booleans()):
+        damaged = text[: data.draw(st.integers(0, len(text) - 1))]
+    else:
+        i = data.draw(st.integers(0, len(text) - 1))
+        damaged = text[:i] + data.draw(st.characters()) + text[i + 1 :]
+    try:
+        loaded = cache_load(io.StringIO(damaged))
+    except CacheError:
+        return
+    assert dict(loaded.items()) == dict(table.items())
+
+
+def test_cache_from_series_verifies_through_engine():
+    # the series table is full of tau_0/tau_1 keys that the engine now
+    # reduces by string and dilaton instead of descending on them
+    table = BracketTable()
+    assert warm_table_from_series(npoint_series(3, 8), table) > 0
+    assert any(exps[0] <= 1 for (_, exps), _ in table.items())
+    loaded = cache_load(io.StringIO(cache_dumps(table)), verify=True)
+    assert dict(loaded.items()) == dict(table.items())
 
 
 def test_cache_verify_rejects_wrong_value():
@@ -212,3 +286,21 @@ def test_cache_file_round_trip(tmp_path):
     path = str(tmp_path / "t.cache")
     cache_save(table, path)
     assert dict(cache_load(path).items()) == dict(table.items())
+
+
+def test_cache_save_replaces_the_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "t.cache"
+    table = BracketTable()
+    bracket(2, [2, 3], table)
+    cache_save(table, str(path))
+    before = path.read_text()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(br.os, "replace", crash)
+    bracket(3, [2, 3, 4], table)
+    with pytest.raises(OSError, match="simulated"):
+        cache_save(table, str(path))
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.cache"]

@@ -129,6 +129,23 @@ def test_cache_import_rejects_corruption(tmp_path, capsys):
     assert code == 2 and "contradicts" in err
 
 
+def test_truncated_cache_is_rejected_and_not_saved_again(tmp_path, capsys):
+    cache = tmp_path / "t.cache"
+    code, out, _ = run(capsys, "compute", "--g", "4", "--d", "2,2,2,4,4", "--cache", str(cache))
+    assert code == 0 and out.strip() == "5609/23040"
+    lines = cache.read_text().splitlines()
+    damaged = "\n".join(lines[:-2] + [lines[-2].replace("5609/23040", "5609/7")]) + "\n"
+    cache.write_text(damaged)
+    code, out, err = run(capsys, "compute", "--g", "4", "--d", "2,2,2,4,4", "--cache", str(cache))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert cache.read_text() == damaged
+
+
+def test_io_error_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "compute", "--g", "2", "--d", "2,3", "--cache", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_warm_rerun_is_byte_identical(tmp_path, capsys):
     warm = tmp_path / "sweep.cache"
     args = ["verify", "eq5", "--gmax", "2", "--nmax", "2", "--jobs", "1",
