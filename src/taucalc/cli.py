@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", choices=VERIFY_IDS)
     p.add_argument("--gmax", type=int, default=None)
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="split each sweep over this many worker processes")
     common(p)
 
     p = sub.add_parser("denom", help="denominator profile D(g,n) or script-D(g)")
@@ -198,6 +199,40 @@ def _run_verify(args) -> int:
     return _emit_reports(sorted(reports, key=Report.sort_key), timing)
 
 
+def _run_denom(args) -> int:
+    if args.n is None:
+        profile = dn.compute_script_D(args.g)
+        label = f"script-D({args.g})"
+    else:
+        profile = dn.compute_D(args.g, args.n)
+        label = f"D({args.g},{args.n})"
+    print(f"{label} = {profile.value} = {profile.rendered()}")
+    print(json.dumps(profile.to_dict()))
+    return 0
+
+
+def _run_monotone(args) -> int:
+    timing = not args.no_timing
+    if args.lam == "top":
+        reports = [
+            mono.lambda_g_swap_check(g, args.n)
+            for g in range(1, args.gmax + 1)
+            if 2 * g - 2 + args.n > 0 and 2 * g - 3 + args.n >= 0
+        ]
+        return _emit_reports(reports, timing)
+    if args.n == 2:
+        report = mono.psi_swap_deep(
+            args.gmax, progress=lambda msg: print(msg, file=sys.stderr)
+        )
+        return _emit_reports([report], timing)
+    reports = []
+    for g in range(0, args.gmax + 1):
+        if 2 * g - 2 + args.n > 0 and 3 * g - 3 + args.n >= 0:
+            reports.append(mono.psi_swap_check(g, args.n))
+            print(f"g={g} done", file=sys.stderr)
+    return _emit_reports(reports, timing)
+
+
 def _with_cache(args, body) -> int:
     path = getattr(args, "cache", None)
     if path and os.path.exists(path):
@@ -243,36 +278,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _with_cache(args, lambda: _run_verify(args))
 
         if args.verb == "denom":
-            if args.n is None:
-                profile = dn.compute_script_D(args.g)
-                label = f"script-D({args.g})"
-            else:
-                profile = dn.compute_D(args.g, args.n)
-                label = f"D({args.g},{args.n})"
-            print(f"{label} = {profile.value} = {profile.rendered()}")
-            print(json.dumps(profile.to_dict()))
-            return 0
+            return _with_cache(args, lambda: _run_denom(args))
 
         if args.verb == "monotone":
-            timing = not args.no_timing
-            if args.lam == "top":
-                reports = [
-                    mono.lambda_g_swap_check(g, args.n)
-                    for g in range(1, args.gmax + 1)
-                    if 2 * g - 2 + args.n > 0 and 2 * g - 3 + args.n >= 0
-                ]
-                return _emit_reports(reports, timing)
-            if args.n == 2:
-                report = mono.psi_swap_deep(
-                    args.gmax, progress=lambda msg: print(msg, file=sys.stderr)
-                )
-                return _emit_reports([report], timing)
-            reports = []
-            for g in range(0, args.gmax + 1):
-                if 2 * g - 2 + args.n > 0 and 3 * g - 3 + args.n >= 0:
-                    reports.append(mono.psi_swap_check(g, args.n))
-                    print(f"g={g} done", file=sys.stderr)
-            return _emit_reports(reports, timing)
+            return _with_cache(args, lambda: _run_monotone(args))
 
         if args.verb == "cache":
             def cache_body() -> int:

@@ -2,7 +2,8 @@
 
 Everything here is exact integer combinatorics: multiset sweeps over
 exponent vectors, weighted sub-multiset splits (standing in for sums over
-ordered index subsets), and set partitions for the kappa reduction.
+ordered index subsets), and set partitions (the kappa reduction folds
+over block sums instead; the tests use the full enumeration as its oracle).
 """
 
 from __future__ import annotations

@@ -25,11 +25,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import factorial
 from typing import Any, Iterable, Iterator
 
-from .brackets import BracketTable, bracket
+from .brackets import BracketTable, bracket, default_table
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import odd_double_factorial
 from .report import Report
@@ -566,9 +566,15 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
         raise ParameterError(f"unknown identity id {identity!r}")
 
 
-def _verify_chunk(args: tuple[str, list[dict]]) -> list[Report]:
+def _verify_chunk(args: tuple[str, list[dict]]) -> tuple[list[Report], list]:
+    """Worker side of run_sweep: the chunk's reports plus the memo entries
+    the worker added while computing them (the table only ever grows, and
+    dicts keep insertion order, so those are the entries past the old end)."""
     identity, chunk = args
-    return [verify(identity, **p) for p in chunk]
+    table = default_table()
+    start = len(table)
+    reports = [verify(identity, table=table, **p) for p in chunk]
+    return reports, list(islice(table.items(), start, None))
 
 
 def run_sweep(
@@ -577,15 +583,25 @@ def run_sweep(
     jobs: int = 1,
     table: BracketTable | None = None,
 ) -> list[Report]:
-    """All reports for one identity over the grid, canonically ordered."""
+    """All reports for one identity over the grid, canonically ordered.
+
+    With jobs > 1 the grid is split over a process pool.  Each worker
+    computes into its own process-wide table, and every entry it adds is
+    put into `table` (the process-wide table when None), so the memo ends
+    up as full as after a serial sweep.
+    """
     params = list(instances(identity, limits))
     if jobs <= 1 or len(params) < 4:
         reports = [verify(identity, table=table, **p) for p in params]
     else:
+        target = table if table is not None else default_table()
         chunks = [params[i::jobs] for i in range(jobs)]
+        reports = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_verify_chunk, [(identity, c) for c in chunks])
-        reports = [r for part in parts for r in part]
+            for part, entries in pool.map(_verify_chunk, [(identity, c) for c in chunks]):
+                reports += part
+                for key, value in entries:
+                    target.put(key, value)
     return sorted(reports, key=Report.sort_key)
 
 

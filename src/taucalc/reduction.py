@@ -3,11 +3,18 @@ psi-brackets.
 
 Three routes live here:
 
-* the set-partition transform turning <prod tau_d prod kappa_a> into a
-  signed sum of pure tau brackets (one tau_{sum(a_B)+1} per block B, with
-  weight (-1)^{|B|-1}); the weight follows from unfolding
-  kappa_a = pi_*(psi^{a+1}) against pi^* kappa_b = kappa_b - psi^b, and is
-  pinned by the kappa_0 and single-kappa laws in the suite,
+* the kappa reduction of <prod tau_d prod kappa_a> to a signed sum of pure
+  tau brackets (Arbarello-Cornalba): one tau_{sum(a_B)+1} per block B of a
+  set partition of the kappa indices, with weight (-1)^{|B|-1}; the weight
+  follows from unfolding kappa_a = pi_*(psi^{a+1}) against
+  pi^* kappa_b = kappa_b - psi^b, and is pinned by the kappa_0 and
+  single-kappa laws in the suite.  The sum depends only on the multiset of
+  block sums, so it is folded over the kappa indices one at a time: a new
+  index opens a block (weight +1) or joins one of the c blocks sharing a
+  sum s (weight -c).  The states are the multisets of block sums, so the
+  cost grows with their number instead of with the Bell(m) set
+  partitions: kappa_1^11 keeps p(11) = 56 states where the partitions
+  number 678570.  Each resulting bracket is looked up once,
 * the closed lambda_g formula
       <prod psi^{d_j} lambda_g> = C(2g+n-3; d) (2^{2g-1}-1)/2^{2g-1} |B_2g|/(2g)!,
 * Mumford's expansion of the odd Chern characters ch_{2k-1} of the Hodge
@@ -23,7 +30,7 @@ from math import factorial
 from typing import Iterable, NamedTuple
 
 from .brackets import BracketTable, bracket
-from .combinat import multinomial, set_partitions, submultiset_splits
+from .combinat import multinomial, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
 
 __all__ = [
@@ -74,24 +81,30 @@ def kappa_to_psi(
         return _ZERO
     if not key.dimension_matches() or not key.is_stable():
         return _ZERO
-    m = len(key.kappa)
-    if m == 0:
-        return bracket(genus, key.psi, table)
 
-    # group identical tau-insertion multisets before hitting the engine
-    accum: dict[tuple[int, ...], int | Fraction] = {}
-    for blocks in set_partitions(m):
-        coeff = 1
-        extra = []
-        for block in blocks:
-            coeff *= (-1) ** (len(block) - 1)
-            extra.append(sum(key.kappa[i] for i in block) + 1)
-        exps = tuple(sorted(key.psi + tuple(extra)))
-        accum[exps] = accum.get(exps, 0) + coeff
+    # fold the kappa indices in one at a time: a state is the sorted tuple
+    # of block sums, its count the signed number of set partitions of the
+    # indices folded so far that have those sums
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for a in key.kappa:
+        folded: dict[tuple[int, ...], int] = {}
+        for sums, coeff in states.items():
+            opened = tuple(sorted(sums + (a,)))
+            folded[opened] = folded.get(opened, 0) + coeff
+            for s in set(sums):
+                # joining any of the sums.count(s) blocks of sum s gives the
+                # same state and flips the sign (-1)^{|B|-1} of that block
+                rest = list(sums)
+                rest.remove(s)
+                joined = tuple(sorted(rest + [s + a]))
+                folded[joined] = folded.get(joined, 0) - sums.count(s) * coeff
+        states = folded
 
+    # distinct block-sum tuples give distinct tau-insertion multisets
     total = _ZERO
-    for exps, coeff in accum.items():
+    for sums, coeff in states.items():
         if coeff:
+            exps = key.psi + tuple(s + 1 for s in sums)
             total += coeff * bracket(genus, exps, table)
     return total
 

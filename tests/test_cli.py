@@ -90,6 +90,40 @@ def test_verify_other_tokens(capsys):
         assert captured.out.strip().splitlines()[-1].startswith("PASS")
 
 
+def test_verify_c41_through_genus_five(capsys):
+    code, out, _ = run(capsys, "verify", "c41", "--gmax", "5", "--jobs", "1", "--no-timing")
+    assert code == 0 and out.strip().splitlines()[-1] == "PASS 24/24"
+
+
+def test_parallel_sweep_saves_the_serial_cache(tmp_path, capsys, monkeypatch):
+    saved = {}
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(br, "_DEFAULT_TABLE", br.BracketTable())
+        cache = tmp_path / f"jobs{jobs}.cache"
+        code, out, _ = run(capsys, "verify", "eq4", "--gmax", "4", "--nmax", "3",
+                           "--jobs", jobs, "--no-timing", "--cache", str(cache))
+        assert code == 0
+        saved[jobs] = (out, dict(br.cache_load(str(cache)).items()))
+    assert len(saved["1"][1]) > 100
+    assert saved["2"] == saved["1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("denom", "--g", "3", "--n", "2"),
+    ("denom", "--g", "3"),
+    ("monotone", "--lambda", "none", "--n", "3", "--gmax", "3", "--no-timing"),
+])
+def test_denom_and_monotone_honour_cache(tmp_path, capsys, monkeypatch, argv):
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(br, "_DEFAULT_TABLE", br.BracketTable())
+    cache = tmp_path / "d.cache"
+    code, cached, _ = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and cached == plain
+    loaded = br.cache_load(str(cache))
+    assert len(loaded) > 0 and dict(loaded.items()) == dict(br.default_table().items())
+
+
 def test_denom_output(capsys):
     code, out, _ = run(capsys, "denom", "--g", "2")
     assert code == 0

@@ -40,6 +40,12 @@ def test_script_D3_profile():
     assert {f.prime: f.order for f in p3.factors} == {2: 10, 3: 4, 5: 1, 7: 1}
 
 
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_script_D_matches_conjectured_orders(g):
+    profile = compute_script_D(g)
+    assert {f.prime: f.order for f in profile.factors} == conjectured_orders(g)
+
+
 def test_conjectured_orders():
     assert conjectured_orders(2) == {2: 7, 3: 2, 5: 1}
     assert conjectured_orders(3) == {2: 10, 3: 4, 5: 1, 7: 1}

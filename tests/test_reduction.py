@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taucalc.brackets import BracketTable, bracket
-from taucalc.combinat import multisets_with_sum
+from taucalc.combinat import multisets_with_sum, set_partitions
 from taucalc.reduction import (
     MixedKey,
     ch_insertion,
@@ -73,6 +75,40 @@ def test_kappa0_law_random():
         g, ds, ks = _random_mixed_case(rng)
         n = len(ds)
         assert kappa_to_psi(g, ds, ks + [0]) == (2 * g - 2 + n) * kappa_to_psi(g, ds, ks)
+
+
+def _kappa_by_set_partitions(genus, psi, kappa, table):
+    # the Arbarello-Cornalba sum written out: one tau_{sum(a_B)+1} per block
+    # B of a set partition of the kappa indices, weight (-1)^{|B|-1}
+    total = Fraction(0)
+    for blocks in set_partitions(len(kappa)):
+        sign = (-1) ** (len(kappa) - len(blocks))
+        extra = tuple(sum(kappa[i] for i in block) + 1 for block in blocks)
+        total += sign * bracket(genus, tuple(psi) + extra, table)
+    return total
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kappa_fold_matches_set_partition_sum(data):
+    g = data.draw(st.integers(0, 4), label="g")
+    n = data.draw(st.integers(3 if g == 0 else (1 if g == 1 else 0), 3), label="n")
+    budget = 3 * g - 3 + n
+    kappa = []
+    for _ in range(data.draw(st.integers(1, 7), label="m")):
+        a = data.draw(st.integers(0, min(3, budget)))
+        kappa.append(a)
+        budget -= a
+    psi = [0] * n
+    if n == 0:
+        kappa[-1] += budget
+    else:
+        for _ in range(budget):
+            psi[data.draw(st.integers(0, n - 1))] += 1
+    kappa = data.draw(st.permutations(kappa), label="kappa")
+    table = BracketTable()
+    expected = _kappa_by_set_partitions(g, psi, kappa, table)
+    assert kappa_to_psi(g, psi, kappa, table) == expected
 
 
 def test_single_kappa_law():
