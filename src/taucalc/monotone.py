@@ -107,26 +107,27 @@ def two_point_row(g: int) -> list[Fraction]:
     contribution divides the common denominator 4^g (2g+1)!! 24^g g!, so
     the accumulation runs on integers and normalizes once per value.
     """
-    total = 3 * g - 1
+    half = (3 * g - 1) // 2
     whole = 4**g * double_factorial(2 * g + 1) * 24**g * factorial(g)
-    num: dict[int, int] = {}
+    num = [0] * (half + 1)
     for s in range(1, g + 1):
+        # whole / (4^s (2s+1)!! 24^k) = 4^k (2g+1)!!/(2s+1)!! 24^s g!, which
+        # k! divides since k <= g; comb(k, u) then replaces k!/(u! (k-u)!)
         k = g - s
-        base = whole // (4**s * double_factorial(2 * s + 1) * 24**k)
+        base = whole // (4**s * double_factorial(2 * s + 1) * 24**k * factorial(k))
+        row = [base * comb(k, u) for u in range(k + 1)]
         for i in range(s):
-            c = comb(s - 1, i) * base
-            for u in range(k + 1):
-                d1 = s + i + 3 * u
-                num[d1] = num.get(d1, 0) + c // (factorial(u) * factorial(k - u))
+            ci = comb(s - 1, i)
+            for u in range(min(k, (half - s - i) // 3) + 1):
+                num[s + i + 3 * u] += ci * row[u]
     # polynomial part of the unstable channel: the degree-3g slice of
     # exp((x^3+y^3)/24) divided by x+y, also integral over the denominator
     unit = whole // (24**g * factorial(g))
-    component = {
-        (3 * u, 3 * (g - u)): Fraction(comb(g, u) * unit) for u in range(g + 1)
-    }
+    component = {(3 * u, 3 * (g - u)): comb(g, u) * unit for u in range(g + 1)}
     for mono, c in _divide_by_varsum(component, 2).items():
-        num[mono[0]] = num.get(mono[0], 0) + int(c)
-    return [Fraction(num.get(d, 0), whole) for d in range(total // 2 + 1)]
+        if mono[0] <= half:
+            num[mono[0]] += c
+    return [Fraction(c, whole) for c in num]
 
 
 def psi_swap_deep(g_max: int, progress: Callable[[str], None] | None = None) -> Report:

@@ -21,10 +21,20 @@ every ingredient is a genuine polynomial:
     C_{|I|=2} = sum_s Delta(x,y)^s (x+y) / (4^s (2s+1)!!)
     C_{|I|=k} = (sum_I x)^2 G(x_I)           (k >= 3, all stable)
 
-and each P_r division by sum x_j is exact -- a nonzero remainder aborts,
-since it can only mean an implementation bug.  The exposed series keep
-only the stable coefficients; extraction back to F restores the
-polynomial part of the unstable contributions where they matter (n = 2).
+Arithmetic: every internal builder returns a pair (int numerators, den),
+one common denominator per series, reduced once by the gcd of den and all
+numerators.  Delta has integer coefficients (1 and 2), so its powers are
+integral; the split products C_I C_J are brought over the lcm of their
+denominators and added into one numerator as they are formed; and the
+scalars c(r,s) share the denominator 4^g (2g+n-1)!! for the series' top
+genus g, so P_r * sum_s c(r,s) Delta^s (summed by Horner's rule in Delta)
+is a product of ints.  Each P_r division by sum x_j runs on the int
+numerators and is exact -- a nonzero remainder aborts, since it can only
+mean an implementation bug.  `Fraction` appears only at the boundary: the
+`GradedPoly` views `NPointSeries.g`/`.f` and `MergedSeries`.  The exposed
+series keep only the stable coefficients; extraction back to F restores
+the polynomial part of the unstable contributions where they matter
+(n = 2).
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .brackets import BracketTable
@@ -51,7 +61,12 @@ __all__ = [
     "merged_series",
 ]
 
-Terms = dict[tuple[int, ...], Fraction]
+Mono = tuple[int, ...]
+Terms = dict[Mono, Fraction]
+IntTerms = dict[Mono, int]
+# an exact series as (numerator items, common denominator): the value of
+# each monomial is its numerator over den
+IntSeries = tuple[tuple[tuple[Mono, int], ...], int]
 
 _ZERO = Fraction(0)
 
@@ -64,52 +79,86 @@ class OddPowerError(ArithmeticError):
     """An odd power of the merged variable survived antisymmetrization."""
 
 
-def _add_term(terms: Terms, mono: tuple[int, ...], coeff: Fraction) -> None:
-    new = terms.get(mono, _ZERO) + coeff
+def _add_term(terms: dict, mono: Mono, coeff) -> None:
+    new = terms.get(mono, 0) + coeff
     if new:
         terms[mono] = new
     else:
         terms.pop(mono, None)
 
 
-def _mul(a: Terms, b: Terms, cap: int) -> Terms:
+def _mul(a, b, cap: int, out: IntTerms | None = None) -> IntTerms:
+    """Product of two (monomial, int) sequences through total degree cap,
+    added into `out` when given.  Zero coefficients may remain; `_reduced`
+    drops them.
+
+    Inside, each monomial is packed into one int with a field of
+    cap.bit_length() bits per variable, so multiplying monomials is one int
+    addition; no field of a product within the cap can overflow.
+    """
+    if out is None:
+        out = {}
     if len(a) > len(b):
         a, b = b, a
-    out: Terms = {}
-    bitems = [(m, sum(m), c) for m, c in b.items()]
-    for ma, ca in a.items():
-        da = sum(ma)
-        for mb, db, cb in bitems:
-            if da + db > cap:
-                continue
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            _add_term(out, mono, ca * cb)
+    if not a:
+        return out
+    width = cap.bit_length()
+    shifts = [width * i for i in range(len(next(iter(b))[0]))]
+
+    def pack(mono: Mono) -> int:
+        key = 0
+        for e, shift in zip(mono, shifts):
+            key |= e << shift
+        return key
+
+    bitems = sorted(((sum(m), pack(m), c) for m, c in b), key=lambda t: t[0])
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ma, ca in a:
+        room = cap - sum(ma)
+        ka = pack(ma)
+        for db, kb, cb in bitems:
+            if db > room:
+                break
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+    mask = (1 << width) - 1
+    for key, c in acc.items():
+        mono = tuple([(key >> shift) & mask for shift in shifts])
+        out[mono] = out.get(mono, 0) + c
     return out
 
 
-def _scale(a: Terms, c: Fraction) -> Terms:
-    if not c:
-        return {}
-    return {m: v * c for m, v in a.items()}
+def _reduced(terms: IntTerms, den: int) -> IntSeries:
+    """Freeze numerators over den, cancelling their common gcd with den."""
+    terms = {m: c for m, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    return tuple((m, c // g) for m, c in terms.items()), den // g
 
 
-def _component(a: Terms, degree: int) -> Terms:
+def _fractions(series: IntSeries) -> Terms:
+    items, den = series
+    return {m: Fraction(c, den) for m, c in items}
+
+
+def _component(a: dict, degree: int) -> dict:
     return {m: c for m, c in a.items() if sum(m) == degree}
 
 
-def _divide_by_varsum(comp: Terms, n: int) -> Terms:
+def _divide_by_varsum(comp: dict, n: int) -> dict:
     """Exact division of a homogeneous component by x_0 + .. + x_{n-1}.
 
-    Iterated lex-leading-term elimination; the divisor's leading monomial
-    is x_0, so any surviving monomial with zero first exponent witnesses a
-    nonzero remainder.
+    Works on any exact coefficient type (it only adds and subtracts), so
+    int numerators stay ints.  Iterated lex-leading-term elimination; the
+    divisor's leading monomial is x_0, so any surviving monomial with zero
+    first exponent witnesses a nonzero remainder.
     """
     import heapq
 
     work = dict(comp)
     heap = [tuple(-e for e in m) for m in work]
     heapq.heapify(heap)
-    quotient: Terms = {}
+    quotient: dict = {}
     while heap:
         neg = heapq.heappop(heap)
         mono = tuple(-e for e in neg)
@@ -146,7 +195,7 @@ class GradedPoly:
 
     __slots__ = ("n", "terms", "max_degree")
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Fraction] | None = None,
+    def __init__(self, n: int, terms: Mapping[Mono, Fraction] | None = None,
                  max_degree: int | None = None):
         self.n = n
         self.terms: Terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
@@ -159,24 +208,6 @@ class GradedPoly:
                 f"degree {sum(mono)} exceeds tracked degree {self.max_degree}"
             )
         return self.terms.get(mono, _ZERO)
-
-    def component(self, degree: int) -> "GradedPoly":
-        return GradedPoly(self.n, _component(self.terms, degree), self.max_degree)
-
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        cap = _min_cap(self.max_degree, other.max_degree)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, c)
-        return GradedPoly(self.n, out, cap)
-
-    def __mul__(self, other: "GradedPoly") -> "GradedPoly":
-        cap = _min_cap(self.max_degree, other.max_degree)
-        hard_cap = cap if cap is not None else _max_deg(self.terms) + _max_deg(other.terms)
-        return GradedPoly(self.n, _mul(self.terms, other.terms, hard_cap), cap)
-
-    def scaled(self, c: Fraction) -> "GradedPoly":
-        return GradedPoly(self.n, _scale(self.terms, Fraction(c)), self.max_degree)
 
     def is_symmetric(self) -> bool:
         from itertools import permutations
@@ -195,180 +226,181 @@ class GradedPoly:
         return f"GradedPoly(n={self.n}, terms={len(self.terms)}, max_degree={self.max_degree})"
 
 
-def _min_cap(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _max_deg(terms: Terms) -> int:
-    return max((sum(m) for m in terms), default=0)
+def _delta(n: int) -> tuple[tuple[Mono, int], ...]:
+    # (sum x)^3 without the pure cubes, divided by 3: x_i^2 x_j has
+    # coefficient 1 and x_i x_j x_k (i < j < k) coefficient 2
+    terms: IntTerms = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if i == j == k:
+                    continue
+                mono = [0] * n
+                mono[i] += 1
+                mono[j] += 1
+                mono[k] += 1
+                terms[tuple(mono)] = 2 if i < j < k else 1
+    return tuple(terms.items())
 
 
 def delta_poly(n: int) -> GradedPoly:
     """Delta = ((sum x_j)^3 - sum x_j^3)/3; identically 0 for n = 1."""
     if n < 1:
         raise ValueError("need at least one variable")
-    terms: Terms = {}
-    # multinomial expansion of (sum x)^3, dropping the pure cubes
-    def monos(slots: int):
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    yield (i, j, k)
-
-    for i, j, k in monos(3):
-        if i == j == k:
-            continue
-        mono = [0] * n
-        mono[i] += 1
-        mono[j] += 1
-        mono[k] += 1
-        weight = 6 if (i < j < k) else 3
-        _add_term(terms, tuple(mono), Fraction(weight, 3))
-    return GradedPoly(n, terms, None)
-
-
-def _delta_terms(n: int) -> Terms:
-    return delta_poly(n).terms
+    return GradedPoly(n, dict(_delta(n)), None)
 
 
 @lru_cache(maxsize=None)
-def _one_point_stable(cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    # x^-2 (1 - exp(-x^3/24)): components (-1)^{h+1} x^{3h-2} / (24^h h!)
-    out = []
-    h = 1
-    while 3 * h - 2 <= cap:
-        out.append(((3 * h - 2,), Fraction((-1) ** (h + 1), 24**h * factorial(h))))
-        h += 1
-    return tuple(out)
+def _one_point_stable(cap: int) -> IntSeries:
+    # x^-2 (1 - exp(-x^3/24)): components (-1)^{h+1} x^{3h-2} / (24^h h!),
+    # over the denominator of the top term
+    top = (cap + 2) // 3
+    den = 24**top * factorial(top)
+    terms = {
+        (3 * h - 2,): (-1) ** (h + 1) * (den // (24**h * factorial(h)))
+        for h in range(1, top + 1)
+    }
+    return _reduced(terms, den)
 
 
 def one_point_series(degree_cap: int) -> GradedPoly:
     """Stable normalized one-point series exp(-x^3/24) * sum_g x^{3g-2}/(24^g g!)."""
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
-    return GradedPoly(1, dict(_one_point_stable(degree_cap)), degree_cap)
+    return GradedPoly(1, _fractions(_one_point_stable(degree_cap)), degree_cap)
+
+
+def _delta_power_sum(first: int, top: int, extra: int) -> tuple[IntTerms, int]:
+    # sum_{s=first}^{top} x^s y^s (x+y)^{s+extra} / (4^s (2s+1)!!) as int
+    # numerators over 4^top (2top+1)!!
+    den = 4**top * odd_double_factorial(top)
+    terms: IntTerms = {}
+    for s in range(first, top + 1):
+        c = den // (4**s * odd_double_factorial(s))
+        for i in range(s + extra + 1):
+            terms[(s + i, 2 * s + extra - i)] = c * comb(s + extra, i)
+    return terms, den
 
 
 @lru_cache(maxsize=None)
-def _two_point_stable(cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _two_point_stable(cap: int) -> IntSeries:
     # sum_{s>=1} x^s y^s (x+y)^{s-1} / (4^s (2s+1)!!), degree 3s-1
-    out = []
-    s = 1
-    while 3 * s - 1 <= cap:
-        c = Fraction(1, 4**s * odd_double_factorial(s))
-        for i in range(s):
-            out.append(((s + i, 2 * s - 1 - i), c * comb(s - 1, i)))
-        s += 1
-    return tuple(out)
+    return _reduced(*_delta_power_sum(1, (cap + 1) // 3, -1))
 
 
 @lru_cache(maxsize=None)
-def _two_point_cfactor(cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _two_point_cfactor(cap: int) -> IntSeries:
     # (x+y)^2 * full two-point G: sum_{s>=0} x^s y^s (x+y)^{s+1} / (4^s (2s+1)!!)
+    return _reduced(*_delta_power_sum(0, (cap - 1) // 3, 1))
+
+
+def _embed(terms: Iterable[tuple[Mono, int]], positions: tuple[int, ...],
+           n: int) -> list[tuple[Mono, int]]:
     out = []
-    s = 0
-    while 3 * s + 1 <= cap:
-        c = Fraction(1, 4**s * odd_double_factorial(s))
-        for i in range(s + 2):
-            out.append(((s + i, 2 * s + 1 - i), c * comb(s + 1, i)))
-        s += 1
-    return tuple(out)
-
-
-def _embed(terms: Iterable[tuple[tuple[int, ...], Fraction]], positions: tuple[int, ...],
-           n: int) -> Terms:
-    out: Terms = {}
     for mono, c in terms:
         big = [0] * n
         for p, e in zip(positions, mono):
             big[p] = e
-        out[tuple(big)] = c
+        out.append((tuple(big), c))
     return out
 
 
 @lru_cache(maxsize=None)
-def _c_factor(k: int, cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _c_factor(k: int, cap: int) -> IntSeries:
     """(sum_I x)^2 G(x_I) for |I| = k as a polynomial, unstable parts folded in."""
     if k == 1:
-        return (((0,), Fraction(1)),)
+        return (((0,), 1),), 1
     if k == 2:
         return _two_point_cfactor(cap)
-    g = _stable_terms(k, cap - 2)
-    e1sq: Terms = {}
+    g_items, den = _stable_terms(k, cap - 2)
+    e1sq: IntTerms = {}
     for i in range(k):
         for j in range(k):
             mono = [0] * k
             mono[i] += 1
             mono[j] += 1
-            _add_term(e1sq, tuple(mono), Fraction(1))
-    return tuple(_mul(dict(g), e1sq, cap).items())
+            _add_term(e1sq, tuple(mono), 1)
+    return _reduced(_mul(g_items, e1sq.items(), cap), den)
 
 
 @lru_cache(maxsize=None)
-def _stable_terms(n: int, cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _stable_terms(n: int, cap: int) -> IntSeries:
     """Stable normalized n-point series through total degree cap."""
     if n == 1:
         return _one_point_stable(cap)
     if n == 2:
         return _two_point_stable(cap)
 
+    # the split products C_I C_J over one denominator, each added into the
+    # numerator as it is formed
     num_cap = cap + 1
-    numerator: Terms = {}
+    factors = {k: _c_factor(k, num_cap) for k in range(1, n)}
+    num_den = 1
+    for k in range(1, n):
+        num_den = lcm(num_den, factors[k][1] * factors[n - k][1])
+    numerator: IntTerms = {}
     indices = tuple(range(n))
     for size in range(1, n):
+        (a_items, a_den), (b_items, b_den) = factors[size], factors[n - size]
+        scale = num_den // (a_den * b_den)
+        a_scaled = [(m, scale * c) for m, c in a_items]
         for left in combinations(indices, size):
             right = tuple(i for i in indices if i not in left)
-            a = _embed(_c_factor(size, num_cap), left, n)
-            b = _embed(_c_factor(n - size, num_cap), right, n)
-            for mono, c in _mul(a, b, num_cap).items():
-                _add_term(numerator, mono, c)
+            _mul(_embed(a_scaled, left, n), _embed(b_items, right, n), num_cap, numerator)
 
+    # c(r,s) = (2r+n-3)!! / (4^s (2r+2s+n-1)!!) over 4^g_max (2g_max+n-1)!!
     g_max = (cap - n + 3) // 3
-    p_parts: dict[int, Terms] = {}
+    top_odd = double_factorial(2 * g_max + n - 1)
+    delta = _delta(n)
+    out: IntTerms = {}
     for r in range(g_max + 1):
-        comp = _component(numerator, 3 * r + n - 2)
-        p_parts[r] = _scale(_divide_by_varsum(comp, n), Fraction(1, 2))
-
-    delta = _delta_terms(n)
-    delta_pows: list[Terms] = [{(0,) * n: Fraction(1)}]
-    for s in range(1, g_max + 1):
-        delta_pows.append(_mul(delta_pows[-1], delta, cap))
-
-    out: Terms = {}
-    for r, p in p_parts.items():
+        # P_r = p / (2 num_den)
+        p = _divide_by_varsum(_component(numerator, 3 * r + n - 2), n)
         if not p:
             continue
-        inner: Terms = {}
-        for s in range(g_max - r + 1):
-            c = Fraction(
-                double_factorial(2 * r + n - 3),
-                4**s * double_factorial(2 * r + 2 * s + n - 1),
-            )
-            for mono, v in delta_pows[s].items():
-                _add_term(inner, mono, c * v)
-        for mono, c in _mul(p, inner, cap).items():
-            _add_term(out, mono, c)
-    return tuple(out.items())
+        # P_r * sum_s c(r,s) Delta^s by Horner's rule in Delta; the top
+        # degree 3 g_max + n - 3 is within cap, so nothing is truncated
+        lead = double_factorial(2 * r + n - 3)
+        acc: IntTerms = {}
+        for s in range(g_max - r, -1, -1):
+            acc = _mul(delta, acc.items(), cap)
+            c = lead * 4 ** (g_max - s) * (top_odd // double_factorial(2 * r + 2 * s + n - 1))
+            for mono, v in p.items():
+                acc[mono] = acc.get(mono, 0) + c * v
+        for mono, v in acc.items():
+            out[mono] = out.get(mono, 0) + v
+    return _reduced(out, 2 * num_den * 4**g_max * top_odd)
 
 
 @lru_cache(maxsize=None)
-def _exp_cubes(n: int, cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _exp_cubes(n: int, cap: int) -> IntSeries:
     """exp(sum x_j^3 / 24) truncated at total degree cap."""
-    terms: Terms = {(0,) * n: Fraction(1)}
+    top = cap // 3
+    den = 24**top * factorial(top)
+    terms: IntTerms = {(0,) * n: 1}
     for i in range(n):
-        single: Terms = {}
-        k = 0
-        while 3 * k <= cap:
+        single = []
+        for k in range(top + 1):
             mono = [0] * n
             mono[i] = 3 * k
-            single[tuple(mono)] = Fraction(1, 24**k * factorial(k))
-            k += 1
-        terms = _mul(terms, single, cap)
-    return tuple(terms.items())
+            single.append((tuple(mono), den // (24**k * factorial(k))))
+        terms = _mul(terms.items(), single, cap)
+    return _reduced(terms, den**n)
+
+
+def _two_point_correction(cap: int) -> IntSeries:
+    # the unstable 1/(x+y) contributes (exp(..)-1)/(x+y) to the polynomial
+    # part; degree by degree the division is exact.  Division drops one
+    # degree, so feed it one degree more.
+    items, den = _exp_cubes(2, cap + 1)
+    shifted = {m: c for m, c in items if m != (0, 0)}
+    out: IntTerms = {}
+    for deg in range(1, cap + 2):
+        comp = _component(shifted, deg)
+        if comp:
+            for mono, c in _divide_by_varsum(comp, 2).items():
+                out[mono] = out.get(mono, 0) + c
+    return _reduced(out, den)
 
 
 class NPointSeries:
@@ -377,7 +409,8 @@ class NPointSeries:
     def __init__(self, n: int, degree_cap: int):
         self.n = n
         self.degree_cap = degree_cap
-        self.g = GradedPoly(n, dict(_stable_terms(n, degree_cap)), degree_cap)
+        self._stable = _stable_terms(n, degree_cap)
+        self.g = GradedPoly(n, _fractions(self._stable), degree_cap)
         self._f: GradedPoly | None = None
 
     @property
@@ -385,21 +418,20 @@ class NPointSeries:
         """Polynomial part of exp(sum x^3/24) * G, whose coefficients are brackets."""
         if self._f is None:
             cap = self.degree_cap
-            exp_terms = dict(_exp_cubes(self.n, cap))
-            out = _mul(self.g.terms, exp_terms, cap)
+            g_items, g_den = self._stable
+            e_items, e_den = _exp_cubes(self.n, cap)
+            out = _mul(g_items, e_items, cap)
+            den = g_den * e_den
             if self.n == 2:
-                # the unstable 1/(x+y) contributes (exp(..)-1)/(x+y) to the
-                # polynomial part; degree by degree the division is exact.
-                # Division drops one degree, so feed it one degree more.
-                corr = dict(_exp_cubes(2, cap + 1))
-                corr.pop((0, 0), None)
-                for deg in range(1, cap + 2):
-                    comp = _component(corr, deg)
-                    if not comp:
-                        continue
-                    for mono, c in _divide_by_varsum(comp, 2).items():
-                        _add_term(out, mono, c)
-            self._f = GradedPoly(self.n, out, cap)
+                c_items, c_den = _two_point_correction(cap)
+                common = lcm(den, c_den)
+                scale = common // den
+                out = {m: scale * c for m, c in out.items()}
+                scale = common // c_den
+                for mono, c in c_items:
+                    out[mono] = out.get(mono, 0) + scale * c
+                den = common
+            self._f = GradedPoly(self.n, _fractions(_reduced(out, den)), cap)
         return self._f
 
     def bracket(self, exponents: Iterable[int]) -> Fraction:
@@ -470,7 +502,7 @@ class MergedSeries:
         removed: equals sum_j (-1)^j <tau_{2K-j} tau_j prod tau_d>."""
         if self._fterms is None:
             cap = self.degree_cap
-            exp_terms = dict(_exp_cubes(self.n, cap)) if self.n else {(): Fraction(1)}
+            exp_terms = _fractions(_exp_cubes(self.n, cap))
             out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
             for (ypow, xs), c in self.gterms.items():
                 for mono, e in exp_terms.items():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rational = Fraction
 
@@ -150,12 +150,3 @@ def parse_rational(text: str) -> Fraction:
         num, _, den = text.partition("/")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
-
-
-def multinomial_coefficient(top: int, parts: Sequence[int]) -> int:
-    """top! / prod(parts!) when sum(parts) == top, else 0."""
-    if any(p < 0 for p in parts) or sum(parts) != top:
-        return 0
-    from .combinat import multinomial
-
-    return multinomial(parts)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,24 @@ def test_npoint_special_dump(capsys):
     code, out, _ = run(capsys, "npoint", "--n", "1", "--gmax", "2", "--special")
     assert code == 0
     assert "2,1 -> 1/12" in out.splitlines()  # y^2 x^1 coefficient
+
+
+# sha256 of the stdout of these commands, pinned from the Fraction-based
+# n-point engine; the integer kernel must reproduce them byte for byte
+@pytest.mark.parametrize("argv, digest", [
+    ("npoint --n 4 --gmax 4",
+     "4f0576082de0fcec3f51e0897f6ed266dcc1ca56dfaf6259b7105789872314cf"),
+    ("npoint --n 3 --gmax 6",
+     "f5f7cdac01f1a0d96814b980b5deed593c85087ede309c4863d1601ded8f73aa"),
+    ("npoint --n 2 --gmax 3 --special",
+     "0822d2aeb6cca4e98bb5197840ff824bb328fff0f52b8499ae12c67e6149a306"),
+    ("monotone --n 2 --gmax 20 --no-timing",
+     "e7dc16b6f68ba6897e50490a9139227bf8252114103b23fff3fdcd09d0308bea"),
+])
+def test_npoint_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_json_and_exit(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from taucalc.brackets import bracket
+from taucalc.brackets import BracketTable, bracket
 from taucalc.monotone import (
     bounds_check,
     kappa_swap_check,
@@ -10,7 +10,9 @@ from taucalc.monotone import (
     psi_floor_check,
     psi_swap_check,
     psi_swap_deep,
+    two_point_row,
 )
+from taucalc.npoint import npoint_series
 from taucalc.reduction import kappa_to_psi
 
 
@@ -34,6 +36,18 @@ def test_psi_swap_sweep():
 def test_psi_swap_deep_two_point():
     r = psi_swap_deep(20)
     assert r.passed and r.lhs > 0
+
+
+def test_two_point_row_values():
+    # the closed two-point rows against both engines, value by value
+    table = BracketTable()
+    series = npoint_series(2, 15)
+    for g in range(1, 16):
+        row = two_point_row(g)
+        assert len(row) == (3 * g - 1) // 2 + 1
+        for d, value in enumerate(row):
+            assert value == bracket(g, (d, 3 * g - 1 - d), table), (g, d)
+            assert value == series.bracket((d, 3 * g - 1 - d)), (g, d)
 
 
 def test_lambda_swap():

@@ -17,7 +17,7 @@ from taucalc.npoint import (
 )
 from taucalc.identities import alt_pair_sum
 from taucalc.rationals import odd_double_factorial
-from math import factorial
+from math import factorial, gcd
 
 
 def test_delta_poly():
@@ -52,6 +52,26 @@ def test_divide_by_varsum_exact_and_remainder():
         _divide_by_varsum({(1, 1): Fraction(1)}, 2)
 
 
+def test_divide_by_varsum_keeps_int_numerators():
+    q = _divide_by_varsum({(3, 0): 1, (0, 3): 1}, 2)
+    assert q == {(2, 0): 1, (1, 1): -1, (0, 2): 1}
+    assert all(type(c) is int for c in q.values())
+    with pytest.raises(DivisionRemainderError):
+        _divide_by_varsum({(1, 1): 1}, 2)
+
+
+def test_series_values_are_fractions_in_lowest_terms():
+    # the builders run on int numerators; the exposed polynomials carry
+    # Fraction values only
+    for n, g_hi in ((1, 4), (2, 5), (3, 4), (4, 3), (5, 2)):
+        series = npoint_series(n, g_hi)
+        for poly in (series.g, series.f):
+            assert poly.terms, (n, g_hi)
+            for c in poly.terms.values():
+                assert type(c) is Fraction and c
+                assert gcd(c.numerator, c.denominator) == 1 and c.denominator > 0
+
+
 def test_two_point_extraction_examples():
     s2 = npoint_series(2, 6)
     assert extract_bracket(s2, (2, 3)) == Fraction(29, 5760)
@@ -75,7 +95,7 @@ def test_three_point_genus0_normalization():
 
 def test_oracle_equivalence_small():
     table = BracketTable()
-    for n, g_hi in ((1, 5), (2, 5), (3, 4), (4, 3)):
+    for n, g_hi in ((1, 5), (2, 5), (3, 4), (4, 3), (5, 3), (6, 2)):
         series = npoint_series(n, g_hi)
         for g in range(0, g_hi + 1):
             total = 3 * g - 3 + n
