@@ -86,12 +86,18 @@ class BracketTable:
     Insertions are idempotent (recomputation always yields the same exact
     value), so concurrent fills are safe under the interpreter's atomic
     dict operations.
+
+    The table also owns the derived one-sided rows that the identity
+    sweeps read (see `row`).  Rows are filled from brackets computed
+    through this table, are emptied by `clear`, and are never persisted:
+    `cache_save` writes the memo entries only.
     """
 
     VERSION = "v1"
 
     def __init__(self) -> None:
         self._data: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self._rows: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -115,8 +121,18 @@ class BracketTable:
     def items(self):
         return self._data.items()
 
+    def row(self, extras: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+        """The row for the ascending multiset `extras`: a dict, filled by the
+        caller, mapping j to the integer ratio of <tau_j prod tau_extras> at
+        the one genus that fits its dimension."""
+        r = self._rows.get(extras)
+        if r is None:
+            r = self._rows[extras] = {}
+        return r
+
     def clear(self) -> None:
         self._data.clear()
+        self._rows.clear()
         self.hits = self.misses = 0
 
 

@@ -138,11 +138,10 @@ def _run_verify(args) -> int:
         reports = ids.run_sweep(token + "a", limits, jobs=jobs)
         reports += ids.run_sweep(token + "b", limits, jobs=jobs)
     elif token == "decomp":
-        reports = []
-        for g in range(2, g_max + 1):
-            for p in ids.instances("eq3", ids.SweepLimits(g_max=g_max, n_max=n_max)):
-                if p["g"] == g:
-                    reports.append(ids.decomposition_check(p["g"], p["d"]))
+        reports = [
+            ids.decomposition_check(p["g"], p["d"])
+            for p in ids.instances("eq3", ids.SweepLimits(g_max=g_max, n_max=n_max))
+        ]
     elif token == "n1sums":
         reports = []
         for g in range(1, g_max + 1):
@@ -196,7 +195,7 @@ def _run_verify(args) -> int:
         ]
     else:  # pragma: no cover
         raise AssertionError(token)
-    return _emit_reports(sorted(reports, key=Report.sort_key), timing)
+    return _emit_reports(reports, timing)
 
 
 def _run_denom(args) -> int:

@@ -5,6 +5,13 @@ factorials only, and its bracket side through the recursion engine, then
 reports exact rational equality.  Conjectural identities are *reported*,
 never assumed: a failing tuple comes back with both values for triage.
 
+The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
+insertion combinations all go through `split_sum`.  It returns 0 at once
+unless the genus fits both factors' dimensions, reads each factor from an
+integer row <tau_j prod tau_E> that the bracket table keeps per sorted
+extras multiset E (derived data, never saved), accumulates integer
+numerators per denominator, and builds one Fraction per call.
+
 Identity ids (also the CLI tokens):
 
   eq4   alternating pair sum with d_j >= 1, sum(d_j - 1) = g - 1 equals
@@ -25,8 +32,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, islice
-from math import factorial
+from math import factorial, lcm
 from typing import Any, Iterable, Iterator
 
 from .brackets import BracketTable, bracket, default_table
@@ -68,6 +76,12 @@ def alt_pair_sum(K: int, genus: int, d: Iterable[int], table: BracketTable | Non
     return total
 
 
+@lru_cache(maxsize=None)
+def _splits(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """submultiset_splits(d), kept per sorted d: a sweep meets few distinct d."""
+    return tuple(submultiset_splits(d))
+
+
 def split_sum(
     K: int,
     left_extras: Iterable[int],
@@ -81,31 +95,56 @@ def split_sum(
         (-1)^j <tau_j prod(left_extras) prod_I tau_d>_{g'}
                <tau_{K-j} prod(right_extras) prod_J tau_d>_{g-g'}
 
-    Unstable or dimension-violating factors vanish; for each split and j
-    at most one g' survives, so the g'-loop is folded away.
+    Unstable or dimension-violating factors vanish.  Both factors fit their
+    dimensions only if K + sum(extras) + sum(d) + 4 - |extras| - |d| = 3g,
+    so any other call is 0 before a bracket is read.  Then each factor sits
+    at the one genus its own dimension fixes, g' is determined by j, and
+    only the j in one residue class mod 3 contribute.
+
+    Each factor is read from the integer row B(j, E) = <tau_j prod tau_E>
+    that the table keeps per sorted E (see BracketTable.row), filled on
+    first use in the same order as the bracket lookups it replaces.  Terms
+    are accumulated as integers per denominator and folded over the lcm of
+    those denominators into one Fraction.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
     left = tuple(left_extras)
     right = tuple(right_extras)
     d = tuple(sorted(d))
-    total = _ZERO
-    for dI, dJ, count in submultiset_splits(d):
-        nl = 1 + len(left) + len(dI)
-        base = sum(left) + sum(dI)
-        for j in range(K + 1):
-            gl, rem = divmod(j + base - nl + 3, 3)
-            if rem or gl < 0 or gl > genus:
+    if K + sum(left) + sum(right) + sum(d) + 4 - len(left) - len(right) - len(d) != 3 * genus:
+        return _ZERO
+    t = table if table is not None else default_table()
+    acc: dict[int, int] = {}
+    for dI, dJ, count in _splits(d):
+        left_e = tuple(sorted(left + dI))
+        right_e = tuple(sorted(right + dJ))
+        lrow = t.row(left_e)
+        rrow = t.row(right_e)
+        # the left factor fits its dimension at genus g' iff j = lo + 3 g'
+        lo = len(left_e) - 2 - sum(left_e)
+        start = lo if lo >= 0 else lo % 3
+        for j in range(start, min(K, lo + 3 * genus) + 1, 3):
+            lv = lrow.get(j)
+            if lv is None:
+                lv = lrow[j] = bracket((j - lo) // 3, (j,) + left_e, t).as_integer_ratio()
+            ln, ld = lv
+            if not ln:
                 continue
-            lv = bracket(gl, (j,) + left + dI, table)
-            if not lv:
+            rv = rrow.get(K - j)
+            if rv is None:
+                rv = rrow[K - j] = bracket(
+                    genus - (j - lo) // 3, (K - j,) + right_e, t
+                ).as_integer_ratio()
+            rn, rd = rv
+            if not rn:
                 continue
-            rv = bracket(genus - gl, (K - j,) + right + dJ, table)
-            if not rv:
-                continue
-            term = count * lv * rv
-            total += term if j % 2 == 0 else -term
-    return total
+            term = count * ln * rn
+            acc[ld * rd] = acc.get(ld * rd, 0) + (-term if j & 1 else term)
+    if not acc:
+        return _ZERO
+    den = lcm(*acc)
+    return Fraction(sum(num * (den // k) for k, num in acc.items()), den)
 
 
 def _dfact_prod(d: Iterable[int]) -> int:

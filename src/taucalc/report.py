@@ -65,8 +65,13 @@ class Report:
 
 
 def reports_to_json(reports: list[Report], timing: bool = True) -> str:
+    """The reports in canonical order as one JSON array.
+
+    Each report is encoded on its own, so a large sweep never holds all of
+    its dicts at once; the text equals json.dumps of the whole list.
+    """
     ordered = sorted(reports, key=Report.sort_key)
-    return json.dumps([r.to_dict(timing=timing) for r in ordered], indent=None)
+    return "[" + ", ".join(json.dumps(r.to_dict(timing=timing)) for r in ordered) + "]"
 
 
 def summary_line(reports: list[Report]) -> str:

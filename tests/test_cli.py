@@ -81,6 +81,36 @@ def test_npoint_golden_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `verify <token> --no-timing --jobs 1` stdout at the default grid,
+# pinned from the Fraction-based split_sum before its integer row kernel
+@pytest.mark.parametrize("token, digest", [
+    ("eq3", "d2efa0ec8bce3ae1d99896c93f476d508e800d979f5fad3deca2e8a3882980c0"),
+    ("eq4", "9a4a3e7104427656add335085eec465c879d88b1b525d70f182b37adcfd7a7cc"),
+    ("eq5", "70645a0554844bd96c19a120574b5a736638917dc5428958be68aa14e88d07f4"),
+    ("eq6", "c670f5b349ca243c6ea0765bf43b98ff3ceac00674e4f500460ff8b6d0d6cc1a"),
+    ("eq7", "3dac7228ea0c28b3d56b1a0b4b9e3bde6704d8893b2df71fa8b1abc7ba232bf6"),
+    ("eq8", "3c1aec42d2b40d88bb98e0a918fc07d5aeaabd8d7ee7eea9fc523f059fa46e18"),
+    ("c32", "c2ce13d2b9dc993da1682d3f6470a400fb477499fe2c1bb9cd56263865f352c4"),
+    ("c33", "ac9e1466b2b99370b3ce361fb6b949e21558bada6f2dda938a147299013cda43"),
+    ("c34", "cbe6c376cc93e6d335ae5ca9a3eb4eef6a12c04c9dd2a689300ffa06737402df"),
+    ("c35", "c177046845329b3cc65a319e734bf4b5738700fdd1389f0cd51272f51e4833ff"),
+])
+def test_verify_golden_stdout(capsys, token, digest):
+    code, out, _ = run(capsys, "verify", token, "--no-timing", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_cold_cache_file_golden(tmp_path, capsys):
+    # the bracket lookups a sweep makes decide which entries the cache holds
+    cache = tmp_path / "c34.cache"
+    code, _, _ = run(capsys, "verify", "c34", "--no-timing", "--jobs", "1", "--cache", str(cache))
+    assert code == 0
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "2853882fb5451040c681b891851b08b363dfd693dab7ec76fc062d18bbd288e7"
+    )
+
+
 def test_verify_json_and_exit(capsys):
     code, out, _ = run(
         capsys, "verify", "eq4", "--gmax", "2", "--nmax", "2", "--jobs", "1", "--no-timing"

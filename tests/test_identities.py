@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from taucalc.brackets import BracketTable, bracket
+from taucalc.brackets import BracketTable, bracket, cache_dumps
 from taucalc.identities import (
     IDENTITY_IDS,
     ParameterError,
@@ -37,28 +40,27 @@ def test_alt_pair_sum_one_point_closed_form():
         assert alt_pair_sum(g, g, (g,)) == want, g
 
 
+def brute(K, le, re_, g, d):
+    """split_sum re-evaluated over explicit index subsets, genera and j."""
+    total = Fraction(0)
+    idx = range(len(d))
+    for rsz in range(len(d) + 1):
+        for I in combinations(idx, rsz):
+            J = tuple(i for i in idx if i not in I)
+            dI = tuple(d[i] for i in I)
+            dJ = tuple(d[i] for i in J)
+            for gp in range(g + 1):
+                for j in range(K + 1):
+                    total += (
+                        (-1) ** j
+                        * bracket(gp, (j,) + tuple(le) + dI)
+                        * bracket(g - gp, (K - j,) + tuple(re_) + dJ)
+                    )
+    return total
+
+
 def test_split_sum_examples():
     assert split_sum(0, [], [], 1, [0]) == 0
-    # brute-force re-evaluation over explicit index subsets
-    from itertools import combinations
-
-    def brute(K, le, re_, g, d):
-        total = Fraction(0)
-        idx = range(len(d))
-        for rsz in range(len(d) + 1):
-            for I in combinations(idx, rsz):
-                J = tuple(i for i in idx if i not in I)
-                dI = tuple(d[i] for i in I)
-                dJ = tuple(d[i] for i in J)
-                for gp in range(g + 1):
-                    for j in range(K + 1):
-                        total += (
-                            (-1) ** j
-                            * bracket(gp, (j,) + tuple(le) + dI)
-                            * bracket(g - gp, (K - j,) + tuple(re_) + dJ)
-                        )
-        return total
-
     cases = [
         (2, (), (), 2, (3,)),
         (2, (1,), (), 1, (1, 1)),
@@ -67,6 +69,46 @@ def test_split_sum_examples():
     ]
     for K, le, re_, g, d in cases:
         assert split_sum(K, le, re_, g, d) == brute(K, le, re_, g, d), (K, le, re_, g, d)
+
+
+_extras = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+
+
+@given(g=st.integers(0, 3), le=_extras, re_=_extras,
+       d=st.lists(st.integers(0, 4), max_size=3).map(tuple))
+@settings(max_examples=100, deadline=None)
+def test_split_sum_matches_brute_force(g, le, re_, d):
+    # K is chosen so that genus g fits both factors' dimensions
+    K = 3 * g - (sum(le) + sum(re_) + sum(d) + 4 - len(le) - len(re_) - len(d))
+    assume(0 <= K <= 6)
+    # one table for all calls: the mismatched genera run first, so a row
+    # entry cached at a wrong genus would corrupt the matching call
+    table = BracketTable()
+    for genus in sorted(range(4), key=lambda x: x == g):
+        want = brute(K, le, re_, genus, d)
+        assert split_sum(K, le, re_, genus, d, table) == want, (K, le, re_, genus, d)
+        if genus != g:
+            assert want == 0
+
+
+def test_split_sum_rows_are_table_scoped():
+    args = (4, (0, 1), (0, 0), 2, (1, 2))  # a c35b instance, nonzero
+    a = BracketTable()
+    value = split_sum(*args, a)
+    assert value == brute(*args) != 0
+    assert a._rows
+    # a fresh table is filled exactly as the first one was: no memo outside it
+    b = BracketTable()
+    assert split_sum(*args, b) == value
+    assert list(b.items()) == list(a.items()) and b._rows == a._rows
+    # the rows are derived data: never saved, and cleared with the memo
+    plain = BracketTable()
+    for key, v in a.items():
+        plain.put(key, v)
+    assert cache_dumps(a) == cache_dumps(plain)
+    a.clear()
+    assert len(a) == 0 and not a._rows
+    assert split_sum(*args, a) == value and list(a.items()) == list(b.items())
 
 
 def test_verify_spec_examples():
