@@ -1,26 +1,31 @@
 """Exact psi-class intersection numbers <tau_{d_1} ... tau_{d_n}>_g.
 
-Genus 0 uses the closed form (n-3)!/prod(d_j!).  In higher genus every key
-is first brought to canonical form, with all exponents >= 2, by the string
-and dilaton equations:
+The engine works on S_g(d) = prod_j (2d_j+1)!! <tau_{d_1} ... tau_{d_n}>_g,
+the bracket of sigma_d = (2d+1)!! tau_d.  Genus 0 uses the closed form
+(n-3)!/prod(d_j!).  In higher genus every key is first brought to canonical
+form, with all exponents >= 2, by the string and dilaton equations:
 
-  <tau_0 prod tau_{d_j}>_g = sum_j <... tau_{d_j - 1} ...>_g
-  <tau_1 prod tau_{d_j}>_{g,n+1} = (2g-2+n) <prod tau_{d_j}>_{g,n}
+  S_g(0, d)       = sum_j (2d_j+1) S_g(... d_j - 1 ...)
+  S_{g,n+1}(1, d) = 3(2g-2+n) S_{g,n}(d)
 
 A canonical key then descends on its largest exponent with the DVV form of
-the KdV/Virasoro recursion:
+the KdV/Virasoro recursion, which in this normalization has integer
+coefficients and one 1/2 (no division by (2k+3)!!):
 
-  (2k+3)!! <tau_{k+1} prod tau_{d_j}>_g =
-      sum_j [(2d_j+1)(2d_j+3)...(2d_j+2k+1)] <... tau_{d_j+k} ...>_g
-    + 1/2 sum_{r+s=k-1} (2r+1)!!(2s+1)!! <tau_r tau_s prod tau_d>_{g-1}
-    + 1/2 sum_{r+s=k-1} (2r+1)!!(2s+1)!!
-          sum_{I ⊔ J, g'} <tau_r prod_I>_{g'} <tau_s prod_J>_{g-g'}
+  S_g(k+1, d) = sum_j (2d_j+1) S_g(... d_j + k ...)
+    + 1/2 sum_{r+s=k-1} [S_{g-1}(r, s, d)
+                         + sum_{I ⊔ J, g'} S_{g'}(r, d_I) S_{g-g'}(s, d_J)]
 
 with ordered pairs (I, J) and unstable or dimension-violating brackets
 equal to 0.  Sub-keys with a tau_0 or tau_1 are canonicalized in turn, and
 every key visited is memoized under its own exponents.  The one base case
-is <tau_1>_1 = 1/24, which neither equation reaches; the test suite checks
-it, and both equations, against the n-point series engine.
+is S_1(1) = 3 <tau_1>_1 = 1/8, which neither equation reaches; the test
+suite checks it, and both equations, against the n-point series engine.
+
+Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
+the pair (num, e), num odd or zero, and sums add by shifting.  Fractions
+are built only at the boundary: `bracket` returns num/(2^e prod (2d_j+1)!!),
+and the cache file and BracketTable.get/put/items hold <tau_d>_g.
 
 Brackets are total functions: out-of-range input returns 0, never raises.
 """
@@ -32,11 +37,11 @@ import hashlib
 import io
 import os
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, prod
 from typing import IO, Iterable, NamedTuple
 
 from .combinat import submultiset_splits
-from .rationals import format_rational, odd_double_factorial, parse_rational
+from .rationals import format_rational, odd_double_factorial, parse_ratio
 
 __all__ = [
     "TauKey",
@@ -52,8 +57,8 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
-_TAU11 = Fraction(1, 24)
+_DZERO = (0, 0)
+_S11 = (1, 3)  # S_1(1) = 3 * 1/24 = 1/2^3
 
 # genus-0 brackets this small are cheaper to recompute than to store
 _GENUS0_CACHE_THRESHOLD = 8
@@ -80,8 +85,47 @@ class TauKey(NamedTuple):
         return sum(self.exponents) == 3 * self.genus - 3 + self.npoints
 
 
+def sigma_weight(exponents: Iterable[int]) -> int:
+    """prod (2d_j+1)!!, the factor between <prod tau_{d_j}> and S(d)."""
+    return prod(map(odd_double_factorial, exponents))
+
+
+def _dyadic(num: int, e: int) -> tuple[int, int]:
+    """num/2^e as (odd or zero numerator, exponent)."""
+    if not num:
+        return _DZERO
+    tz = (num & -num).bit_length() - 1
+    return num >> tz, e - tz
+
+
+def _fold(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the dyadic terms (num, e), in normal form."""
+    top = max(e for _, e in terms)
+    return _dyadic(sum(num << (top - e) for num, e in terms), top)
+
+
+def dyadic_ratio(value: tuple[int, int], weight: int) -> tuple[int, int]:
+    """(num, den), not reduced, of num/(2^e weight) for value = (num, e)."""
+    num, e = value
+    return (num, weight << e) if e >= 0 else (num << -e, weight)
+
+
+def _sigma_form(exponents: tuple[int, ...], num: int, den: int) -> tuple[int, int]:
+    """(num/den) sigma_weight(exponents) as (num, e); ValueError unless dyadic."""
+    odd = den >> ((den & -den).bit_length() - 1)
+    q, r = divmod(num * sigma_weight(exponents), odd)
+    if r:
+        raise ValueError(f"value {num}/{den} is not dyadic in sigma form")
+    return _dyadic(q, (den // odd).bit_length() - 1)
+
+
 class BracketTable:
-    """Memo table mapping TauKey -> Fraction, with persistence support.
+    """Memo table of brackets keyed by (genus, ascending exponents), with
+    persistence support.
+
+    The memo holds S_g(d) (see the module docstring) as (num, e) = num/2^e,
+    num odd or zero; `get`, `put` and `items` convert to and from Fraction
+    <tau_d>_g, and `put` raises ValueError for a value whose S is not dyadic.
 
     Insertions are idempotent (recomputation always yields the same exact
     value), so concurrent fills are safe under the interpreter's atomic
@@ -96,7 +140,7 @@ class BracketTable:
     VERSION = "v1"
 
     def __init__(self) -> None:
-        self._data: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self._data: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._rows: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
         self.hits = 0
         self.misses = 0
@@ -108,23 +152,30 @@ class BracketTable:
         return tuple(key) in self._data
 
     def get(self, key):
-        v = self._data.get(tuple(key))
+        key = tuple(key)
+        v = self._data.get(key)
         if v is None:
             self.misses += 1
-        else:
-            self.hits += 1
-        return v
+            return None
+        self.hits += 1
+        return Fraction(*dyadic_ratio(v, sigma_weight(key[1])))
 
     def put(self, key, value: Fraction) -> None:
-        self._data[tuple(key)] = value
+        key = tuple(key)
+        self._data[key] = _sigma_form(key[1], value.numerator, value.denominator)
 
     def items(self):
-        return self._data.items()
+        for key, v in self._data.items():
+            yield key, Fraction(*dyadic_ratio(v, sigma_weight(key[1])))
+
+    def update(self, other: "BracketTable") -> None:
+        """Copy every memo entry of `other` into this table."""
+        self._data.update(other._data)
 
     def row(self, extras: tuple[int, ...]) -> dict[int, tuple[int, int]]:
         """The row for the ascending multiset `extras`: a dict, filled by the
-        caller, mapping j to the integer ratio of <tau_j prod tau_extras> at
-        the one genus that fits its dimension."""
+        caller, mapping j to the sigma form (num, e) of <tau_j prod
+        tau_extras> at the one genus that fits its dimension."""
         r = self._rows.get(extras)
         if r is None:
             r = self._rows[extras] = {}
@@ -150,10 +201,7 @@ def genus0_closed(exponents: Iterable[int]) -> Fraction:
     n = len(d)
     if n < 3 or any(x < 0 for x in d) or sum(d) != n - 3:
         return _ZERO
-    denom = 1
-    for x in d:
-        denom *= factorial(x)
-    return Fraction(factorial(n - 3), denom)
+    return Fraction(*dyadic_ratio(_genus0(d), sigma_weight(d)))
 
 
 def one_point(genus: int) -> Fraction:
@@ -161,6 +209,18 @@ def one_point(genus: int) -> Fraction:
     if genus < 1:
         raise ValueError("there is no stable one-pointed genus-0 moduli space")
     return Fraction(1, 24**genus * factorial(genus))
+
+
+def sigma_bracket(
+    genus: int, exponents: Iterable[int], table: BracketTable | None = None, pivot: str = "max"
+) -> tuple[int, int]:
+    """S_genus(d) = prod (2d_j+1)!! <prod tau_{d_j}>_genus as (num, e), num
+    odd or zero; (0, 0) outside the stable range."""
+    d = tuple(sorted(exponents))
+    if genus < 0 or (d and d[0] < 0):
+        return _DZERO
+    t = table if table is not None else _DEFAULT_TABLE
+    return _bracket(genus, d, t, pivot == "min")
 
 
 def bracket(
@@ -174,13 +234,9 @@ def bracket(
     pivot selects which exponent the recursion descends on ("max" or
     "min"); the result is pivot-independent and the suite checks that.
     """
-    if genus < 0:
-        return _ZERO
     d = tuple(sorted(exponents))
-    if d and (d[0] < 0):
-        return _ZERO
-    t = table if table is not None else _DEFAULT_TABLE
-    return _bracket(genus, d, t, pivot == "min")
+    v = sigma_bracket(genus, d, table, pivot)
+    return Fraction(*dyadic_ratio(v, sigma_weight(d))) if v[0] else _ZERO
 
 
 def bracket_any_genus(exponents: Iterable[int], table: BracketTable | None = None) -> Fraction:
@@ -188,64 +244,61 @@ def bracket_any_genus(exponents: Iterable[int], table: BracketTable | None = Non
     d = tuple(sorted(exponents))
     if d and d[0] < 0:
         return _ZERO
-    num = sum(d) - len(d) + 3
-    g, rem = divmod(num, 3)
+    g, rem = divmod(sum(d) - len(d) + 3, 3)
     if rem or g < 0:
         return _ZERO
-    t = table if table is not None else _DEFAULT_TABLE
-    return _bracket(g, d, t, False)
+    return bracket(g, d, table)
 
 
-def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fraction:
+def _genus0(d: tuple[int, ...]) -> tuple[int, int]:
+    # (2d+1)!!/d! = (2d+1) C(2d, d)/2^d, and sum(d) = n - 3
+    num = factorial(len(d) - 3)
+    for x in d:
+        num *= (2 * x + 1) * comb(2 * x, x)
+    return _dyadic(num, len(d) - 3)
+
+
+def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
     n = len(d)
-    if 2 * g - 2 + n <= 0:
-        return _ZERO
-    if sum(d) != 3 * g - 3 + n:
-        return _ZERO
-    if g == 0:
-        if n <= _GENUS0_CACHE_THRESHOLD:
-            return genus0_closed(d)
-        key = (0, d)
-        v = t.get(key)
-        if v is None:
-            v = genus0_closed(d)
-            t.put(key, v)
-        return v
+    if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
+        return _DZERO
+    if g == 0 and n <= _GENUS0_CACHE_THRESHOLD:
+        return _genus0(d)
     if g == 1 and d == (1,):
-        return _TAU11
+        return _S11
 
     key = (g, d)
-    v = t.get(key)
+    v = t._data.get(key)
     if v is not None:
+        t.hits += 1
         return v
+    t.misses += 1
 
-    if d[0] == 0:
+    if g == 0:
+        value = _genus0(d)
+    elif d[0] == 0:
         value = _string(g, d[1:], t, pivot_min)
     elif d[0] == 1:
-        value = (2 * g - 3 + n) * _bracket(g, d[1:], t, pivot_min)
+        num, e = _bracket(g, d[1:], t, pivot_min)
+        value = _dyadic(3 * (2 * g - 3 + n) * num, e)
     else:
         value = _dvv(g, d, t, pivot_min)
-    t.put(key, value)
+    t._data[key] = value
     return value
 
 
-def _string(g: int, rest: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fraction:
-    """<tau_0 prod tau_{rest}>_g = sum_j <... tau_{rest_j - 1} ...>_g (g >= 1)."""
-    total = _ZERO
-    i = 0
-    while i < len(rest):
-        j = i
-        while j < len(rest) and rest[j] == rest[i]:
-            j += 1
-        if rest[i] >= 1:
+def _string(g: int, rest: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
+    """S_g(0, rest) = sum_j (2 rest_j + 1) S_g(... rest_j - 1 ...) (g >= 1)."""
+    terms = []
+    for i, x in enumerate(rest):
+        if x >= 1 and (i == 0 or rest[i - 1] != x):
             # lowering the first of a run of equal values keeps the tuple sorted
-            sub = rest[:i] + (rest[i] - 1,) + rest[i + 1 :]
-            total += (j - i) * _bracket(g, sub, t, pivot_min)
-        i = j
-    return total
+            num, e = _bracket(g, rest[:i] + (x - 1,) + rest[i + 1 :], t, pivot_min)
+            terms.append((rest.count(x) * (2 * x + 1) * num, e))
+    return _fold(terms)
 
 
-def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fraction:
+def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
     """DVV descent for g >= 1 on a key whose exponents are all >= 2.
 
     Every sub-key with a tau_0 or tau_1 goes back through _bracket, which
@@ -258,42 +311,36 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> Fracti
     k = d[idx] - 1
     rest = d[:idx] + d[idx + 1 :]
 
-    total = _ZERO
+    terms = []
 
     # descent: raise one remaining exponent by k (group equal values)
-    i = 0
-    while i < len(rest):
-        j = i
-        while j < len(rest) and rest[j] == rest[i]:
-            j += 1
-        v0 = rest[i]
-        coeff = 1
-        for m in range(v0, v0 + k + 1):
-            coeff *= 2 * m + 1
-        sub = tuple(sorted(rest[:i] + rest[i + 1 :] + (v0 + k,)))
-        total += (j - i) * coeff * _bracket(g, sub, t, pivot_min)
-        i = j
+    for i, x in enumerate(rest):
+        if i == 0 or rest[i - 1] != x:
+            sub = tuple(sorted(rest[:i] + rest[i + 1 :] + (x + k,)))
+            num, e = _bracket(g, sub, t, pivot_min)
+            terms.append((rest.count(x) * (2 * x + 1) * num, e))
 
-    # boundary terms (k >= 1 since every exponent is >= 2)
+    # boundary terms (k >= 1 since every exponent is >= 2); their 1/2 is
+    # the +1 on the exponent
     splits = submultiset_splits(rest)
     for r in range(k):
         s = k - 1 - r
-        w = odd_double_factorial(r) * odd_double_factorial(s)
         # irreducible: genus drops, both new insertions on one component
-        total += _HALF * w * _bracket(g - 1, tuple(sorted(rest + (r, s))), t, pivot_min)
+        num, e = _bracket(g - 1, tuple(sorted(rest + (r, s))), t, pivot_min)
+        terms.append((num, e + 1))
         # reducible: ordered splits; the left factor's genus is forced
         # by its dimension, other genera contribute 0
         for left, right, count in splits:
             gl, rem = divmod(r + sum(left) - len(left) + 2, 3)
             if rem or gl < 0 or gl > g:
                 continue
-            lv = _bracket(gl, tuple(sorted((r,) + left)), t, pivot_min)
-            if lv:
-                rv = _bracket(g - gl, tuple(sorted((s,) + right)), t, pivot_min)
-                if rv:
-                    total += _HALF * w * count * lv * rv
+            ln, le = _bracket(gl, tuple(sorted((r,) + left)), t, pivot_min)
+            if ln:
+                rn, re = _bracket(g - gl, tuple(sorted((s,) + right)), t, pivot_min)
+                if rn:
+                    terms.append((count * ln * rn, le + re + 1))
 
-    return total / odd_double_factorial(k + 1)
+    return _fold(terms)
 
 
 class CacheError(ValueError):
@@ -304,11 +351,14 @@ _TRAILER = "#sha256="
 
 
 def _cache_lines(table: BracketTable) -> list[str]:
-    entries = sorted(table.items(), key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))
-    return [
-        f"{g}|{','.join(map(str, exps))}|{format_rational(v)}"
-        for (g, exps), v in entries
-    ]
+    lines = []
+    entries = sorted(table._data.items(), key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))
+    for (g, exps), v in entries:
+        num, den = dyadic_ratio(v, sigma_weight(exps))
+        c = gcd(num, den)
+        value = f"{num // c}/{den // c}" if den != c else str(num // c)
+        lines.append(f"{g}|{','.join(map(str, exps))}|{value}")
+    return lines
 
 
 def cache_save(table: BracketTable, destination: str | IO[str]) -> int:
@@ -342,7 +392,8 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     """Parse a TAUCACHE file into a fresh table.
 
     The file must end with the checksum trailer that cache_save writes;
-    a file without it, or with entries after it, is rejected.
+    a file without it, or with entries after it, is rejected, and so is a
+    value whose sigma form (see the module docstring) is not dyadic.
     With verify=True every entry is recomputed from scratch (through a
     private empty table) and compared; any disagreement aborts the load.
     """
@@ -386,20 +437,23 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
         try:
             g = int(parts[0])
             exps = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
-            value = parse_rational(parts[2])
+            num, den = parse_ratio(parts[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise CacheError(f"line {lineno}: malformed entry {line!r}: {exc}") from None
         if tuple(sorted(exps)) != exps:
             raise CacheError(f"line {lineno}: exponents not ascending in {line!r}")
         if verify:
             recomputed = bracket(g, exps, scratch)
-            if recomputed != value:
+            if recomputed != Fraction(num, den):
                 raise CacheError(
                     f"line {lineno}: stored value {parts[2]} contradicts "
                     f"recomputation {format_rational(recomputed)}"
                 )
+        try:
+            table._data[(g, exps)] = _sigma_form(exps, num, den)
+        except ValueError as exc:
+            raise CacheError(f"line {lineno}: {exc} in {line!r}") from None
         entry_lines.append(line)
-        table.put((g, exps), value)
     if not sealed:
         raise CacheError(
             f"line {len(lines) + 1}: missing {_TRAILER} trailer (truncated file?)"

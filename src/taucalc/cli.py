@@ -235,10 +235,7 @@ def _run_monotone(args) -> int:
 def _with_cache(args, body) -> int:
     path = getattr(args, "cache", None)
     if path and os.path.exists(path):
-        loaded = br.cache_load(path)
-        table = br.default_table()
-        for key, value in loaded.items():
-            table.put(key, value)
+        br.default_table().update(br.cache_load(path))
     try:
         return body()
     finally:
@@ -289,9 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(f"exported {count} entries to {args.export}")
                     return 0
                 table = br.cache_load(args.import_path, verify=args.verify_cache)
-                target = br.default_table()
-                for key, value in table.items():
-                    target.put(key, value)
+                br.default_table().update(table)
                 print(f"imported {len(table)} entries from {args.import_path}")
                 return 0
 

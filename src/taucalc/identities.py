@@ -7,10 +7,10 @@ never assumed: a failing tuple comes back with both values for triage.
 
 The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
 insertion combinations all go through `split_sum`.  It returns 0 at once
-unless the genus fits both factors' dimensions, reads each factor from an
-integer row <tau_j prod tau_E> that the bracket table keeps per sorted
-extras multiset E (derived data, never saved), accumulates integer
-numerators per denominator, and builds one Fraction per call.
+unless the genus fits both factors' dimensions, reads each factor from a
+row <tau_j prod tau_E>, in the engine's dyadic (num, e) form, that the
+bracket table keeps per sorted extras multiset E (derived data, never
+saved), accumulates integer numerators, and builds one Fraction per call.
 
 Identity ids (also the CLI tokens):
 
@@ -37,7 +37,9 @@ from itertools import combinations_with_replacement, islice
 from math import factorial, lcm
 from typing import Any, Iterable, Iterator
 
-from .brackets import BracketTable, bracket, default_table
+from .brackets import (
+    BracketTable, bracket, default_table, dyadic_ratio, sigma_bracket, sigma_weight,
+)
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import odd_double_factorial
 from .report import Report
@@ -82,6 +84,14 @@ def _splits(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
     return tuple(submultiset_splits(d))
 
 
+@lru_cache(maxsize=None)
+def _pair_scale(K: int) -> tuple[int, tuple[int, ...]]:
+    """(L, ((-1)^j L / ((2j+1)!! (2K-2j+1)!!) for j = 0..K)), L their lcm."""
+    w = [odd_double_factorial(j) * odd_double_factorial(K - j) for j in range(K + 1)]
+    L = lcm(*w)
+    return L, tuple((-1) ** j * (L // x) for j, x in enumerate(w))
+
+
 def split_sum(
     K: int,
     left_extras: Iterable[int],
@@ -101,11 +111,12 @@ def split_sum(
     at the one genus its own dimension fixes, g' is determined by j, and
     only the j in one residue class mod 3 contribute.
 
-    Each factor is read from the integer row B(j, E) = <tau_j prod tau_E>
-    that the table keeps per sorted E (see BracketTable.row), filled on
-    first use in the same order as the bracket lookups it replaces.  Terms
-    are accumulated as integers per denominator and folded over the lcm of
-    those denominators into one Fraction.
+    Each factor is read from the row B(j, E) = <tau_j prod tau_E>, in the
+    engine's sigma form (num, e), that the table keeps per sorted E (see
+    BracketTable.row), filled on first use in the same order as the bracket
+    lookups it replaces.  The sigma weights of d and the extras are the same
+    for every split, and `_pair_scale` puts those of tau_j and tau_{K-j} over
+    one denominator, so terms add as integers per e into one Fraction.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -115,6 +126,7 @@ def split_sum(
     if K + sum(left) + sum(right) + sum(d) + 4 - len(left) - len(right) - len(d) != 3 * genus:
         return _ZERO
     t = table if table is not None else default_table()
+    den, scale = _pair_scale(K)
     acc: dict[int, int] = {}
     for dI, dJ, count in _splits(d):
         left_e = tuple(sorted(left + dI))
@@ -127,24 +139,23 @@ def split_sum(
         for j in range(start, min(K, lo + 3 * genus) + 1, 3):
             lv = lrow.get(j)
             if lv is None:
-                lv = lrow[j] = bracket((j - lo) // 3, (j,) + left_e, t).as_integer_ratio()
-            ln, ld = lv
+                lv = lrow[j] = sigma_bracket((j - lo) // 3, (j,) + left_e, t)
+            ln, le = lv
             if not ln:
                 continue
             rv = rrow.get(K - j)
             if rv is None:
-                rv = rrow[K - j] = bracket(
-                    genus - (j - lo) // 3, (K - j,) + right_e, t
-                ).as_integer_ratio()
-            rn, rd = rv
+                rv = rrow[K - j] = sigma_bracket(genus - (j - lo) // 3, (K - j,) + right_e, t)
+            rn, re = rv
             if not rn:
                 continue
-            term = count * ln * rn
-            acc[ld * rd] = acc.get(ld * rd, 0) + (-term if j & 1 else term)
+            e = le + re
+            acc[e] = acc.get(e, 0) + count * ln * rn * scale[j]
     if not acc:
         return _ZERO
-    den = lcm(*acc)
-    return Fraction(sum(num * (den // k) for k, num in acc.items()), den)
+    top = max(acc)
+    num = sum(v << (top - e) for e, v in acc.items())
+    return Fraction(*dyadic_ratio((num, top), den * sigma_weight(left + right + d)))
 
 
 def _dfact_prod(d: Iterable[int]) -> int:
@@ -622,7 +633,8 @@ def run_sweep(
     jobs: int = 1,
     table: BracketTable | None = None,
 ) -> list[Report]:
-    """All reports for one identity over the grid, canonically ordered.
+    """All reports for one identity over the grid, in grid order with
+    jobs=1 (report.reports_to_json puts them in canonical order).
 
     With jobs > 1 the grid is split over a process pool.  Each worker
     computes into its own process-wide table, and every entry it adds is
@@ -641,7 +653,7 @@ def run_sweep(
                 reports += part
                 for key, value in entries:
                     target.put(key, value)
-    return sorted(reports, key=Report.sort_key)
+    return reports
 
 
 # ---------------------------------------------------------------------------

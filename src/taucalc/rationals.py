@@ -28,6 +28,7 @@ __all__ = [
     "factorize",
     "format_rational",
     "parse_rational",
+    "parse_ratio",
 ]
 
 
@@ -55,6 +56,7 @@ def double_factorial(k: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def odd_double_factorial(m: int) -> int:
     """(2m+1)!! for m >= -1, the factor appearing throughout the recursions."""
     return double_factorial(2 * m + 1)
@@ -145,8 +147,13 @@ def format_rational(r: Rational) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of format_rational; rejects anything but "num" or "num/den"."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    return Fraction(*parse_ratio(text))
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """parse_rational as an integer pair (num, den) with den > 0, not reduced."""
+    num, sep, den = text.strip().partition("/")
+    num, den = int(num), int(den) if sep else 1
+    if not den:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return (-num, -den) if den < 0 else (num, den)

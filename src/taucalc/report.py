@@ -19,8 +19,9 @@ __all__ = ["Report", "reports_to_json", "summary_line"]
 
 
 def _plain(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return format_rational(value)
+    # an exact type test: isinstance against Fraction goes through ABCMeta
+    if type(value) is Fraction:
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from taucalc.brackets import (
     cache_save,
     genus0_closed,
     one_point,
+    sigma_weight,
 )
 from taucalc.combinat import multisets_with_sum
 from taucalc.npoint import npoint_series, warm_table_from_series
@@ -167,6 +169,31 @@ def test_canonical_engine_memo_size():
     assert len(table) <= 3000
 
 
+def test_memo_holds_dyadic_normal_form():
+    # every memo entry is S = prod (2d_j+1)!! <tau_d> as (num, e) = num/2^e
+    # with num odd or zero
+    table = BracketTable()
+    for d in multisets_with_sum(4, 3 * 6 - 3 + 4):
+        bracket(6, d, table)
+    assert len(table) > 0
+    for (g, d), (num, e) in table._data.items():
+        assert type(num) is int and type(e) is int, (g, d)
+        assert num % 2 == 1 or (num, e) == (0, 0), (g, d)
+        assert Fraction(num, 2**e) == bracket(g, d) * sigma_weight(d), (g, d)
+
+
+def test_bracket_values_are_fractions_in_lowest_terms():
+    table = BracketTable()
+    keys = [(1, (1,)), (0, (0, 0, 0)), (2, (2, 3)), (3, (1, 1, 2, 3)), (4, (2, 2, 2, 4, 4)),
+            (0, (0,) * 9 + (1, 3, 5)), (5, (13,)), (1, (0, 0)), (1, (-1, 4))]
+    values = [bracket(g, d, table) for g, d in keys]
+    values += [bracket_any_genus(d, table) for _, d in keys]
+    values += [table.get(k) for k in table._data] + [v for _, v in table.items()]
+    for v in values:
+        assert type(v) is Fraction and v.denominator > 0
+        assert gcd(v.numerator, v.denominator) == 1
+
+
 def test_bracket_any_genus():
     assert bracket_any_genus((2, 3)) == Fraction(29, 5760)
     assert bracket_any_genus((1, 1)) == Fraction(1, 24)
@@ -225,6 +252,14 @@ def test_cache_requires_trailer_and_nothing_after_it():
         cache_load(io.StringIO(_sealed("1|1|1/24") + "2|4|1/1152\n"))
     with pytest.raises(CacheError, match="line 2: malformed entry"):
         cache_load(io.StringIO(_sealed("1|1|1/0")))
+
+
+def test_cache_rejects_value_whose_sigma_form_is_not_dyadic():
+    # the trailer is valid, but 3 * 1/72 = 1/24 is no dyadic rational
+    with pytest.raises(CacheError, match="line 2: value 1/72 is not dyadic"):
+        cache_load(io.StringIO(_sealed("1|1|1/72")))
+    with pytest.raises(ValueError, match="not dyadic"):
+        BracketTable().put((1, (1,)), Fraction(1, 72))
 
 
 def test_truncated_cache_with_altered_value_is_rejected():

@@ -212,6 +212,17 @@ def test_cache_import_rejects_corruption(tmp_path, capsys):
     assert code == 2 and "contradicts" in err
 
 
+def test_cache_import_rejects_non_dyadic_value(tmp_path, capsys):
+    # a sealed file whose one value, times (2*1+1)!! = 3, has an odd
+    # denominator: no bracket has that form, so the load fails on line 2
+    entry = "1|1|1/72"
+    digest = hashlib.sha256(entry.encode()).hexdigest()
+    bad = tmp_path / "bad.cache"
+    bad.write_text(f"TAUCACHE v1\n{entry}\n#sha256={digest}\n")
+    code, out, err = run(capsys, "cache", "--import", str(bad))
+    assert code == 2 and out == "" and "line 2" in err and "not dyadic" in err
+
+
 def test_truncated_cache_is_rejected_and_not_saved_again(tmp_path, capsys):
     cache = tmp_path / "t.cache"
     code, out, _ = run(capsys, "compute", "--g", "4", "--d", "2,2,2,4,4", "--cache", str(cache))
