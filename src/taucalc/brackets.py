@@ -37,6 +37,7 @@ import hashlib
 import io
 import os
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, prod
 from typing import IO, Iterable, NamedTuple
 
@@ -110,10 +111,10 @@ def dyadic_ratio(value: tuple[int, int], weight: int) -> tuple[int, int]:
     return (num, weight << e) if e >= 0 else (num << -e, weight)
 
 
-def _sigma_form(exponents: tuple[int, ...], num: int, den: int) -> tuple[int, int]:
-    """(num/den) sigma_weight(exponents) as (num, e); ValueError unless dyadic."""
+def _sigma_form(weight: int, num: int, den: int) -> tuple[int, int]:
+    """(num/den) weight as (num, e); ValueError unless dyadic."""
     odd = den >> ((den & -den).bit_length() - 1)
-    q, r = divmod(num * sigma_weight(exponents), odd)
+    q, r = divmod(num * weight, odd)
     if r:
         raise ValueError(f"value {num}/{den} is not dyadic in sigma form")
     return _dyadic(q, (den // odd).bit_length() - 1)
@@ -162,7 +163,7 @@ class BracketTable:
 
     def put(self, key, value: Fraction) -> None:
         key = tuple(key)
-        self._data[key] = _sigma_form(key[1], value.numerator, value.denominator)
+        self._data[key] = _sigma_form(sigma_weight(key[1]), value.numerator, value.denominator)
 
     def items(self):
         for key, v in self._data.items():
@@ -393,7 +394,12 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
 
     The file must end with the checksum trailer that cache_save writes;
     a file without it, or with entries after it, is rejected, and so is a
-    value whose sigma form (see the module docstring) is not dyadic.
+    value whose sigma form (see the module docstring) is not dyadic.  A key
+    the engine never stores (a negative genus or exponent, an unstable
+    (g, n), or exponents not summing to 3g-3+n) is rejected before its
+    weight is computed, and the weights are computed in a memo local to
+    the load, so a hostile file cannot fill the process-wide factorial
+    caches.
     With verify=True every entry is recomputed from scratch (through a
     private empty table) and compared; any disagreement aborts the load.
     """
@@ -419,6 +425,8 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     # recomputed values, never the file's claims
     scratch = BracketTable()
     entry_lines: list[str] = []
+    # (2d+1)!! memoized for this load only, not in odd_double_factorial
+    weight = lru_cache(maxsize=None)(lambda d: prod(range(2 * d + 1, 0, -2)))
     sealed = False
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -442,6 +450,9 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
             raise CacheError(f"line {lineno}: malformed entry {line!r}: {exc}") from None
         if tuple(sorted(exps)) != exps:
             raise CacheError(f"line {lineno}: exponents not ascending in {line!r}")
+        n = len(exps)
+        if g < 0 or (exps and exps[0] < 0) or 2 * g - 2 + n <= 0 or sum(exps) != 3 * g - 3 + n:
+            raise CacheError(f"line {lineno}: no bracket has the key of {line!r}")
         if verify:
             recomputed = bracket(g, exps, scratch)
             if recomputed != Fraction(num, den):
@@ -450,7 +461,7 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
                     f"recomputation {format_rational(recomputed)}"
                 )
         try:
-            table._data[(g, exps)] = _sigma_form(exps, num, den)
+            table._data[(g, exps)] = _sigma_form(prod(map(weight, exps)), num, den)
         except ValueError as exc:
             raise CacheError(f"line {lineno}: {exc} in {line!r}") from None
         entry_lines.append(line)

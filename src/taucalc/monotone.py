@@ -48,12 +48,26 @@ def _swap_sweep(
     cases: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
     value: Callable[[tuple[int, ...]], Rational],
 ) -> Report:
+    """Compare value(low) <= value(high) for every case, in case order.
+
+    Each distinct multiset is evaluated once per sweep: a case shares its
+    multisets with many others, so the values live in a dict that is
+    dropped when the sweep returns.
+    """
     start = time.perf_counter()
     checked = satisfied = 0
     violations = []
+    seen: dict[tuple[int, ...], Rational] = {}
+
+    def at(d: tuple[int, ...]) -> Rational:
+        v = seen.get(d)
+        if v is None:
+            v = seen[d] = value(d)
+        return v
+
     for low, high in cases:
         checked += 1
-        if value(low) <= value(high):
+        if at(low) <= at(high):
             satisfied += 1
         else:
             violations.append({"smaller_side": low, "larger_side": high})

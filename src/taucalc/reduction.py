@@ -14,7 +14,11 @@ Three routes live here:
   sum s (weight -c).  The states are the multisets of block sums, so the
   cost grows with their number instead of with the Bell(m) set
   partitions: kappa_1^11 keeps p(11) = 56 states where the partitions
-  number 678570.  Each resulting bracket is looked up once,
+  number 678570.  Each resulting bracket is read once, in the engine's
+  sigma form S_g = prod (2d+1)!! <tau_d>_g as a dyadic pair (num, e):
+  with L the lcm of the states' weights prod (2s+3)!!, every state's
+  count is scaled to L, the products with num are summed as integers per
+  exponent e, and one Fraction is built over L sigma_weight(psi) 2^e,
 * the closed lambda_g formula
       <prod psi^{d_j} lambda_g> = C(2g+n-3; d) (2^{2g-1}-1)/2^{2g-1} |B_2g|/(2g)!,
 * Mumford's expansion of the odd Chern characters ch_{2k-1} of the Hodge
@@ -25,11 +29,12 @@ Three routes live here:
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Iterable, NamedTuple
 
-from .brackets import BracketTable, bracket
+from .brackets import BracketTable, bracket, dyadic_ratio, sigma_bracket, sigma_weight
 from .combinat import multinomial, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
 
@@ -45,6 +50,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+_succ = (1).__add__
 
 
 class MixedKey(NamedTuple):
@@ -82,31 +88,51 @@ def kappa_to_psi(
     if not key.dimension_matches() or not key.is_stable():
         return _ZERO
 
-    # fold the kappa indices in one at a time: a state is the sorted tuple
-    # of block sums, its count the signed number of set partitions of the
-    # indices folded so far that have those sums
+    L, states = _block_sum_states(key.kappa)
+    # bracket(g, psi + (s+1 ...)) = S_g / (sigma_weight(psi) prod (2s+3)!!),
+    # so with each count scaled to L one integer sum per exponent e remains
+    acc: dict[int, int] = {}
+    for sums, scale in states:
+        num, e = sigma_bracket(genus, key.psi + tuple(map(_succ, sums)), table)
+        if num:
+            acc[e] = acc.get(e, 0) + scale * num
+    if not acc:
+        return _ZERO
+    top = max(acc)
+    num = sum(v << (top - e) for e, v in acc.items())
+    return Fraction(*dyadic_ratio((num, top), L * sigma_weight(key.psi)))
+
+
+def _block_sum_states(kappa: tuple[int, ...]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """Fold the kappa indices in one at a time.
+
+    A state is the sorted tuple of block sums, its count the signed number
+    of set partitions of the indices folded so far that have those sums.
+    Returns L, the lcm of the weights prod (2s+3)!! of the states with a
+    nonzero count, and those states in fold order, each paired with its
+    count times L / weight.
+    """
     states: dict[tuple[int, ...], int] = {(): 1}
-    for a in key.kappa:
+    for a in kappa:
         folded: dict[tuple[int, ...], int] = {}
+        get = folded.get
         for sums, coeff in states.items():
             opened = tuple(sorted(sums + (a,)))
-            folded[opened] = folded.get(opened, 0) + coeff
+            folded[opened] = get(opened, 0) + coeff
             for s in set(sums):
                 # joining any of the sums.count(s) blocks of sum s gives the
                 # same state and flips the sign (-1)^{|B|-1} of that block
                 rest = list(sums)
                 rest.remove(s)
-                joined = tuple(sorted(rest + [s + a]))
-                folded[joined] = folded.get(joined, 0) - sums.count(s) * coeff
+                insort(rest, s + a)
+                joined = tuple(rest)
+                folded[joined] = get(joined, 0) - sums.count(s) * coeff
         states = folded
 
-    # distinct block-sum tuples give distinct tau-insertion multisets
-    total = _ZERO
-    for sums, coeff in states.items():
-        if coeff:
-            exps = key.psi + tuple(s + 1 for s in sums)
-            total += coeff * bracket(genus, exps, table)
-    return total
+    w = [odd_double_factorial(s + 1) for s in range(sum(kappa) + 1)]
+    weights = {sums: prod(map(w.__getitem__, sums)) for sums, c in states.items() if c}
+    L = lcm(*weights.values())
+    return L, [(sums, states[sums] * (L // x)) for sums, x in weights.items()]
 
 
 def lambda_g_bracket(genus: int, exponents: Iterable[int]) -> Fraction:

@@ -24,6 +24,7 @@ from taucalc.brackets import (
 )
 from taucalc.combinat import multisets_with_sum
 from taucalc.npoint import npoint_series, warm_table_from_series
+from taucalc.rationals import double_factorial, odd_double_factorial
 from oracles import REFERENCE_BRACKETS, genus0_string, three_point_with_tau0
 
 
@@ -260,6 +261,32 @@ def test_cache_rejects_value_whose_sigma_form_is_not_dyadic():
         cache_load(io.StringIO(_sealed("1|1|1/72")))
     with pytest.raises(ValueError, match="not dyadic"):
         BracketTable().put((1, (1,)), Fraction(1, 72))
+
+
+@pytest.mark.parametrize("entry", [
+    "1|-1,3|1",  # negative exponent
+    "-1|0,0,0,0,0,0,1|1",  # negative genus, though 2g-2+n > 0 and the sum fits
+    "0|0,0|1",  # unstable (g, n)
+    "1|50000|1",  # exponents do not sum to 3g-3+n
+    "16667|50000|1/3",  # one too many: 3g-3+n = 49999
+])
+def test_cache_rejects_keys_the_engine_never_stores(entry):
+    # the weight prod (2d_j+1)!! of such a key would be computed before
+    # any other check; the key is rejected first and no weight is cached
+    before = odd_double_factorial.cache_info(), double_factorial.cache_info()
+    with pytest.raises(CacheError, match="line 3: no bracket has the key"):
+        cache_load(io.StringIO(_sealed("1|1|1/24", entry)))
+    assert (odd_double_factorial.cache_info(), double_factorial.cache_info()) == before
+
+
+def test_cache_load_leaves_the_factorial_caches_alone():
+    # <tau_88>_30 = 1/(24^30 30!) by the one-point formula
+    text = _sealed("1|1|1/24", "3|3,3,3|583/96768", f"30|88|{one_point(30)}")
+    before = odd_double_factorial.cache_info(), double_factorial.cache_info()
+    table = cache_load(io.StringIO(text))
+    assert (odd_double_factorial.cache_info(), double_factorial.cache_info()) == before
+    assert table.get((30, (88,))) == one_point(30)
+    assert table.get((3, (3, 3, 3))) == bracket(3, (3, 3, 3))
 
 
 def test_truncated_cache_with_altered_value_is_rejected():

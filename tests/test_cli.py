@@ -101,6 +101,36 @@ def test_verify_golden_stdout(capsys, token, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the remaining verify tokens, pinned from the Fraction-summing kappa_to_psi
+# and the repeat-evaluating monotone sweeps, before their integer kernels
+@pytest.mark.parametrize("token, digest", [
+    ("decomp", "6ab40ea42bd6965ceb87f402cf39d1240a2a6747c0d31dc00fb730912c902d1a"),
+    ("n1sums", "e1956dde74706e9b82df70d968230bd4b07449299fff73c6e20aa70141407246"),
+    ("c41", "b84f4171af27cdcb4b4e5a92fa31ab28bdc743dfcd3e92ad94834391fc57c582"),
+    ("c51", "5d127da564c46f7989728740f6ef8e4fac053ff298240ead2a12cd35177d07f7"),
+    ("c52", "340488777318452f08b7350026ee99c988236bed2684f6bfb6789260b6354d91"),
+    ("c53", "bda417697685972f76da922de27d51d8dc25b650b8a4d225bfba91646c104cee"),
+    ("c54", "eeaa7d6dcf89759abda34b70518867ea463f5c651b7d36f78299b9e9f4fecc9d"),
+])
+def test_verify_other_tokens_golden_stdout(capsys, token, digest):
+    code, out, _ = run(capsys, "verify", token, "--no-timing", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_kappa_cold_cache_file_golden(tmp_path, capsys):
+    # script-D(5) visits its brackets in the kappa fold's state order
+    cache = tmp_path / "d5.cache"
+    code, out, _ = run(capsys, "denom", "--g", "5", "--cache", str(cache))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e30a9482dcc364f8867436862416f78eddad3d1418b17a8d8f39f7f48e35d585"
+    )
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "d0bb7a0b898a3aacb390ca8ffda4f03f21d0eba6393b7493dc5e91b1543bf713"
+    )
+
+
 def test_verify_cold_cache_file_golden(tmp_path, capsys):
     # the bracket lookups a sweep makes decide which entries the cache holds
     cache = tmp_path / "c34.cache"

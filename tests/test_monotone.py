@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from taucalc.brackets import BracketTable, bracket
+from taucalc.combinat import multisets_with_sum
 from taucalc.monotone import (
+    _single_unit_moves,
+    _swap_sweep,
     bounds_check,
     kappa_swap_check,
     lambda_g_swap_check,
@@ -86,3 +89,37 @@ def test_report_counts_comparisons():
     r = psi_swap_check(2, 2)
     assert int(r.lhs) == 3 and r.lhs == r.rhs
     assert r.extra == {}
+
+
+def test_swap_sweep_evaluates_each_multiset_once():
+    cases = []
+    for d in multisets_with_sum(4, 7):
+        for i, j in _single_unit_moves(d):
+            moved = list(d)
+            moved[i] += 1
+            moved[j] -= 1
+            cases.append((d, tuple(sorted(moved))))
+
+    def plain(d):
+        # not monotone under unit moves: some cases violate
+        return Fraction(sum(x * x for x in d) % 7, 1 + d[0])
+
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return plain(d)
+
+    r = _swap_sweep("t", {}, cases, counting)
+    distinct = {d for case in cases for d in case}
+    assert len(cases) > len(distinct)
+    assert sorted(calls) == sorted(distinct)
+
+    satisfied = [plain(low) <= plain(high) for low, high in cases]
+    violations = [
+        {"smaller_side": low, "larger_side": high}
+        for (low, high), ok in zip(cases, satisfied) if not ok
+    ]
+    assert violations
+    assert r.lhs == len(cases) and r.rhs == sum(satisfied)
+    assert r.extra == {"violations": violations}
