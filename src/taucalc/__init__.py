@@ -32,7 +32,6 @@ from .npoint import (
     MergedSeries,
     NPointSeries,
     delta_poly,
-    extract_bracket,
     merged_series,
     npoint_series,
     one_point_series,
@@ -71,7 +70,6 @@ __all__ = [
     "default_table",
     "delta_poly",
     "double_factorial",
-    "extract_bracket",
     "faber_closed_form",
     "genus0_closed",
     "kappa_to_psi",

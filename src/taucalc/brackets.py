@@ -1,9 +1,16 @@
 """Exact psi-class intersection numbers <tau_{d_1} ... tau_{d_n}>_g.
 
 The engine works on S_g(d) = prod_j (2d_j+1)!! <tau_{d_1} ... tau_{d_n}>_g,
-the bracket of sigma_d = (2d+1)!! tau_d.  Genus 0 uses the closed form
-(n-3)!/prod(d_j!).  In higher genus every key is first brought to canonical
-form, with all exponents >= 2, by the string and dilaton equations:
+the bracket of sigma_d = (2d+1)!! tau_d.  Three families are closed:
+
+  genus 0:    <tau_d>_0 = (n-3)!/prod(d_j!)
+  one point:  <tau_{3g-2}>_g = 1/(24^g g!)
+  two points: <tau_a tau_{3g-1-a}>_g, one row per genus summed on integers
+              from the two-point function (see _two_point_numerators)
+
+The two-point row is kept on the table, one per genus, and never saved.
+For n >= 3 in higher genus every key is first brought to canonical form,
+with all exponents >= 2, by the string and dilaton equations:
 
   S_g(0, d)       = sum_j (2d_j+1) S_g(... d_j - 1 ...)
   S_{g,n+1}(1, d) = 3(2g-2+n) S_{g,n}(d)
@@ -18,9 +25,12 @@ coefficients and one 1/2 (no division by (2k+3)!!):
 
 with ordered pairs (I, J) and unstable or dimension-violating brackets
 equal to 0.  Sub-keys with a tau_0 or tau_1 are canonicalized in turn, and
-every key visited is memoized under its own exponents.  The one base case
-is S_1(1) = 3 <tau_1>_1 = 1/8, which neither equation reaches; the test
-suite checks it, and both equations, against the n-point series engine.
+every key visited, closed or not, is memoized under its own exponents, so
+the descent only ever sees n >= 3 keys and stops at n <= 2.  S_1(1) =
+3 <tau_1>_1 = 1/8 is answered before the memo and never stored, so no
+cache file holds it.
+The test suite checks the closed forms and both equations against the
+n-point series engine.
 
 Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
 the pair (num, e), num odd or zero, and sums add by shifting.  Fractions
@@ -132,10 +142,10 @@ class BracketTable:
     value), so concurrent fills are safe under the interpreter's atomic
     dict operations.
 
-    The table also owns the derived one-sided rows that the identity
-    sweeps read (see `row`).  Rows are filled from brackets computed
-    through this table, are emptied by `clear`, and are never persisted:
-    `cache_save` writes the memo entries only.
+    The table also owns derived rows: the one-sided rows that the
+    identity sweeps read (see `row`), and one closed two-point row per
+    genus that the engine reads its n = 2 keys from.  Rows are emptied by
+    `clear` and never persisted: `cache_save` writes the memo entries only.
     """
 
     VERSION = "v1"
@@ -143,6 +153,7 @@ class BracketTable:
     def __init__(self) -> None:
         self._data: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._rows: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
+        self._pairs: dict[int, tuple[list[int], int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -185,6 +196,7 @@ class BracketTable:
     def clear(self) -> None:
         self._data.clear()
         self._rows.clear()
+        self._pairs.clear()
         self.hits = self.misses = 0
 
 
@@ -277,6 +289,13 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tu
 
     if g == 0:
         value = _genus0(d)
+    elif n == 1:
+        value = _sigma_form(sigma_weight(d), 1, 24**g * factorial(g))
+    elif n == 2:
+        row = t._pairs.get(g)
+        if row is None:
+            row = t._pairs[g] = _two_point_numerators(g)
+        value = _sigma_form(sigma_weight(d), row[0][d[0]], row[1])
     elif d[0] == 0:
         value = _string(g, d[1:], t, pivot_min)
     elif d[0] == 1:
@@ -286,6 +305,37 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tu
         value = _dvv(g, d, t, pivot_min)
     t._data[key] = value
     return value
+
+
+def _two_point_numerators(g: int) -> tuple[list[int], int]:
+    """<tau_d tau_{3g-1-d}>_g for d = 0 .. (3g-1)//2 (g >= 1), as integer
+    numerators over whole = 4^g (2g+1)!! 24^g g!, and whole.
+
+    The two-point family has one stable channel per s = 1..g plus the
+    unstable channel exp((x^3+y^3)/24)/(x+y), whose degree-(3g-1) slice is
+    (x^3+y^3)^(g-1) (x^2-xy+y^2)/(24^g g!).  Every contribution divides
+    whole, so the accumulation runs on integers.
+    """
+    half = (3 * g - 1) // 2
+    whole = 4**g * odd_double_factorial(g) * 24**g * factorial(g)
+    num = [0] * (half + 1)
+    for s in range(1, g + 1):
+        # whole / (4^s (2s+1)!! 24^k) = 4^k (2g+1)!!/(2s+1)!! 24^s g!, which
+        # k! divides since k <= g; comb(k, u) then replaces k!/(u! (k-u)!)
+        k = g - s
+        base = whole // (4**s * odd_double_factorial(s) * 24**k * factorial(k))
+        row = [base * comb(k, u) for u in range(k + 1)]
+        for i in range(s):
+            ci = comb(s - 1, i)
+            for u in range(min(k, (half - s - i) // 3) + 1):
+                num[s + i + 3 * u] += ci * row[u]
+    # unstable channel: x^a with a = 3u + 1 carries -comb(g-1, u), a = 3u
+    # and a = 3u + 2 carry +comb(g-1, u)
+    unit = whole // (24**g * factorial(g))
+    for a in range(half + 1):
+        c = unit * comb(g - 1, a // 3)
+        num[a] += -c if a % 3 == 1 else c
+    return num, whole
 
 
 def _string(g: int, rest: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
@@ -300,12 +350,13 @@ def _string(g: int, rest: tuple[int, ...], t: BracketTable, pivot_min: bool) -> 
 
 
 def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
-    """DVV descent for g >= 1 on a key whose exponents are all >= 2.
+    """DVV descent for g >= 1 on a key with n >= 3 exponents, all >= 2.
 
-    Every sub-key with a tau_0 or tau_1 goes back through _bracket, which
-    strips it by the string or dilaton equation.  No boundary factor is
-    ever genus 0: <tau_r prod_I>_0 needs exponents summing to |I| - 2,
-    but each exponent of rest is >= 2.
+    Every sub-key goes back through _bracket: one with n <= 2 is read from
+    its closed form, and one with a tau_0 or tau_1 is stripped by the
+    string or dilaton equation.  No boundary factor is ever genus 0:
+    <tau_r prod_I>_0 needs exponents summing to |I| - 2, but each
+    exponent of rest is >= 2.
     """
     # pivot: largest exponent by default
     idx = 0 if pivot_min else len(d) - 1

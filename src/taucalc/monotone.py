@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Iterable
 
-from .brackets import BracketTable, bracket
+from .brackets import BracketTable, _two_point_numerators, bracket
 from .combinat import multinomial, multisets_with_sum, partitions
-from .npoint import _divide_by_varsum
-from .rationals import Rational, double_factorial
+from .rationals import Rational
 from .reduction import kappa_to_psi
 from .report import Report
 
@@ -116,31 +115,10 @@ def two_point_row(g: int) -> list[Fraction]:
     """All two-point brackets of one genus, cheapest first exponent up to
     the balanced middle: [<tau_d tau_{3g-1-d}>_g for d = 0 .. (3g-1)//2].
 
-    Works genus by genus from the closed two-point family, so deep sweeps
-    stream results instead of building one giant series first.  Every
-    contribution divides the common denominator 4^g (2g+1)!! 24^g g!, so
-    the accumulation runs on integers and normalizes once per value.
+    Read from the closed two-point family one genus at a time, so deep
+    sweeps stream results instead of building one giant series first.
     """
-    half = (3 * g - 1) // 2
-    whole = 4**g * double_factorial(2 * g + 1) * 24**g * factorial(g)
-    num = [0] * (half + 1)
-    for s in range(1, g + 1):
-        # whole / (4^s (2s+1)!! 24^k) = 4^k (2g+1)!!/(2s+1)!! 24^s g!, which
-        # k! divides since k <= g; comb(k, u) then replaces k!/(u! (k-u)!)
-        k = g - s
-        base = whole // (4**s * double_factorial(2 * s + 1) * 24**k * factorial(k))
-        row = [base * comb(k, u) for u in range(k + 1)]
-        for i in range(s):
-            ci = comb(s - 1, i)
-            for u in range(min(k, (half - s - i) // 3) + 1):
-                num[s + i + 3 * u] += ci * row[u]
-    # polynomial part of the unstable channel: the degree-3g slice of
-    # exp((x^3+y^3)/24) divided by x+y, also integral over the denominator
-    unit = whole // (24**g * factorial(g))
-    component = {(3 * u, 3 * (g - u)): comb(g, u) * unit for u in range(g + 1)}
-    for mono, c in _divide_by_varsum(component, 2).items():
-        if mono[0] <= half:
-            num[mono[0]] += c
+    num, whole = _two_point_numerators(g)
     return [Fraction(c, whole) for c in num]
 
 

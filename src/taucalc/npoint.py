@@ -57,7 +57,6 @@ __all__ = [
     "delta_poly",
     "one_point_series",
     "npoint_series",
-    "extract_bracket",
     "merged_series",
 ]
 
@@ -435,6 +434,7 @@ class NPointSeries:
         return self._f
 
     def bracket(self, exponents: Iterable[int]) -> Fraction:
+        """Coefficient of prod x^{d_j} in F; equals bracket(g, d) at the fitting genus."""
         return self.f.coefficient(tuple(exponents))
 
     def dump_lines(self) -> list[str]:
@@ -452,11 +452,6 @@ def npoint_series(n: int, g_max: int) -> NPointSeries:
     if n == 1:
         cap = max(cap, 1)
     return NPointSeries(n, cap)
-
-
-def extract_bracket(series: NPointSeries, exponents: Iterable[int]) -> Fraction:
-    """Coefficient of prod x^{d_j} in F; equals bracket(g, d) at the fitting genus."""
-    return series.bracket(exponents)
 
 
 class MergedSeries:

@@ -32,7 +32,7 @@ from taucalc.monotone import (
     psi_swap_check,
     psi_swap_deep,
 )
-from taucalc.npoint import extract_bracket, merged_series, npoint_series, warm_table_from_series
+from taucalc.npoint import merged_series, npoint_series, warm_table_from_series
 from taucalc.rationals import odd_double_factorial
 from taucalc.reduction import faber_closed_form, faber_kappa_value, lambda_gg1_bracket
 from taucalc.report import reports_to_json
@@ -120,7 +120,7 @@ def test_criterion_07_npoint_oracle_equivalence():
             if total < 0 or total > 15:
                 continue
             for d in multisets_with_sum(n, total):
-                ok = ok and extract_bracket(series, d) == bracket(g, d, TABLE)
+                ok = ok and series.bracket(d) == bracket(g, d, TABLE)
                 count += 1
     # stated divisibility range: the generic path with r <= 6
     npoint_series(3, 6)

@@ -92,6 +92,14 @@ def test_one_point_values():
         one_point(0)
 
 
+def test_one_point_keys_match_series():
+    # the engine's closed n = 1 keys against the one-point series
+    series = npoint_series(1, 20)
+    for g in range(1, 21):
+        d = (3 * g - 2,)
+        assert bracket(g, d, BracketTable()) == series.bracket(d), g
+
+
 def test_tau_key_canonicalization():
     key = TauKey.make(2, [3, 2])
     assert key.exponents == (2, 3)
@@ -159,6 +167,23 @@ def test_pivot_strategies_agree():
             g, d, BracketTable(), pivot="min"
         ), (g, d)
     assert all(bracket(g, d) != 0 for g, d in canonical)
+    # n <= 2 keys are closed under either pivot, so the series checks them
+    for g, d in [(4, (9, 1)), (5, (13,))]:
+        assert bracket(g, d, BracketTable()) == npoint_series(len(d), g).bracket(d), (g, d)
+
+
+def test_closed_base_case_memo_counts():
+    # a cold n <= 2 key stores itself and nothing it would have descended to
+    for g, d in [(14, (40,)), (10, (14, 15))]:
+        table = BracketTable()
+        bracket(g, d, table)
+        assert len(table) == 1, (g, d)
+    # the descent stops at n = 2: a cold (8, 5) stratum stored 1975 keys
+    # when it descended through every two-point key
+    table = BracketTable()
+    for d in multisets_with_sum(5, 3 * 8 - 3 + 5):
+        bracket(8, d, table)
+    assert len(table) < 1975
 
 
 def test_canonical_engine_memo_size():

@@ -127,7 +127,7 @@ def test_kappa_cold_cache_file_golden(tmp_path, capsys):
         "e30a9482dcc364f8867436862416f78eddad3d1418b17a8d8f39f7f48e35d585"
     )
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
-        "d0bb7a0b898a3aacb390ca8ffda4f03f21d0eba6393b7493dc5e91b1543bf713"
+        "5541d23bc07d271e1f44c5319d5350367744f3ad4d35993c8a1b3e6b39748fca"
     )
 
 
@@ -137,7 +137,7 @@ def test_verify_cold_cache_file_golden(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "c34", "--no-timing", "--jobs", "1", "--cache", str(cache))
     assert code == 0
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
-        "2853882fb5451040c681b891851b08b363dfd693dab7ec76fc062d18bbd288e7"
+        "f994412ac3ff100bc112a3d0aa86cda68d220637b519200cf105a433555f956a"
     )
 
 

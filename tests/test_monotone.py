@@ -42,15 +42,18 @@ def test_psi_swap_deep_two_point():
 
 
 def test_two_point_row_values():
-    # the closed two-point rows against both engines, value by value
-    table = BracketTable()
+    # the closed two-point rows, and the engine's n = 2 keys that read the
+    # same builder, against the n-point series; every key in both orders,
+    # each on a cold table, so the far half goes through the sorted read
     series = npoint_series(2, 15)
     for g in range(1, 16):
         row = two_point_row(g)
         assert len(row) == (3 * g - 1) // 2 + 1
         for d, value in enumerate(row):
-            assert value == bracket(g, (d, 3 * g - 1 - d), table), (g, d)
             assert value == series.bracket((d, 3 * g - 1 - d)), (g, d)
+        for d in range(3 * g):
+            want = series.bracket((d, 3 * g - 1 - d))
+            assert bracket(g, (d, 3 * g - 1 - d), BracketTable()) == want, (g, d)
 
 
 def test_lambda_swap():

@@ -10,7 +10,6 @@ from taucalc.npoint import (
     OddPowerError,
     _divide_by_varsum,
     delta_poly,
-    extract_bracket,
     merged_series,
     npoint_series,
     one_point_series,
@@ -74,9 +73,9 @@ def test_series_values_are_fractions_in_lowest_terms():
 
 def test_two_point_extraction_examples():
     s2 = npoint_series(2, 6)
-    assert extract_bracket(s2, (2, 3)) == Fraction(29, 5760)
-    assert extract_bracket(s2, (1, 4)) == Fraction(1, 384)
-    assert extract_bracket(s2, (0, 1)) == 0
+    assert s2.bracket((2, 3)) == Fraction(29, 5760)
+    assert s2.bracket((1, 4)) == Fraction(1, 384)
+    assert s2.bracket((0, 1)) == 0
 
 
 def test_two_point_second_genus_components():
@@ -90,7 +89,7 @@ def test_two_point_second_genus_components():
 
 def test_three_point_genus0_normalization():
     s3 = npoint_series(3, 2)
-    assert extract_bracket(s3, (0, 0, 0)) == 1
+    assert s3.bracket((0, 0, 0)) == 1
 
 
 def test_oracle_equivalence_small():
@@ -102,7 +101,7 @@ def test_oracle_equivalence_small():
             if total < 0:
                 continue
             for d in multisets_with_sum(n, total):
-                assert extract_bracket(series, d) == bracket(g, d, table), (n, g, d)
+                assert series.bracket(d) == bracket(g, d, table), (n, g, d)
 
 
 def test_symmetry_of_npoint_output():
@@ -132,7 +131,7 @@ def test_two_point_matches_recursion_deep():
     table = BracketTable()
     for g in range(1, 13):
         for d in multisets_with_sum(2, 3 * g - 1):
-            assert extract_bracket(series, d) == bracket(g, d, table), (g, d)
+            assert series.bracket(d) == bracket(g, d, table), (g, d)
 
 
 def test_merged_series_examples():
