@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from . import brackets as br
@@ -30,12 +29,6 @@ from .npoint import merged_series, npoint_series
 from .reduction import kappa_to_psi
 from .report import Report, reports_to_json, summary_line
 
-VERIFY_IDS = (
-    "eq3", "eq4", "eq5", "eq6", "eq7", "eq8",
-    "c32", "c33", "c34", "c35",
-    "decomp", "n1sums", "c41", "c51", "c52", "c53", "c54",
-)
-
 
 def _parse_int_list(text: str | None) -> tuple[int, ...]:
     if not text:
@@ -44,6 +37,17 @@ def _parse_int_list(text: str | None) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+
+
+def _grid_bound(text: str) -> int:
+    """A --gmax/--nmax value; a negative one would sweep nothing and pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,11 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="verification sweeps")
-    p.add_argument("identity", choices=VERIFY_IDS)
-    p.add_argument("--gmax", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("identity", choices=ids.VERIFY_TOKENS)
+    p.add_argument("--gmax", type=_grid_bound, default=None)
+    p.add_argument("--nmax", type=_grid_bound, default=None)
     p.add_argument("--jobs", type=int, default=1,
-                   help="split each sweep over this many worker processes")
+                   help="ignored: every sweep runs in this process (kept so that "
+                        "existing command lines still parse)")
     common(p)
 
     p = sub.add_parser("denom", help="denominator profile D(g,n) or script-D(g)")
@@ -92,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monotone", help="long-running monotonicity modes")
     p.add_argument("--lambda", dest="lam", choices=("none", "top"), default="none")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--gmax", type=int, required=True)
+    p.add_argument("--gmax", type=_grid_bound, required=True)
     common(p)
 
     p = sub.add_parser("cache", help="export or import the bracket table")
@@ -112,90 +117,11 @@ def _emit_reports(reports: list[Report], timing: bool) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-_DEFAULT_SWEEP = {
-    # (g_max, n_max) defaults per verify token
-    "eq3": (6, 4), "eq4": (6, 4), "eq5": (6, 4), "eq6": (5, 4), "eq7": (4, 3),
-    "eq8": (6, 4), "c32": (4, 3), "c33": (4, 3), "c34": (4, 3), "c35": (4, 3),
-    "decomp": (5, 4), "n1sums": (10, 1), "c41": (3, 1), "c51": (6, 4),
-    "c52": (3, 2), "c53": (3, 2), "c54": (4, 4),
-}
-
-
 def _run_verify(args) -> int:
-    token = args.identity
-    g_def, n_def = _DEFAULT_SWEEP[token]
+    g_def, n_def, run = ids.VERIFY_TOKENS[args.identity]
     g_max = args.gmax if args.gmax is not None else g_def
     n_max = args.nmax if args.nmax is not None else n_def
-    timing = not args.no_timing
-    jobs = max(1, args.jobs)
-
-    if token in ("eq3", "eq4", "eq5", "eq6", "eq7", "eq8"):
-        limits = ids.SweepLimits(g_max=g_max, n_max=n_max,
-                                 k_span=4 if token in ("eq6", "eq7") else 3)
-        reports = ids.run_sweep(token, limits, jobs=jobs)
-    elif token in ("c32", "c33", "c34", "c35"):
-        limits = ids.SweepLimits(g_max=g_max, n_max=n_max, k_span=2)
-        reports = ids.run_sweep(token + "a", limits, jobs=jobs)
-        reports += ids.run_sweep(token + "b", limits, jobs=jobs)
-    elif token == "decomp":
-        reports = [
-            ids.decomposition_check(p["g"], p["d"])
-            for p in ids.instances("eq3", ids.SweepLimits(g_max=g_max, n_max=n_max))
-        ]
-    elif token == "n1sums":
-        reports = []
-        for g in range(1, g_max + 1):
-            reports += ids.n1_sum_reports(g)
-    elif token == "c41":
-        # the whole denominator-chapter block: prime-order profile plus the
-        # threshold, product-divisibility and automorphism-bound corollaries
-        reports = []
-        for g in range(2, max(g_max, 2) + 1):
-            reports.append(dn.conjecture41_check(g))
-            reports.append(dn.threshold_check(g))
-            reports.append(dn.compare_D_S(g))
-        top = max(g_max, 2)
-        for g in range(0, top + 1):
-            for h in range(g, top - g + 1):
-                ok = dn.divisibility_check(g, h)
-                reports.append(Report(
-                    id="c43", params={"g": g, "h": h},
-                    lhs=Fraction(1), rhs=Fraction(1 if ok else 0),
-                ))
-    elif token == "c51":
-        reports = []
-        for g in range(0, g_max + 1):
-            for n in range(1, n_max + 1):
-                if 2 * g - 2 + n > 0 and 3 * g - 3 + n >= 0:
-                    reports.append(mono.psi_swap_check(g, n))
-        for g in range(1, g_max + 1):
-            for n in range(1, n_max + 1):
-                if 2 * g - 2 + n > 0 and 2 * g - 3 + n >= 0:
-                    reports.append(mono.lambda_g_swap_check(g, n))
-    elif token == "c52":
-        reports = [
-            mono.kappa_swap_check(g, n)
-            for g in range(1, g_max + 1)
-            for n in range(0, n_max + 1)
-            if 2 * g - 2 + n > 0 and 3 * g - 3 + n >= 2
-        ]
-    elif token == "c53":
-        reports = [
-            mono.bounds_check(g, n)
-            for g in range(1, g_max + 1)
-            for n in range(0, n_max + 1)
-            if 2 * g - 2 + n > 0 and 3 * g - 3 + n >= 0
-        ]
-    elif token == "c54":
-        reports = [
-            mono.psi_floor_check(g, n)
-            for g in range(1, g_max + 1)
-            for n in range(1, n_max + 1)
-            if 2 * g - 2 + n > 0
-        ]
-    else:  # pragma: no cover
-        raise AssertionError(token)
-    return _emit_reports(reports, timing)
+    return _emit_reports(run(g_max, n_max), not args.no_timing)
 
 
 def _run_denom(args) -> int:
@@ -213,22 +139,17 @@ def _run_denom(args) -> int:
 def _run_monotone(args) -> int:
     timing = not args.no_timing
     if args.lam == "top":
-        reports = [
-            mono.lambda_g_swap_check(g, args.n)
-            for g in range(1, args.gmax + 1)
-            if 2 * g - 2 + args.n > 0 and 2 * g - 3 + args.n >= 0
-        ]
-        return _emit_reports(reports, timing)
+        strata = mono.stable_strata(1, args.gmax, args.n, args.n)
+        return _emit_reports([mono.lambda_g_swap_check(g, n) for g, n in strata], timing)
     if args.n == 2:
         report = mono.psi_swap_deep(
             args.gmax, progress=lambda msg: print(msg, file=sys.stderr)
         )
         return _emit_reports([report], timing)
     reports = []
-    for g in range(0, args.gmax + 1):
-        if 2 * g - 2 + args.n > 0 and 3 * g - 3 + args.n >= 0:
-            reports.append(mono.psi_swap_check(g, args.n))
-            print(f"g={g} done", file=sys.stderr)
+    for g, n in mono.stable_strata(0, args.gmax, args.n, args.n):
+        reports.append(mono.psi_swap_check(g, n))
+        print(f"g={g} done", file=sys.stderr)
     return _emit_reports(reports, timing)
 
 
@@ -243,10 +164,14 @@ def _with_cache(args, body) -> int:
             br.cache_save(br.default_table(), path)
 
 
+# built once, at import: the parser is fixed, and building it (gettext
+# and its locale lookup) is start-up work, not work of a command
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -262,10 +187,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _with_cache(args, lambda: print(kappa_to_psi(args.g, d, args.a)) or 0)
 
         if args.verb == "npoint":
-            if args.special:
-                series = merged_series(args.n, args.gmax)
-            else:
-                series = npoint_series(args.n, args.gmax)
+            series = (merged_series if args.special else npoint_series)(args.n, args.gmax)
             for line in series.dump_lines():
                 print(line)
             return 0

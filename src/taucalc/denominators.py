@@ -14,7 +14,6 @@ evaluates the nested-floor lower bounds for the automorphism lcm.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .brackets import BracketTable, bracket
 from .combinat import multisets_with_sum, partitions
 from .rationals import PrimeOrder, factorize, lcm_of_denominators, ord_at_prime, primes_upto
 from .reduction import kappa_to_psi
-from .report import Report
+from .report import Report, timed_report
 
 __all__ = [
     "DenominatorProfile",
@@ -131,11 +130,6 @@ def conjectured_orders(genus: int) -> dict[int, int]:
     return out
 
 
-def _tau_functions_lex(genus: int, n: int):
-    """Sorted-ascending exponent multisets of size n in positional lex order."""
-    return multisets_with_sum(n, 3 * genus - 3 + n)
-
-
 def witness_search(genus: int, p: int, table: BracketTable | None = None):
     """First tau function of genus g (lex order: n, then the ascending
     exponent sequence) whose denominator carries the full conjectured
@@ -145,7 +139,8 @@ def witness_search(genus: int, p: int, table: BracketTable | None = None):
     predicted = tuple(sorted([(p - 1) // 2] * k + [d_last]))
     found = None
     for n in range(1, k + 2):
-        for d in _tau_functions_lex(genus, n):
+        # ascending exponent multisets of size n, in positional lex order
+        for d in multisets_with_sum(n, 3 * genus - 3 + n):
             v = bracket(genus, d, table)
             if v and ord_at_prime(v, p) == -k:
                 found = d
@@ -160,7 +155,10 @@ def conjecture41_check(genus: int, table: BracketTable | None = None) -> Report:
     the conjectured formulas."""
     if genus < 2:
         raise ValueError("needs genus >= 2")
-    start = time.perf_counter()
+    return timed_report("c41", {"g": genus}, lambda: _conjecture41_sides(genus, table))
+
+
+def _conjecture41_sides(genus: int, table: BracketTable | None):
     profile = compute_script_D(genus, table)
     want = conjectured_orders(genus)
     conjectured_value = 1
@@ -188,16 +186,8 @@ def conjecture41_check(genus: int, table: BracketTable | None = None) -> Report:
         }
         witness_ok = witness_ok and found == predicted
 
-    ms = (time.perf_counter() - start) * 1000.0
     rhs = conjectured_value if witness_ok else -1
-    return Report(
-        id="c41",
-        params={"g": genus},
-        lhs=Fraction(profile.value),
-        rhs=Fraction(rhs),
-        ms=ms,
-        extra=detail,
-    )
+    return Fraction(profile.value), Fraction(rhs), detail
 
 
 def divisibility_check(g: int, h: int, table: BracketTable | None = None) -> bool:
@@ -211,24 +201,19 @@ def threshold_check(genus: int, table: BracketTable | None = None) -> Report:
     """Minimal n with D(g, n) = script-D(g), against the bound floor(g/2)+1."""
     if genus < 2:
         raise ValueError("needs genus >= 2")
-    start = time.perf_counter()
-    target = script_D_value(genus, table)
-    bound = genus // 2 + 1
-    minimal = None
-    for n in range(1, bound + 1):
-        if compute_D(genus, n, table).value == target:
-            minimal = n
-            break
-    at_bound = compute_D(genus, bound, table).value
-    ms = (time.perf_counter() - start) * 1000.0
-    return Report(
-        id="c42",
-        params={"g": genus},
-        lhs=Fraction(at_bound),
-        rhs=Fraction(target),
-        ms=ms,
-        extra={"minimal_n": minimal, "bound": bound},
-    )
+
+    def sides():
+        target = script_D_value(genus, table)
+        bound = genus // 2 + 1
+        minimal = None
+        for n in range(1, bound + 1):
+            if compute_D(genus, n, table).value == target:
+                minimal = n
+                break
+        at_bound = compute_D(genus, bound, table).value
+        return Fraction(at_bound), Fraction(target), {"minimal_n": minimal, "bound": bound}
+
+    return timed_report("c42", {"g": genus}, sides)
 
 
 def s_g_lower_bounds(genus: int) -> list[PrimeOrder]:
@@ -261,26 +246,20 @@ def s_g_lower_bounds(genus: int) -> list[PrimeOrder]:
 def compare_D_S(genus: int, table: BracketTable | None = None) -> Report:
     """ord_2(script-D) must exceed the automorphism bound, ord_3 reach it,
     and every ord_p with p >= 5 stay at or below it."""
-    start = time.perf_counter()
-    profile = compute_script_D(genus, table)
-    bounds = {po.prime: po.order for po in s_g_lower_bounds(genus)}
-    checks = []
-    checks.append(("2", profile.ord(2) > bounds[2]))
-    checks.append(("3", profile.ord(3) >= bounds.get(3, 0)))
-    for p, b in bounds.items():
-        if p >= 5:
-            checks.append((str(p), profile.ord(p) <= b))
-    ms = (time.perf_counter() - start) * 1000.0
-    return Report(
-        id="c4s",
-        params={"g": genus},
-        lhs=Fraction(len(checks)),
-        rhs=Fraction(sum(1 for _, ok in checks if ok)),
-        ms=ms,
-        extra={
+
+    def sides():
+        profile = compute_script_D(genus, table)
+        bounds = {po.prime: po.order for po in s_g_lower_bounds(genus)}
+        checks = [("2", profile.ord(2) > bounds[2]), ("3", profile.ord(3) >= bounds.get(3, 0))]
+        for p, b in bounds.items():
+            if p >= 5:
+                checks.append((str(p), profile.ord(p) <= b))
+        extra = {
             "bounds": {p: b for p, b in bounds.items()},
             "orders": {po.prime: po.order for po in profile.factors},
             "failed": [name for name, ok in checks if not ok],
             "note": "bounds are the formula side only; the automorphism lcm itself is not enumerated",
-        },
-    )
+        }
+        return Fraction(len(checks)), Fraction(sum(1 for _, ok in checks if ok)), extra
+
+    return timed_report("c4s", {"g": genus}, sides)

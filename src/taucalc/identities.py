@@ -5,6 +5,13 @@ factorials only, and its bracket side through the recursion engine, then
 reports exact rational equality.  Conjectural identities are *reported*,
 never assumed: a failing tuple comes back with both values for triage.
 
+Each identity is written once, as an `_Identity` spec in `_IDENTITIES`:
+its free parameters with their sweep ranges, the solved sum of d, its
+constraints and its two sides.  `instances` enumerates the grid from the
+spec and keeps the tuples that meet the constraints, `verify` checks one
+tuple against the same constraints and evaluates it, and `VERIFY_TOKENS`
+gives every `tau verify` token its default grid and its runner.
+
 The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
 insertion combinations all go through `split_sum`.  It returns 0 at once
 unless the genus fits both factors' dimensions, reads each factor from a
@@ -12,7 +19,7 @@ row <tau_j prod tau_E>, in the engine's dyadic (num, e) form, that the
 bracket table keeps per sorted extras multiset E (derived data, never
 saved), accumulates integer numerators, and builds one Fraction per call.
 
-Identity ids (also the CLI tokens):
+Identity ids:
 
   eq4   alternating pair sum with d_j >= 1, sum(d_j - 1) = g - 1 equals
         (2g-1+n)! / (2^{2g} (2g+1)! prod (2d_j-1)!!)
@@ -29,25 +36,27 @@ Identity ids (also the CLI tokens):
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import factorial, lcm
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
+from . import denominators as dn
+from . import monotone as mono
 from .brackets import (
-    BracketTable, bracket, default_table, dyadic_ratio, sigma_bracket, sigma_weight,
+    BracketTable, bracket, default_table, dyadic_ratio, one_point, sigma_bracket, sigma_weight,
 )
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import odd_double_factorial
-from .report import Report
+from .report import Report, timed_report
 
 __all__ = [
     "ParameterError",
     "SweepLimits",
     "IDENTITY_IDS",
+    "VERIFY_TOKENS",
     "alt_pair_sum",
     "split_sum",
     "verify",
@@ -159,10 +168,8 @@ def split_sum(
 
 
 def _dfact_prod(d: Iterable[int]) -> int:
-    out = 1
-    for x in d:
-        out *= odd_double_factorial(x - 1)
-    return out
+    """prod (2d_j - 1)!!"""
+    return sigma_weight(x - 1 for x in d)
 
 
 def _insertion_combo(genus: int, X: int, d: tuple[int, ...], table) -> Fraction:
@@ -175,127 +182,12 @@ def _insertion_combo(genus: int, X: int, d: tuple[int, ...], table) -> Fraction:
     return combo
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ParameterError(message)
+def _eq4_constant(g: int, d: tuple[int, ...]) -> Fraction:
+    return Fraction(factorial(2 * g - 1 + len(d)), 2 ** (2 * g) * factorial(2 * g + 1) * _dfact_prod(d))
 
 
-def _norm_d(params: dict) -> tuple[int, ...]:
-    return tuple(sorted(params["d"]))
-
-
-# ---------------------------------------------------------------------------
-# per-identity evaluators: params -> (lhs, rhs, extra)
-
-def _eval_eq4(p, table):
-    g, d = p["g"], _norm_d(p)
-    n = len(d)
-    _require(n >= 1, "eq4 needs n >= 1")
-    _require(all(x >= 1 for x in d), "eq4 needs d_j >= 1")
-    _require(sum(x - 1 for x in d) == g - 1, "eq4 needs sum(d_j - 1) = g - 1")
-    lhs = alt_pair_sum(g, g, d, table)
-    rhs = Fraction(
-        factorial(2 * g - 1 + n), 2 ** (2 * g) * factorial(2 * g + 1) * _dfact_prod(d)
-    )
-    return lhs, rhs, {}
-
-
-def _eval_eq6(p, table):
-    g, K, d = p["g"], p["K"], _norm_d(p)
-    n = len(d)
-    _require(n >= 1, "eq6 needs n >= 1")
-    _require(K > g, "eq6 needs K > g")
-    _require(all(x >= 0 for x in d), "eq6 needs d_j >= 0")
-    _require(sum(d) == 3 * g + n - 2 * K - 1, "eq6 needs sum d = 3g + n - 2K - 1")
-    return alt_pair_sum(K, g, d, table), _ZERO, {}
-
-
-def _eval_eq5(p, table):
-    g, d = p["g"], _norm_d(p)
-    n = len(d)
-    _require(g >= 1, "eq5 needs g >= 1")
-    _require(n >= 1, "eq5 needs n >= 1")
-    _require(all(x >= 0 for x in d), "eq5 needs d_j >= 0")
-    _require(sum(d) == g + n - 2, "eq5 needs sum d = g + n - 2")
-    return _insertion_combo(g, g, d, table), _ZERO, {}
-
-
-def _eval_eq7(p, table):
-    g, K, d = p["g"], p["K"], _norm_d(p)
-    n = len(d)
-    _require(n >= 1, "eq7 needs n >= 1")
-    _require(K > g, "eq7 needs K > g")
-    _require(all(x >= 0 for x in d), "eq7 needs d_j >= 0")
-    _require(sum(d) == 3 * g + n - 2 * K - 2, "eq7 needs sum d = 3g + n - 2K - 2")
-    return _insertion_combo(g, K, d, table), _ZERO, {}
-
-
-def _eval_eq8(p, table):
-    g, d = p["g"], _norm_d(p)
-    n = len(d)
-    _require(g >= 2, "eq8 needs g >= 2")
-    _require(n >= 1, "eq8 needs n >= 1")
-    _require(all(x >= 1 for x in d), "eq8 needs d_j >= 1")
-    _require(sum(x - 1 for x in d) == g, "eq8 needs sum(d_j - 1) = g")
-    lhs = _insertion_combo(g, g - 1, d, table)
-    rhs = Fraction(
-        factorial(2 * g - 3 + n),
-        2 ** (2 * g + 1) * factorial(2 * g - 3) * _dfact_prod(d),
-    )
-    return lhs, rhs, {}
-
-
-def _eval_eq3(p, table):
-    g, d = p["g"], _norm_d(p)
-    n = len(d)
-    _require(g >= 2, "eq3 needs g >= 2")
-    _require(n >= 1, "eq3 needs n >= 1")
-    _require(all(x >= 1 for x in d), "eq3 needs d_j >= 1")
-    _require(sum(x - 1 for x in d) == g - 2, "eq3 needs sum(d_j - 1) = g - 2")
-    lhs = _insertion_combo(g, g, d, table) + _HALF * alt_pair_sum(g - 1, g - 1, d, table)
-    rhs = Fraction(
-        factorial(2 * g - 3 + n),
-        2 ** (2 * g - 1) * factorial(2 * g - 1) * _dfact_prod(d),
-    )
-    return lhs, rhs, {}
-
-
-def _eval_c32a(p, table):
-    g, K, r, s, d = p["g"], p["K"], p["r"], p["s"], _norm_d(p)
-    n = len(d)
-    _require(K >= g, "c32a needs K >= g")
-    _require(r >= 0 and s >= 0, "c32a needs r, s >= 0")
-    _require(all(x >= 0 for x in d), "c32a needs d_j >= 0")
-    _require(
-        sum(d) == 3 * g + n - 2 * K - r - s - 2,
-        "c32a needs sum d = 3g + n - 2K - r - s - 2",
-    )
-    lhs = bracket(g, (2 * K + r + 1, s) + d, table) + bracket(g, (2 * K + s + 1, r) + d, table)
-    rhs = split_sum(2 * K, (r,), (s,), g, d, table)
-    return lhs, rhs, {}
-
-
-def _eval_c32b(p, table):
-    g, r, s, d = p["g"], p["r"], p["s"], _norm_d(p)
-    n = len(d)
-    _require(g >= 1, "c32b needs g >= 1")
-    _require(r >= 0 and s >= 0, "c32b needs r, s >= 0")
-    _require(all(x >= 1 for x in d), "c32b needs d_j >= 1")
-    _require(sum(d) == g + n - r - s, "c32b needs sum d = g + n - r - s")
-    lhs = Fraction(
-        factorial(2 * g - 1 + n),
-        odd_double_factorial(r)
-        * odd_double_factorial(s)
-        * 4**g
-        * factorial(2 * g - 1)
-        * _dfact_prod(d),
-    )
-    rhs = (
-        bracket(g, (2 * g + r - 1, s) + d, table)
-        + bracket(g, (2 * g + s - 1, r) + d, table)
-        - split_sum(2 * g - 2, (r,), (s,), g, d, table)
-    )
-    return lhs, rhs, {}
+def _eq3_constant(g: int, d: tuple[int, ...]) -> Fraction:
+    return Fraction(factorial(2 * g - 3 + len(d)), 2 ** (2 * g - 1) * factorial(2 * g - 1) * _dfact_prod(d))
 
 
 def _c33_descent(g, K, r, d, table):
@@ -306,354 +198,356 @@ def _c33_descent(g, K, r, d, table):
     return combo, descent
 
 
-def _eval_c33a(p, table):
-    g, K, m, r, d = p["g"], p["K"], p["m"], tuple(sorted(p["r"])), _norm_d(p)
-    n = len(d)
-    _require(m >= 2, "c33a needs m >= 2")
-    _require(len(r) == m, "c33a needs len(r) = m")
-    _require(K >= g + m // 2 - 1, "c33a needs K >= g + floor(m/2) - 1")
-    _require(all(x >= 0 for x in r), "c33a needs r_p >= 0")
-    _require(all(x >= 0 for x in d), "c33a needs d_j >= 0")
-    _require(
-        sum(d) == 3 * g + n - 2 * K - sum(r) + m - 4,
-        "c33a needs sum d = 3g + n - 2K - sum r + m - 4",
-    )
-    head, descent = _c33_descent(g, K, r, d, table)
-    lhs = head
-    rhs = descent - split_sum(2 * K, r, (), g, d, table)
-    return lhs, rhs, {}
+# The least K of each family's vanishing range ("a"); its constant
+# identity ("b") sits one below it.
+def _k_c33(g: int, m: int) -> int:
+    return g + m // 2 - 1
 
 
-def _eval_c33b(p, table):
-    g, m, r, d = p["g"], p["m"], tuple(sorted(p["r"])), _norm_d(p)
-    n = len(d)
-    _require(m >= 2, "c33b needs m >= 2")
-    _require(len(r) == m, "c33b needs len(r) = m")
-    K = g + m // 2 - 2
-    _require(K >= 0, "c33b is vacuous here: K = g + floor(m/2) - 2 < 0")
-    _require(all(x >= 1 for x in d), "c33b needs d_j >= 1")
-    if m % 2:
-        _require(all(x >= 1 for x in r), "c33b with odd m needs r_p >= 1")
-    _require(
-        sum(d) == g + n - sum(r) + m - 2 * (m // 2),
-        "c33b needs sum d = g + n - sum r + m - 2 floor(m/2)",
-    )
-    c = (sum(2 * x for x in r) + m) * (g + (m - 3) // 2) if m % 2 else 1
-    den = 4**g * factorial(2 * g - 3 + m) * _dfact_prod(d)
-    for x in r:
-        den *= odd_double_factorial(x)
-    lhs = Fraction(c * factorial(2 * g - 3 + n + m), den)
-    head, descent = _c33_descent(g, K, r, d, table)
-    rhs = head - descent + split_sum(2 * K, r, (), g, d, table)
-    return lhs, rhs, {"K": K}
+def _k_c34(g: int, m: int) -> int:
+    return g + (m - 1) // 2
 
 
-def _eval_c34a(p, table):
-    g, K, m, s, r, d = p["g"], p["K"], p["m"], p["s"], tuple(sorted(p["r"])), _norm_d(p)
-    n = len(d)
-    _require(m >= 2, "c34a needs m >= 2")
-    _require(len(r) == m, "c34a needs len(r) = m")
-    _require(K >= g + (m - 1) // 2, "c34a needs K >= g + floor((m-1)/2)")
-    _require(s >= 0 and all(x >= 0 for x in r), "c34a needs s, r_p >= 0")
-    _require(all(x >= 0 for x in d), "c34a needs d_j >= 0")
-    _require(
-        sum(d) == 3 * g + n - 2 * K - s - sum(r) + m - 3,
-        "c34a needs sum d = 3g + n - 2K - s - sum r + m - 3",
-    )
-    lhs = bracket(g, (2 * K + s + 1,) + r + d, table)
-    rhs = split_sum(2 * K, r, (s,), g, d, table)
-    return lhs, rhs, {}
-
-
-def _eval_c34b(p, table):
-    g, m, s, r, d = p["g"], p["m"], p["s"], tuple(sorted(p["r"])), _norm_d(p)
-    n = len(d)
-    _require(m >= 2, "c34b needs m >= 2")
-    _require(len(r) == m, "c34b needs len(r) = m")
-    K = g + (m - 1) // 2 - 1
-    _require(K >= 0, "c34b is vacuous here: K = g + floor((m-1)/2) - 1 < 0")
-    _require(all(x >= 1 for x in d), "c34b needs d_j >= 1")
-    if m % 2 == 0:
-        _require(s >= 1, "c34b with even m needs s >= 1")
-        _require(all(x >= 1 for x in r), "c34b with even m needs r_p >= 1")
-    _require(
-        sum(d) == g + n - s - sum(r) + m - 2 * ((m - 1) // 2) - 1,
-        "c34b needs sum d = g + n - s - sum r + m - 2 floor((m-1)/2) - 1",
-    )
-    c = (sum(2 * x for x in r) - 2 * s + m - 1) * (g + m // 2 - 1) if m % 2 == 0 else 1
-    den = 4**g * factorial(2 * g - 2 + m) * odd_double_factorial(s) * _dfact_prod(d)
-    for x in r:
-        den *= odd_double_factorial(x)
-    lhs = Fraction(c * factorial(2 * g - 2 + n + m), den)
-    rhs = bracket(g, (2 * K + s + 1,) + r + d, table) - split_sum(
-        2 * K, r, (s,), g, d, table
-    )
-    return lhs, rhs, {"K": K}
+def _k_c35(g: int, m: int, l: int) -> int:
+    return 2 * g + m + l - 3
 
 
 _GENUS_NOTE = "per-factor genus inferred from its own dimension constraint"
 
 
-def _eval_c35a(p, table):
-    g, K, m, l = p["g"], p["K"], p["m"], p["l"]
-    r, s, d = tuple(sorted(p["r"])), tuple(sorted(p["s"])), _norm_d(p)
-    n = len(d)
-    _require(m >= 2 and l >= 2, "c35a needs m, l >= 2")
-    _require(len(r) == m and len(s) == l, "c35a needs len(r) = m, len(s) = l")
-    _require(K > 2 * g + m + l - 4, "c35a needs K > 2g + m + l - 4")
-    _require(all(x >= 0 for x in r + s + d), "c35a needs nonnegative indices")
-    _require(
-        sum(d) == 3 * g + n + m + l - K - sum(r) - sum(s) - 4,
-        "c35a needs sum d = 3g + n + m + l - K - sum r - sum s - 4",
-    )
-    lhs = split_sum(K, r, s, g, d, table)
-    return lhs, _ZERO, {"genus_convention": _GENUS_NOTE}
+# ---------------------------------------------------------------------------
+# per-identity sides: (table, **params) -> (lhs, rhs, extra)
+
+def _eq3(table, g, d):
+    lhs = _insertion_combo(g, g, d, table) + _HALF * alt_pair_sum(g - 1, g - 1, d, table)
+    return lhs, _eq3_constant(g, d), {}
 
 
-def _eval_c35b(p, table):
-    g, m, l = p["g"], p["m"], p["l"]
-    r, s, d = tuple(sorted(p["r"])), tuple(sorted(p["s"])), _norm_d(p)
-    n = len(d)
-    _require(m >= 2 and l >= 2, "c35b needs m, l >= 2")
-    _require(len(r) == m and len(s) == l, "c35b needs len(r) = m, len(s) = l")
-    K = 2 * g + m + l - 4
-    _require(all(x >= 1 for x in d), "c35b needs d_j >= 1")
-    _require(all(x >= 0 for x in r + s), "c35b needs r_p, s_p >= 0")
-    _require(
-        sum(d) == g + n - sum(r) - sum(s),
-        "c35b needs sum d = g + n - sum r - sum s",
+def _eq8(table, g, d):
+    rhs = Fraction(factorial(2 * g - 3 + len(d)), 2 ** (2 * g + 1) * factorial(2 * g - 3) * _dfact_prod(d))
+    return _insertion_combo(g, g - 1, d, table), rhs, {}
+
+
+def _c32b(table, g, r, s, d):
+    den = sigma_weight((r, s)) * 4**g * factorial(2 * g - 1) * _dfact_prod(d)
+    lhs = Fraction(factorial(2 * g - 1 + len(d)), den)
+    rhs = (
+        bracket(g, (2 * g + r - 1, s) + d, table)
+        + bracket(g, (2 * g + s - 1, r) + d, table)
+        - split_sum(2 * g - 2, (r,), (s,), g, d, table)
     )
+    return lhs, rhs, {}
+
+
+def _c33a(table, g, K, m, r, d):
+    head, descent = _c33_descent(g, K, r, d, table)
+    return head, descent - split_sum(2 * K, r, (), g, d, table), {}
+
+
+def _c33b(table, g, m, r, d):
+    K = _k_c33(g, m) - 1
+    c = (sum(2 * x for x in r) + m) * (g + (m - 3) // 2) if m % 2 else 1
+    den = 4**g * factorial(2 * g - 3 + m) * _dfact_prod(d) * sigma_weight(r)
+    lhs = Fraction(c * factorial(2 * g - 3 + len(d) + m), den)
+    head, descent = _c33_descent(g, K, r, d, table)
+    rhs = head - descent + split_sum(2 * K, r, (), g, d, table)
+    return lhs, rhs, {"K": K}
+
+
+def _c34b(table, g, m, s, r, d):
+    K = _k_c34(g, m) - 1
+    c = (sum(2 * x for x in r) - 2 * s + m - 1) * (g + m // 2 - 1) if m % 2 == 0 else 1
+    den = 4**g * factorial(2 * g - 2 + m) * _dfact_prod(d) * sigma_weight((s,) + r)
+    lhs = Fraction(c * factorial(2 * g - 2 + len(d) + m), den)
+    rhs = bracket(g, (2 * K + s + 1,) + r + d, table) - split_sum(2 * K, r, (s,), g, d, table)
+    return lhs, rhs, {"K": K}
+
+
+def _c35b(table, g, m, l, r, s, d):
+    K = _k_c35(g, m, l) - 1
     lhs = split_sum(K, r, s, g, d, table)
-    den = 4**g * factorial(2 * g + m + l - 3) * _dfact_prod(d)
-    for x in r + s:
-        den *= odd_double_factorial(x)
-    rhs = Fraction((-1) ** m * factorial(2 * g + n + m + l - 3), den)
+    den = 4**g * factorial(2 * g + m + l - 3) * _dfact_prod(d) * sigma_weight(r + s)
+    rhs = Fraction((-1) ** m * factorial(2 * g + len(d) + m + l - 3), den)
     return lhs, rhs, {"K": K, "genus_convention": _GENUS_NOTE}
 
 
-_EVALUATORS = {
-    "eq3": _eval_eq3,
-    "eq4": _eval_eq4,
-    "eq5": _eval_eq5,
-    "eq6": _eval_eq6,
-    "eq7": _eval_eq7,
-    "eq8": _eval_eq8,
-    "c32a": _eval_c32a,
-    "c32b": _eval_c32b,
-    "c33a": _eval_c33a,
-    "c33b": _eval_c33b,
-    "c34a": _eval_c34a,
-    "c34b": _eval_c34b,
-    "c35a": _eval_c35a,
-    "c35b": _eval_c35b,
+@dataclass
+class SweepLimits:
+    """Parameter ranges for a verification sweep; ranges are configuration."""
+
+    g_max: int = 6
+    n_max: int = 4
+    k_span: int = 3
+    rs_max: int = 2
+    m_max: int = 3
+    l_max: int = 3
+
+
+@dataclass
+class _Identity:
+    """One identity, written once.
+
+    loops     the free parameters other than d, outermost first, each with
+              its values as a function of the limits and the outer values
+    d_sum     sum(d) solved from the dimension constraint, given n = len(d)
+    sum_text  how the constraint on sum(d) reads in its ParameterError
+    checks    (message, predicate) pairs, checked in order before d_sum
+    sides     (table, **params) -> (lhs, rhs, extra)
+
+    A predicate takes the params dict; d_sum takes the parameters and n as
+    keywords and reads neither d nor sum(d).  The sweep
+    enumerates d with parts >= 1 when the checks require d_j >= 1.  Reports
+    list g and K first, then the other loop parameters in order, then d.
+    """
+
+    loops: tuple[tuple[str, Callable[..., Iterable]], ...]
+    d_sum: Callable[..., int]
+    sum_text: str
+    checks: tuple[tuple[str, Callable[..., bool]], ...]
+    sides: Callable[..., tuple[Fraction, Fraction, dict]]
+    keys: tuple[str, ...] = field(init=False)
+    min_part: int = field(init=False)
+
+    def __post_init__(self):
+        self.min_part = 1 if _D1 in self.checks else 0
+        names = [name for name, _ in self.loops]
+        first = [k for k in ("g", "K") if k in names]
+        self.keys = tuple(first + [k for k in names if k not in first])
+
+    def violation(self, params: dict) -> str | None:
+        """The message of the first constraint params breaks, or None."""
+        for message, ok in self.checks:
+            if not ok(params):
+                return message
+        if sum(params["d"]) != self.d_sum(n=len(params["d"]), **params):
+            return f"needs {self.sum_text}"
+        return None
+
+
+def _genus(lo: int):
+    return "g", lambda L, **_: range(lo, L.g_max + 1)
+
+
+def _window(name: str, least: Callable[..., int], extra: int = 0):
+    """name runs over k_span values (k_span + extra for c32a) from least(...)."""
+    return name, lambda L, **p: range(least(**p), least(**p) + L.k_span + extra)
+
+
+def _multiset(name: str, size: str):
+    return name, lambda L, **p: combinations_with_replacement(range(L.rs_max + 1), p[size])
+
+
+_M = ("m", lambda L, **_: range(2, L.m_max + 1))
+_L = ("l", lambda L, **_: range(2, L.l_max + 1))
+_R_INT = ("r", lambda L, **_: range(L.rs_max + 1))
+_S_UPTO_R = ("s", lambda L, r, **_: range(r + 1))  # symmetric in (r, s)
+_S_INT = ("s", lambda L, **_: range(L.rs_max + 1))
+
+_N1 = ("needs n >= 1", lambda p: len(p["d"]) >= 1)
+_D0 = ("needs d_j >= 0", lambda p: all(x >= 0 for x in p["d"]))
+_D1 = ("needs d_j >= 1", lambda p: all(x >= 1 for x in p["d"]))
+_M2 = ("needs m >= 2", lambda p: p["m"] >= 2)
+_LEN_R = ("needs len(r) = m", lambda p: len(p["r"]) == p["m"])
+_G1 = ("needs g >= 1", lambda p: p["g"] >= 1)
+_G2 = ("needs g >= 2", lambda p: p["g"] >= 2)
+_K_ABOVE_G = ("needs K > g", lambda p: p["K"] > p["g"])
+_RS0 = ("needs r, s >= 0", lambda p: p["r"] >= 0 and p["s"] >= 0)
+_ML2 = ("needs m, l >= 2", lambda p: p["m"] >= 2 and p["l"] >= 2)
+_LEN_RS = ("needs len(r) = m, len(s) = l", lambda p: len(p["r"]) == p["m"] and len(p["s"]) == p["l"])
+
+_IDENTITIES: dict[str, _Identity] = {
+    "eq3": _Identity(
+        loops=(_genus(2),),
+        d_sum=lambda g, n, **_: g - 2 + n, sum_text="sum(d_j - 1) = g - 2",
+        checks=(_G2, _N1, _D1),
+        sides=_eq3,
+    ),
+    "eq4": _Identity(
+        loops=(_genus(1),),
+        d_sum=lambda g, n, **_: g - 1 + n, sum_text="sum(d_j - 1) = g - 1",
+        checks=(_N1, _D1),
+        sides=lambda table, g, d: (alt_pair_sum(g, g, d, table), _eq4_constant(g, d), {}),
+    ),
+    "eq5": _Identity(
+        loops=(_genus(1),),
+        d_sum=lambda g, n, **_: g + n - 2, sum_text="sum d = g + n - 2",
+        checks=(_G1, _N1, _D0),
+        sides=lambda table, g, d: (_insertion_combo(g, g, d, table), _ZERO, {}),
+    ),
+    "eq6": _Identity(
+        loops=(_genus(0), _window("K", lambda g, **_: g + 1)),
+        d_sum=lambda g, K, n, **_: 3 * g + n - 2 * K - 1,
+        sum_text="sum d = 3g + n - 2K - 1",
+        checks=(_N1, _K_ABOVE_G, _D0),
+        sides=lambda table, g, K, d: (alt_pair_sum(K, g, d, table), _ZERO, {}),
+    ),
+    "eq7": _Identity(
+        loops=(_genus(0), _window("K", lambda g, **_: g + 1)),
+        d_sum=lambda g, K, n, **_: 3 * g + n - 2 * K - 2,
+        sum_text="sum d = 3g + n - 2K - 2",
+        checks=(_N1, _K_ABOVE_G, _D0),
+        sides=lambda table, g, K, d: (_insertion_combo(g, K, d, table), _ZERO, {}),
+    ),
+    "eq8": _Identity(
+        loops=(_genus(2),),
+        d_sum=lambda g, n, **_: g + n, sum_text="sum(d_j - 1) = g",
+        checks=(_G2, _N1, _D1),
+        sides=_eq8,
+    ),
+    "c32a": _Identity(
+        loops=(_genus(0), _window("K", lambda g, **_: g, extra=1), _R_INT, _S_UPTO_R),
+        d_sum=lambda g, K, r, s, n, **_: 3 * g + n - 2 * K - r - s - 2,
+        sum_text="sum d = 3g + n - 2K - r - s - 2",
+        checks=(("needs K >= g", lambda p: p["K"] >= p["g"]), _RS0, _D0),
+        sides=lambda table, g, K, r, s, d: (
+            bracket(g, (2 * K + r + 1, s) + d, table) + bracket(g, (2 * K + s + 1, r) + d, table),
+            split_sum(2 * K, (r,), (s,), g, d, table), {}),
+    ),
+    "c32b": _Identity(
+        loops=(_genus(1), _R_INT, _S_UPTO_R),
+        d_sum=lambda g, r, s, n, **_: g + n - r - s,
+        sum_text="sum d = g + n - r - s",
+        checks=(_G1, _RS0, _D1),
+        sides=_c32b,
+    ),
+    "c33a": _Identity(
+        loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c33(g, m)), _multiset("r", "m")),
+        d_sum=lambda g, K, m, r, n, **_: 3 * g + n - 2 * K - sum(r) + m - 4,
+        sum_text="sum d = 3g + n - 2K - sum r + m - 4",
+        checks=(
+            _M2, _LEN_R,
+            ("needs K >= g + floor(m/2) - 1", lambda p: p["K"] >= _k_c33(p["g"], p["m"])),
+            ("needs r_p >= 0", lambda p: all(x >= 0 for x in p["r"])),
+            _D0,
+        ),
+        sides=_c33a,
+    ),
+    "c33b": _Identity(
+        loops=(_genus(1), _M, _multiset("r", "m")),
+        d_sum=lambda g, m, r, n, **_: g + n - sum(r) + m - 2 * (m // 2),
+        sum_text="sum d = g + n - sum r + m - 2 floor(m/2)",
+        checks=(
+            _M2, _LEN_R,
+            ("is vacuous here: K = g + floor(m/2) - 2 < 0", lambda p: _k_c33(p["g"], p["m"]) >= 1),
+            _D1,
+            ("with odd m needs r_p >= 1", lambda p: p["m"] % 2 == 0 or all(x >= 1 for x in p["r"])),
+        ),
+        sides=_c33b,
+    ),
+    "c34a": _Identity(
+        loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c34(g, m)), _S_INT, _multiset("r", "m")),
+        d_sum=lambda g, K, m, s, r, n, **_: 3 * g + n - 2 * K - s - sum(r) + m - 3,
+        sum_text="sum d = 3g + n - 2K - s - sum r + m - 3",
+        checks=(
+            _M2, _LEN_R,
+            ("needs K >= g + floor((m-1)/2)", lambda p: p["K"] >= _k_c34(p["g"], p["m"])),
+            ("needs s, r_p >= 0", lambda p: p["s"] >= 0 and all(x >= 0 for x in p["r"])),
+            _D0,
+        ),
+        sides=lambda table, g, K, m, s, r, d: (
+            bracket(g, (2 * K + s + 1,) + r + d, table), split_sum(2 * K, r, (s,), g, d, table), {}),
+    ),
+    "c34b": _Identity(
+        loops=(_genus(1), _M, _S_INT, _multiset("r", "m")),
+        d_sum=lambda g, m, s, r, n, **_: g + n - s - sum(r) + m - 2 * ((m - 1) // 2) - 1,
+        sum_text="sum d = g + n - s - sum r + m - 2 floor((m-1)/2) - 1",
+        checks=(
+            _M2, _LEN_R,
+            ("is vacuous here: K = g + floor((m-1)/2) - 1 < 0", lambda p: _k_c34(p["g"], p["m"]) >= 1),
+            _D1,
+            ("with even m needs s >= 1", lambda p: p["m"] % 2 == 1 or p["s"] >= 1),
+            ("with even m needs r_p >= 1", lambda p: p["m"] % 2 == 1 or all(x >= 1 for x in p["r"])),
+        ),
+        sides=_c34b,
+    ),
+    "c35a": _Identity(
+        loops=(_genus(0), _M, _L, _window("K", lambda g, m, l, **_: _k_c35(g, m, l)),
+               _multiset("r", "m"), _multiset("s", "l")),
+        d_sum=lambda g, K, m, l, r, s, n, **_: 3 * g + n + m + l - K - sum(r) - sum(s) - 4,
+        sum_text="sum d = 3g + n + m + l - K - sum r - sum s - 4",
+        checks=(
+            _ML2, _LEN_RS,
+            ("needs K > 2g + m + l - 4", lambda p: p["K"] >= _k_c35(p["g"], p["m"], p["l"])),
+            ("needs nonnegative indices", lambda p: all(x >= 0 for x in p["r"] + p["s"] + p["d"])),
+        ),
+        sides=lambda table, g, K, m, l, r, s, d: (
+            split_sum(K, r, s, g, d, table), _ZERO, {"genus_convention": _GENUS_NOTE}),
+    ),
+    "c35b": _Identity(
+        loops=(_genus(0), _M, _L, _multiset("r", "m"), _multiset("s", "l")),
+        d_sum=lambda g, r, s, n, **_: g + n - sum(r) - sum(s),
+        sum_text="sum d = g + n - sum r - sum s",
+        checks=(
+            _ML2, _LEN_RS, _D1,
+            ("needs r_p, s_p >= 0", lambda p: all(x >= 0 for x in p["r"] + p["s"])),
+        ),
+        sides=_c35b,
+    ),
 }
 
-IDENTITY_IDS = tuple(_EVALUATORS)
+IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def verify(identity: str, table: BracketTable | None = None, **params: Any) -> Report:
-    """Evaluate both sides of one identity instance exactly."""
-    if identity not in _EVALUATORS:
-        raise ParameterError(f"unknown identity id {identity!r}")
-    start = time.perf_counter()
-    lhs, rhs, extra = _EVALUATORS[identity](params, table)
-    ms = (time.perf_counter() - start) * 1000.0
-    clean = {k: (tuple(sorted(v)) if isinstance(v, (list, tuple)) else v) for k, v in params.items()}
-    return Report(id=identity, params=clean, lhs=lhs, rhs=rhs, ms=ms, extra=extra)
+def _spec(identity: str) -> _Identity:
+    try:
+        return _IDENTITIES[identity]
+    except KeyError:
+        raise ParameterError(f"unknown identity id {identity!r}") from None
+
+
+def verify(
+    identity: str, table: BracketTable | None = None, *, checked: bool = False, **params: Any
+) -> Report:
+    """Evaluate both sides of one identity instance exactly.
+
+    The parameters are checked against the identity's constraints first;
+    checked=True skips that for tuples that `instances` has already kept.
+    """
+    spec = _spec(identity)
+    if not checked:
+        params = {k: (tuple(sorted(v)) if isinstance(v, (list, tuple)) else v) for k, v in params.items()}
+        if params.keys() != {*spec.keys, "d"}:
+            raise ParameterError(f"{identity} takes the parameters {', '.join(spec.keys + ('d',))}")
+        problem = spec.violation(params)
+        if problem is not None:
+            raise ParameterError(f"{identity} {problem}")
+    return timed_report(identity, params, lambda: spec.sides(table, **params))
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
-class SweepLimits:
-    """Parameter ranges for a verification sweep; ranges are configuration."""
-
-    def __init__(
-        self,
-        g_max: int = 6,
-        n_max: int = 4,
-        k_span: int = 3,
-        rs_max: int = 2,
-        m_max: int = 3,
-        l_max: int = 3,
-    ):
-        self.g_max = g_max
-        self.n_max = n_max
-        self.k_span = k_span
-        self.rs_max = rs_max
-        self.m_max = m_max
-        self.l_max = l_max
-
-
-def _d_range(n_lo, n_hi, total_for, min_part):
-    for n in range(n_lo, n_hi + 1):
-        total = total_for(n)
-        if total < n * min_part:
-            continue
-        yield from ((n, d) for d in multisets_with_sum(n, total, min_part))
-
-
 def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict]:
-    """Admissible parameter dictionaries for one identity on the grid."""
+    """Admissible parameter dictionaries for one identity on the grid: the
+    spec's loops, then n = 0..n_max and every d with the solved sum, kept
+    when they meet the spec's constraints."""
+    spec = _spec(identity)
     lim = limits or SweepLimits()
-    L = lim
-
-    if identity == "eq4":
-        for g in range(1, L.g_max + 1):
-            for n, d in _d_range(1, L.n_max, lambda n, g=g: g - 1 + n, 1):
-                yield {"g": g, "d": d}
-    elif identity == "eq5":
-        for g in range(1, L.g_max + 1):
-            for n, d in _d_range(1, L.n_max, lambda n, g=g: g + n - 2, 0):
-                yield {"g": g, "d": d}
-    elif identity == "eq6":
-        for g in range(0, L.g_max + 1):
-            for K in range(g + 1, g + L.k_span + 1):
-                for n, d in _d_range(1, L.n_max, lambda n, g=g, K=K: 3 * g + n - 2 * K - 1, 0):
-                    yield {"g": g, "K": K, "d": d}
-    elif identity == "eq7":
-        for g in range(0, L.g_max + 1):
-            for K in range(g + 1, g + L.k_span + 1):
-                for n, d in _d_range(1, L.n_max, lambda n, g=g, K=K: 3 * g + n - 2 * K - 2, 0):
-                    yield {"g": g, "K": K, "d": d}
-    elif identity == "eq8":
-        for g in range(2, L.g_max + 1):
-            for n, d in _d_range(1, L.n_max, lambda n, g=g: g + n, 1):
-                yield {"g": g, "d": d}
-    elif identity == "eq3":
-        for g in range(2, L.g_max + 1):
-            for n, d in _d_range(1, L.n_max, lambda n, g=g: g - 2 + n, 1):
-                yield {"g": g, "d": d}
-    elif identity == "c32a":
-        for g in range(0, L.g_max + 1):
-            for K in range(g, g + L.k_span + 1):
-                for r in range(L.rs_max + 1):
-                    for s in range(r + 1):  # symmetric in (r, s)
-                        for n, d in _d_range(
-                            0, L.n_max, lambda n, g=g, K=K, r=r, s=s: 3 * g + n - 2 * K - r - s - 2, 0
-                        ):
-                            yield {"g": g, "K": K, "r": r, "s": s, "d": d}
-    elif identity == "c32b":
-        for g in range(1, L.g_max + 1):
-            for r in range(L.rs_max + 1):
-                for s in range(r + 1):
-                    for n, d in _d_range(0, L.n_max, lambda n, g=g, r=r, s=s: g + n - r - s, 1):
-                        yield {"g": g, "r": r, "s": s, "d": d}
-    elif identity == "c33a":
-        for g in range(0, L.g_max + 1):
-            for m in range(2, L.m_max + 1):
-                k_lo = max(g + m // 2 - 1, 0)
-                for K in range(k_lo, k_lo + L.k_span):
-                    for r in combinations_with_replacement(range(L.rs_max + 1), m):
-                        for n, d in _d_range(
-                            0, L.n_max,
-                            lambda n, g=g, K=K, r=r, m=m: 3 * g + n - 2 * K - sum(r) + m - 4, 0,
-                        ):
-                            yield {"g": g, "K": K, "m": m, "r": r, "d": d}
-    elif identity == "c33b":
-        for g in range(1, L.g_max + 1):
-            for m in range(2, L.m_max + 1):
-                if g + m // 2 - 2 < 0:
-                    continue
-                lo = 1 if m % 2 else 0
-                for r in combinations_with_replacement(range(lo, L.rs_max + 1), m):
-                    for n, d in _d_range(
-                        0, L.n_max,
-                        lambda n, g=g, r=r, m=m: g + n - sum(r) + m - 2 * (m // 2), 1,
-                    ):
-                        yield {"g": g, "m": m, "r": r, "d": d}
-    elif identity == "c34a":
-        for g in range(0, L.g_max + 1):
-            for m in range(2, L.m_max + 1):
-                k_lo = g + (m - 1) // 2
-                for K in range(k_lo, k_lo + L.k_span):
-                    for s in range(L.rs_max + 1):
-                        for r in combinations_with_replacement(range(L.rs_max + 1), m):
-                            for n, d in _d_range(
-                                0, L.n_max,
-                                lambda n, g=g, K=K, s=s, r=r, m=m: 3 * g + n - 2 * K - s - sum(r) + m - 3, 0,
-                            ):
-                                yield {"g": g, "K": K, "m": m, "s": s, "r": r, "d": d}
-    elif identity == "c34b":
-        for g in range(1, L.g_max + 1):
-            for m in range(2, L.m_max + 1):
-                if g + (m - 1) // 2 - 1 < 0:
-                    continue
-                lo = 1 if m % 2 == 0 else 0
-                for s in range(lo, L.rs_max + 1):
-                    for r in combinations_with_replacement(range(lo, L.rs_max + 1), m):
-                        for n, d in _d_range(
-                            0, L.n_max,
-                            lambda n, g=g, s=s, r=r, m=m: g + n - s - sum(r) + m - 2 * ((m - 1) // 2) - 1, 1,
-                        ):
-                            yield {"g": g, "m": m, "s": s, "r": r, "d": d}
-    elif identity == "c35a":
-        for g in range(0, L.g_max + 1):
-            for m in range(2, L.m_max + 1):
-                for l in range(2, L.l_max + 1):
-                    k_lo = 2 * g + m + l - 3
-                    for K in range(k_lo, k_lo + L.k_span):
-                        for r in combinations_with_replacement(range(L.rs_max + 1), m):
-                            for s in combinations_with_replacement(range(L.rs_max + 1), l):
-                                for n, d in _d_range(
-                                    0, L.n_max,
-                                    lambda n, g=g, K=K, r=r, s=s, m=m, l=l:
-                                        3 * g + n + m + l - K - sum(r) - sum(s) - 4, 0,
-                                ):
-                                    yield {"g": g, "K": K, "m": m, "l": l, "r": r, "s": s, "d": d}
-    elif identity == "c35b":
-        for g in range(0, L.g_max + 1):
-            for m in range(2, L.m_max + 1):
-                for l in range(2, L.l_max + 1):
-                    for r in combinations_with_replacement(range(L.rs_max + 1), m):
-                        for s in combinations_with_replacement(range(L.rs_max + 1), l):
-                            for n, d in _d_range(
-                                0, L.n_max,
-                                lambda n, g=g, r=r, s=s: g + n - sum(r) - sum(s), 1,
-                            ):
-                                yield {"g": g, "m": m, "l": l, "r": r, "s": s, "d": d}
-    else:
-        raise ParameterError(f"unknown identity id {identity!r}")
-
-
-def _verify_chunk(args: tuple[str, list[dict]]) -> tuple[list[Report], list]:
-    """Worker side of run_sweep: the chunk's reports plus the memo entries
-    the worker added while computing them (the table only ever grows, and
-    dicts keep insertion order, so those are the entries past the old end)."""
-    identity, chunk = args
-    table = default_table()
-    start = len(table)
-    reports = [verify(identity, table=table, **p) for p in chunk]
-    return reports, list(islice(table.items(), start, None))
+    # every assignment of the loop parameters, outermost loop first
+    grid = [{}]
+    for name, choices in spec.loops:
+        grid = [{**outer, name: v} for outer in grid for v in choices(lim, **outer)]
+    for outer in grid:
+        for n in range(lim.n_max + 1):
+            for d in multisets_with_sum(n, spec.d_sum(n=n, **outer), spec.min_part):
+                params = {k: outer[k] for k in spec.keys}
+                params["d"] = d
+                # sum(d) holds by construction; the checks decide the rest
+                for _, ok in spec.checks:
+                    if not ok(params):
+                        break
+                else:
+                    yield params
 
 
 def run_sweep(
-    identity: str,
-    limits: SweepLimits | None = None,
-    jobs: int = 1,
-    table: BracketTable | None = None,
+    identity: str, limits: SweepLimits | None = None, table: BracketTable | None = None
 ) -> list[Report]:
-    """All reports for one identity over the grid, in grid order with
-    jobs=1 (report.reports_to_json puts them in canonical order).
-
-    With jobs > 1 the grid is split over a process pool.  Each worker
-    computes into its own process-wide table, and every entry it adds is
-    put into `table` (the process-wide table when None), so the memo ends
-    up as full as after a serial sweep.
+    """All reports for one identity over the grid, in grid order
+    (report.reports_to_json puts them in canonical order).  `instances`
+    has checked every tuple, so each is evaluated without a second check.
     """
-    params = list(instances(identity, limits))
-    if jobs <= 1 or len(params) < 4:
-        reports = [verify(identity, table=table, **p) for p in params]
-    else:
-        target = table if table is not None else default_table()
-        chunks = [params[i::jobs] for i in range(jobs)]
-        reports = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part, entries in pool.map(_verify_chunk, [(identity, c) for c in chunks]):
-                reports += part
-                for key, value in entries:
-                    target.put(key, value)
-    return reports
+    return [verify(identity, table, checked=True, **p) for p in instances(identity, limits)]
 
 
 # ---------------------------------------------------------------------------
@@ -662,37 +556,36 @@ def run_sweep(
 def decomposition_check(genus: int, d: Iterable[int], table: BracketTable | None = None) -> Report:
     """Check that the lambda_g lambda_{g-1} identity decomposes termwise into
     the simpler identity plus half the alternating pair sum one genus down,
-    constants included."""
-    d = tuple(sorted(d))
-    n = len(d)
-    _require(genus >= 2, "decomposition needs g >= 2")
-    _require(all(x >= 1 for x in d), "decomposition needs d_j >= 1")
-    _require(sum(x - 1 for x in d) == genus - 2, "decomposition needs sum(d_j - 1) = g - 2")
-    start = time.perf_counter()
-    residual = _insertion_combo(genus, genus, d, table)
-    half_alt = _HALF * alt_pair_sum(genus - 1, genus - 1, d, table)
-    const_eq3 = Fraction(
-        factorial(2 * genus - 3 + n),
-        2 ** (2 * genus - 1) * factorial(2 * genus - 1) * _dfact_prod(d),
-    )
-    g1 = genus - 1
-    const_eq4_prev = Fraction(
-        factorial(2 * g1 - 1 + n), 2 ** (2 * g1) * factorial(2 * g1 + 1) * _dfact_prod(d)
-    )
-    consts_match = const_eq3 == _HALF * const_eq4_prev
-    ms = (time.perf_counter() - start) * 1000.0
-    return Report(
-        id="decomp",
-        params={"g": genus, "d": d},
-        lhs=residual + half_alt,
-        rhs=const_eq3 if consts_match else Fraction(-1),
-        ms=ms,
-        extra={
+    constants included.  It takes the tuples eq3 takes."""
+    params = {"g": genus, "d": tuple(sorted(d))}
+    problem = _IDENTITIES["eq3"].violation(params)
+    if problem is not None:
+        raise ParameterError(f"decomposition {problem}")
+    d = params["d"]
+
+    def sides():
+        residual = _insertion_combo(genus, genus, d, table)
+        half_alt = _HALF * alt_pair_sum(genus - 1, genus - 1, d, table)
+        const_eq3 = _eq3_constant(genus, d)
+        consts_match = const_eq3 == _HALF * _eq4_constant(genus - 1, d)
+        extra = {
             "eq5_residual": residual,
             "half_alt_pair_sum": half_alt,
             "constants_match": consts_match,
-        },
-    )
+        }
+        return residual + half_alt, const_eq3 if consts_match else Fraction(-1), extra
+
+    return timed_report("decomp", params, sides)
+
+
+def _n1_sum(g: int, part: int, table: BracketTable | None) -> Fraction:
+    if g < 1:
+        raise ParameterError("the one-point sums need g >= 1")
+    total = _ZERO
+    for h in range(1, g + 1):
+        d = ((0, 3 * h - g - 1, g + 1), (0, 3 * h - g, g), (3 * h - g, g - 1))[part]
+        total += Fraction((-1) ** (g - h), 24 ** (g - h) * factorial(g - h)) * bracket(h, d, table)
+    return total
 
 
 def n1_proof_sums(genus: int, table: BracketTable | None = None) -> tuple[Fraction, Fraction, Fraction]:
@@ -702,34 +595,77 @@ def n1_proof_sums(genus: int, table: BracketTable | None = None) -> tuple[Fracti
       S2 = same with <tau_0 tau_{3h-g} tau_g>_h
       S3 = same with <tau_{3h-g} tau_{g-1}>_h
     """
-    if genus < 1:
-        raise ParameterError("the one-point sums need g >= 1")
-    g = genus
-    s1 = s2 = s3 = _ZERO
-    for h in range(1, g + 1):
-        w = Fraction((-1) ** (g - h), 24 ** (g - h) * factorial(g - h))
-        s1 += w * bracket(h, (0, 3 * h - g - 1, g + 1), table)
-        s2 += w * bracket(h, (0, 3 * h - g, g), table)
-        s3 += w * bracket(h, (3 * h - g, g - 1), table)
-    return s1, s2, s3
+    return _n1_sum(genus, 0, table), _n1_sum(genus, 1, table), _n1_sum(genus, 2, table)
 
 
 def n1_expected(genus: int) -> tuple[Fraction, Fraction, Fraction]:
-    g = genus
-    base = Fraction(factorial(g), factorial(2 * g + 1))
-    return (
-        base * Fraction(g, 2**g),
-        base * Fraction(1, 2**g),
-        Fraction(1, 24**g * factorial(g)),
-    )
+    base = Fraction(factorial(genus), factorial(2 * genus + 1))
+    return base * Fraction(genus, 2**genus), base * Fraction(1, 2**genus), one_point(genus)
 
 
 def n1_sum_reports(genus: int, table: BracketTable | None = None) -> list[Report]:
-    start = time.perf_counter()
-    got = n1_proof_sums(genus, table)
     want = n1_expected(genus)
-    ms = (time.perf_counter() - start) * 1000.0 / 3
     return [
-        Report(id="n1sums", params={"g": genus, "part": i + 1}, lhs=got[i], rhs=want[i], ms=ms)
+        timed_report("n1sums", {"g": genus, "part": i + 1},
+                     lambda i=i: (_n1_sum(genus, i, table), want[i], {}))
         for i in range(3)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the `tau verify` tokens
+
+def _sweeps(k_span: int, *idents: str) -> Callable[[int, int], list[Report]]:
+    def run(g_max: int, n_max: int) -> list[Report]:
+        lim = SweepLimits(g_max=g_max, n_max=n_max, k_span=k_span)
+        return [r for ident in idents for r in run_sweep(ident, lim)]
+    return run
+
+
+def _c41(g_max: int, n_max: int) -> list[Report]:
+    # the whole denominator-chapter block: prime-order profile plus the
+    # threshold, product-divisibility and automorphism-bound corollaries
+    top = max(g_max, 2)
+    reports = []
+    for g in range(2, top + 1):
+        reports.append(dn.conjecture41_check(g))
+        reports.append(dn.threshold_check(g))
+        reports.append(dn.compare_D_S(g))
+    for g in range(0, top + 1):
+        for h in range(g, top - g + 1):
+            ok = dn.divisibility_check(g, h)
+            reports.append(Report(
+                id="c43", params={"g": g, "h": h},
+                lhs=Fraction(1), rhs=Fraction(1 if ok else 0),
+            ))
+    return reports
+
+
+# every `tau verify` token: its default g_max and n_max, and run(g_max,
+# n_max), which returns its reports on that grid
+VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], list[Report]]]] = {
+    "eq3": (6, 4, _sweeps(3, "eq3")),
+    "eq4": (6, 4, _sweeps(3, "eq4")),
+    "eq5": (6, 4, _sweeps(3, "eq5")),
+    "eq6": (5, 4, _sweeps(4, "eq6")),
+    "eq7": (4, 3, _sweeps(4, "eq7")),
+    "eq8": (6, 4, _sweeps(3, "eq8")),
+    "c32": (4, 3, _sweeps(2, "c32a", "c32b")),
+    "c33": (4, 3, _sweeps(2, "c33a", "c33b")),
+    "c34": (4, 3, _sweeps(2, "c34a", "c34b")),
+    "c35": (4, 3, _sweeps(2, "c35a", "c35b")),
+    "decomp": (5, 4, lambda g_max, n_max: [
+        decomposition_check(p["g"], p["d"]) for p in instances("eq3", SweepLimits(g_max, n_max))]),
+    "n1sums": (10, 1, lambda g_max, n_max: [
+        r for g in range(1, g_max + 1) for r in n1_sum_reports(g)]),
+    "c41": (3, 1, _c41),
+    "c51": (6, 4, lambda g_max, n_max: [
+        mono.psi_swap_check(g, n) for g, n in mono.stable_strata(0, g_max, 1, n_max)] + [
+        mono.lambda_g_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)]),
+    "c52": (3, 2, lambda g_max, n_max: [
+        mono.kappa_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max, min_dim=2)]),
+    "c53": (3, 2, lambda g_max, n_max: [
+        mono.bounds_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max)]),
+    "c54": (4, 4, lambda g_max, n_max: [
+        mono.psi_floor_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)]),
+}

@@ -11,16 +11,14 @@ verbatim.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Iterable
 
-from .brackets import BracketTable, _two_point_numerators, bracket
+from .brackets import BracketTable, _two_point_numerators, bracket, one_point
 from .combinat import multinomial, multisets_with_sum, partitions
 from .rationals import Rational
 from .reduction import kappa_to_psi
-from .report import Report
+from .report import Report, timed_report
 
 __all__ = [
     "psi_swap_check",
@@ -30,7 +28,19 @@ __all__ = [
     "kappa_swap_check",
     "bounds_check",
     "psi_floor_check",
+    "stable_strata",
 ]
+
+
+def stable_strata(g_lo: int, g_max: int, n_lo: int, n_max: int, min_dim: int = 0):
+    """The stable (g, n) of the grid with 3g - 3 + n >= min_dim.  Stability,
+    2g - 2 + n > 0, already gives 3g - 3 + n >= 0 and 2g - 3 + n >= 0."""
+    return [
+        (g, n)
+        for g in range(g_lo, g_max + 1)
+        for n in range(n_lo, n_max + 1)
+        if 2 * g - 2 + n > 0 and 3 * g - 3 + n >= min_dim
+    ]
 
 
 def _single_unit_moves(d: tuple[int, ...]):
@@ -39,6 +49,35 @@ def _single_unit_moves(d: tuple[int, ...]):
         for j in range(len(d)):
             if d[i] < d[j]:
                 yield i, j
+
+
+def _moves(multisets: Iterable[tuple[int, ...]], spectators_min: int = 0):
+    """(d, sorted d after the move) for every single-unit move of every d.
+
+    Exponents not taking part in a move must be >= spectators_min; the
+    string/dilaton argument reduces the general psi case to spectators >= 2.
+    """
+    for d in multisets:
+        for i, j in _single_unit_moves(d):
+            if spectators_min and any(d[k] < spectators_min for k in range(len(d)) if k not in (i, j)):
+                continue
+            moved = list(d)
+            moved[i] += 1
+            moved[j] -= 1
+            yield d, tuple(sorted(moved))
+
+
+def _tally(outcomes: Iterable[dict | None]) -> tuple[Fraction, Fraction, dict]:
+    """(comparisons, comparisons satisfied, extra) of a sweep whose outcomes
+    are None for a satisfied comparison and a violation record otherwise."""
+    checked = 0
+    violations = []
+    for v in outcomes:
+        checked += 1
+        if v is not None:
+            violations.append(v)
+    extra = {"violations": violations} if violations else {}
+    return Fraction(checked), Fraction(checked - len(violations)), extra
 
 
 def _swap_sweep(
@@ -53,9 +92,6 @@ def _swap_sweep(
     multisets with many others, so the values live in a dict that is
     dropped when the sweep returns.
     """
-    start = time.perf_counter()
-    checked = satisfied = 0
-    violations = []
     seen: dict[tuple[int, ...], Rational] = {}
 
     def at(d: tuple[int, ...]) -> Rational:
@@ -64,39 +100,11 @@ def _swap_sweep(
             v = seen[d] = value(d)
         return v
 
-    for low, high in cases:
-        checked += 1
-        if at(low) <= at(high):
-            satisfied += 1
-        else:
-            violations.append({"smaller_side": low, "larger_side": high})
-    ms = (time.perf_counter() - start) * 1000.0
-    return Report(
-        id=ident,
-        params=params,
-        lhs=Fraction(checked),
-        rhs=Fraction(satisfied),
-        ms=ms,
-        extra={"violations": violations} if violations else {},
-    )
+    def outcomes():
+        for low, high in cases:
+            yield None if at(low) <= at(high) else {"smaller_side": low, "larger_side": high}
 
-
-def _psi_cases(genus: int, n: int, spectators_min: int):
-    """All (d, d-after-move) pairs over exponent multisets of the stratum.
-
-    Exponents not taking part in the move must be >= spectators_min; the
-    string/dilaton argument reduces the general case to spectators >= 2.
-    """
-    total = 3 * genus - 3 + n
-    for d in multisets_with_sum(n, total):
-        for i, j in _single_unit_moves(d):
-            rest = [d[k] for k in range(n) if k not in (i, j)]
-            if any(x < spectators_min for x in rest):
-                continue
-            moved = list(d)
-            moved[i] += 1
-            moved[j] -= 1
-            yield d, tuple(sorted(moved))
+    return timed_report(ident, params, lambda: _tally(outcomes()))
 
 
 def psi_swap_check(genus: int, n: int, table: BracketTable | None = None) -> Report:
@@ -106,7 +114,7 @@ def psi_swap_check(genus: int, n: int, table: BracketTable | None = None) -> Rep
     return _swap_sweep(
         "c51",
         {"g": genus, "n": n},
-        _psi_cases(genus, n, spectators_min=2),
+        _moves(multisets_with_sum(n, 3 * genus - 3 + n), spectators_min=2),
         lambda d: bracket(genus, d, table),
     )
 
@@ -125,29 +133,20 @@ def two_point_row(g: int) -> list[Fraction]:
 def psi_swap_deep(g_max: int, progress: Callable[[str], None] | None = None) -> Report:
     """Two-point monotonicity for every genus up to g_max, one genus at a
     time so interruption keeps the completed prefix meaningful."""
-    start = time.perf_counter()
-    checked = satisfied = 0
-    violations = []
-    for g in range(1, g_max + 1):
-        values = two_point_row(g)
-        total = 3 * g - 1
-        for d in range(len(values) - 1):
-            checked += 1
-            if values[d] <= values[d + 1]:
-                satisfied += 1
-            else:
-                violations.append({"g": g, "d": (d, total - d)})
-        if progress is not None:
-            progress(f"g={g} checked={checked} violations={len(violations)}")
-    ms = (time.perf_counter() - start) * 1000.0
-    return Report(
-        id="c51deep",
-        params={"n": 2, "g_max": g_max},
-        lhs=Fraction(checked),
-        rhs=Fraction(satisfied),
-        ms=ms,
-        extra={"violations": violations} if violations else {},
-    )
+
+    def outcomes():
+        checked = bad = 0
+        for g in range(1, g_max + 1):
+            values = two_point_row(g)
+            for d in range(len(values) - 1):
+                checked += 1
+                ok = values[d] <= values[d + 1]
+                bad += not ok
+                yield None if ok else {"g": g, "d": (d, 3 * g - 1 - d)}
+            if progress is not None:
+                progress(f"g={g} checked={checked} violations={bad}")
+
+    return timed_report("c51deep", {"n": 2, "g_max": g_max}, lambda: _tally(outcomes()))
 
 
 def lambda_g_swap_check(genus: int, n: int) -> Report:
@@ -155,21 +154,11 @@ def lambda_g_swap_check(genus: int, n: int) -> Report:
     monotonicity: the constant factor cancels from both sides."""
     if genus < 1 or 2 * genus - 2 + n <= 0:
         raise ValueError(f"needs g >= 1 and stability, got g={genus}, n={n}")
-    total = 2 * genus - 3 + n
-    if total < 0:
-        raise ValueError("empty stratum")
-
-    cases = []
-    for d in multisets_with_sum(n, total):
-        for i, j in _single_unit_moves(d):
-            moved = list(d)
-            moved[i] += 1
-            moved[j] -= 1
-            cases.append((d, tuple(sorted(moved))))
+    # stability makes the degree 2g - 3 + n nonnegative
     return _swap_sweep(
         "c51lambda",
         {"g": genus, "n": n},
-        cases,
+        _moves(multisets_with_sum(n, 2 * genus - 3 + n)),
         lambda d: Fraction(multinomial(d)),
     )
 
@@ -180,21 +169,20 @@ def kappa_swap_check(genus: int, n: int, table: BracketTable | None = None) -> R
     if 2 * genus - 2 + n <= 0:
         raise ValueError(f"unstable: g={genus}, n={n}")
     total = 3 * genus - 3 + n
-    cases = []
-    for m in range(2, total + 1):
-        for a in multisets_with_sum(m, total, min_part=0):
-            for i, j in _single_unit_moves(a):
-                moved = list(a)
-                moved[i] += 1
-                moved[j] -= 1
-                cases.append((a, tuple(sorted(moved))))
-    psi = (0,) * n
+    kappas = (a for m in range(2, total + 1) for a in multisets_with_sum(m, total))
     return _swap_sweep(
         "c52",
         {"g": genus, "n": n},
-        cases,
-        lambda a: kappa_to_psi(genus, psi, a, table),
+        _moves(kappas),
+        lambda a: kappa_to_psi(genus, (0,) * n, a, table),
     )
+
+
+def _psi_floor(genus: int, n: int, table: BracketTable | None, record: Callable[[tuple], dict]):
+    """The outcomes of <tau_d>_g >= 1/(24^g g!) over the stratum's d."""
+    floor_const = one_point(genus)
+    for d in multisets_with_sum(n, 3 * genus - 3 + n):
+        yield None if bracket(genus, d, table) >= floor_const else record(d)
 
 
 def bounds_check(genus: int, n: int, table: BracketTable | None = None) -> Report:
@@ -208,66 +196,29 @@ def bounds_check(genus: int, n: int, table: BracketTable | None = None) -> Repor
     """
     if genus < 1 or 2 * genus - 2 + n <= 0:
         raise ValueError(f"needs g >= 1 and stability, got g={genus}, n={n}")
-    start = time.perf_counter()
-    dim = 3 * genus - 3 + n
-    floor_const = Fraction(1, 24**genus * factorial(genus))
-    base = 2 * genus - 2 + n
-    top = kappa_to_psi(genus, (0,) * n, (1,) * dim, table) if dim else None
 
-    checked = satisfied = 0
-    violations = []
-    for a in partitions(dim):
-        m = len(a)
-        v = kappa_to_psi(genus, (0,) * n, a, table)
-        lower = Fraction(base ** (m - 1)) * floor_const
-        checked += 1
-        if lower <= v:
-            satisfied += 1
-        else:
-            violations.append({"kappa": a, "side": "lower"})
-        if top is not None:
-            checked += 1
-            if v <= Fraction(top, base ** (dim - m)):
-                satisfied += 1
-            else:
-                violations.append({"kappa": a, "side": "upper"})
-    for d in multisets_with_sum(n, dim):
-        checked += 1
-        if bracket(genus, d, table) >= floor_const:
-            satisfied += 1
-        else:
-            violations.append({"psi": d, "side": "psi-floor"})
-    ms = (time.perf_counter() - start) * 1000.0
-    return Report(
-        id="c53",
-        params={"g": genus, "n": n},
-        lhs=Fraction(checked),
-        rhs=Fraction(satisfied),
-        ms=ms,
-        extra={"violations": violations} if violations else {},
-    )
+    def outcomes():
+        dim = 3 * genus - 3 + n
+        base = 2 * genus - 2 + n
+        floor_const = one_point(genus)
+        # g >= 1 and stability make dim >= 1
+        top = kappa_to_psi(genus, (0,) * n, (1,) * dim, table)
+        for a in partitions(dim):
+            m = len(a)
+            v = kappa_to_psi(genus, (0,) * n, a, table)
+            lower = Fraction(base ** (m - 1)) * floor_const
+            yield None if lower <= v else {"kappa": a, "side": "lower"}
+            yield None if v <= Fraction(top, base ** (dim - m)) else {"kappa": a, "side": "upper"}
+        yield from _psi_floor(genus, n, table, lambda d: {"psi": d, "side": "psi-floor"})
+
+    return timed_report("c53", {"g": genus, "n": n}, lambda: _tally(outcomes()))
 
 
 def psi_floor_check(genus: int, n: int, table: BracketTable | None = None) -> Report:
     """Every pure psi-bracket on the stratum is at least 1/(24^g g!)."""
     if genus < 1 or 2 * genus - 2 + n <= 0:
         raise ValueError(f"needs g >= 1 and stability, got g={genus}, n={n}")
-    start = time.perf_counter()
-    floor_const = Fraction(1, 24**genus * factorial(genus))
-    checked = satisfied = 0
-    violations = []
-    for d in multisets_with_sum(n, 3 * genus - 3 + n):
-        checked += 1
-        if bracket(genus, d, table) >= floor_const:
-            satisfied += 1
-        else:
-            violations.append({"psi": d})
-    ms = (time.perf_counter() - start) * 1000.0
-    return Report(
-        id="c54",
-        params={"g": genus, "n": n},
-        lhs=Fraction(checked),
-        rhs=Fraction(satisfied),
-        ms=ms,
-        extra={"violations": violations} if violations else {},
+    return timed_report(
+        "c54", {"g": genus, "n": n},
+        lambda: _tally(_psi_floor(genus, n, table, lambda d: {"psi": d})),
     )

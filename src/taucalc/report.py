@@ -9,13 +9,14 @@ the number satisfied on the rhs.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .rationals import format_rational
 
-__all__ = ["Report", "reports_to_json", "summary_line"]
+__all__ = ["Report", "reports_to_json", "summary_line", "timed_report"]
 
 
 def _plain(value: Any) -> Any:
@@ -63,6 +64,17 @@ class Report:
             v = self.params[k]
             items.append((k, tuple(v) if isinstance(v, (list, tuple)) else v))
         return (self.id, items)
+
+
+def timed_report(
+    id: str, params: dict[str, Any], sides: Callable[[], tuple[Fraction, Fraction, dict[str, Any]]]
+) -> Report:
+    """The report of sides() -> (lhs, rhs, extra), with the milliseconds
+    that sides() took as its ms."""
+    start = time.perf_counter()
+    lhs, rhs, extra = sides()
+    ms = (time.perf_counter() - start) * 1000.0
+    return Report(id=id, params=params, lhs=lhs, rhs=rhs, ms=ms, extra=extra)
 
 
 def reports_to_json(reports: list[Report], timing: bool = True) -> str:

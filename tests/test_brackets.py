@@ -38,8 +38,9 @@ def test_normalization_and_base_values():
 
 
 def test_tau11_pinned_by_string_equation_fixed_point():
-    # the engine reaches <tau_0 tau_2>_1 from its base case <tau_1>_1 by
-    # the string equation; the n-point series gets it without either
+    # the engine reads <tau_0 tau_2>_1 from its closed genus-1 two-point
+    # row and <tau_1>_1 from its base case; the n-point series gets both
+    # without either
     series = npoint_series(2, 1)
     assert bracket(1, [0, 2]) == bracket(1, [1]) == series.bracket((0, 2)) == Fraction(1, 24)
 
@@ -179,7 +180,7 @@ def test_closed_base_case_memo_counts():
         bracket(g, d, table)
         assert len(table) == 1, (g, d)
     # the descent stops at n = 2: a cold (8, 5) stratum stored 1975 keys
-    # when it descended through every two-point key
+    # when it descended through every two-point key, and stores 1945 now
     table = BracketTable()
     for d in multisets_with_sum(5, 3 * 8 - 3 + 5):
         bracket(8, d, table)
@@ -187,7 +188,7 @@ def test_closed_base_case_memo_counts():
 
 
 def test_canonical_engine_memo_size():
-    # a cold (8, 5) stratum stores 1975 keys; DVV descent on keys with a
+    # a cold (8, 5) stratum stores 1945 keys; DVV descent on keys with a
     # tau_0 or tau_1 stored 6550
     table = BracketTable()
     for d in multisets_with_sum(5, 3 * 8 - 3 + 5):

@@ -306,3 +306,22 @@ def test_monotone_lambda_top(capsys):
     code, out, _ = run(capsys, "monotone", "--lambda", "top", "--n", "2",
                        "--gmax", "4", "--no-timing")
     assert code == 0 and out.strip().endswith("PASS 4/4")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "eq4", "--gmax", "-2"),
+    ("verify", "c53", "--gmax", "2", "--nmax", "-5"),
+    ("verify", "c35", "--nmax", "-1"),
+    ("monotone", "--n", "2", "--gmax", "-1"),
+    ("monotone", "--lambda", "top", "--n", "3", "--gmax", "-3"),
+])
+def test_negative_grid_bound_is_a_usage_error(capsys, argv):
+    # an empty grid would print "PASS 0/0" and exit 0 without checking anything
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert code == 2 and out == "" and "nonnegative" in err
+
+
+def test_zero_nmax_still_sweeps_unpointed_strata(capsys):
+    # c52 and c53 start at n = 0, so --nmax 0 is a real grid
+    code, out, _ = run(capsys, "verify", "c53", "--gmax", "2", "--nmax", "0", "--no-timing")
+    assert code == 0 and out.strip().splitlines()[-1] == "PASS 1/1"

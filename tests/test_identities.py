@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -200,11 +201,14 @@ def test_n1_sums():
         assert all(r.passed for r in n1_sum_reports(g)), g
 
 
-def test_sweep_is_deterministic_across_jobs():
+def test_sweep_is_deterministic_across_runs():
+    # cold and warm on a fresh table, then on the process-wide one
     lim = SweepLimits(g_max=2, n_max=2)
-    one = run_sweep("eq5", lim, jobs=1)
-    two = run_sweep("eq5", lim, jobs=2)
-    assert reports_to_json(one, timing=False) == reports_to_json(two, timing=False)
+    table = BracketTable()
+    runs = [run_sweep("eq5", lim, table=table), run_sweep("eq5", lim, table=table),
+            run_sweep("eq5", lim)]
+    first = reports_to_json(runs[0], timing=False)
+    assert all(reports_to_json(r, timing=False) == first for r in runs[1:])
 
 
 def test_report_serialization():
@@ -226,3 +230,62 @@ def test_instance_enumeration_respects_constraints():
             verify(ident, **params)  # must not raise ParameterError
             count += 1
         assert count > 0, ident
+
+
+# sha256 of repr(list(instances(id, limits))) at each identity's CLI default
+# grid (g_max, n_max, k_span), then on one small grid with k_span = 1 and
+# rs_max = 1.  The instance order fixes the bracket visit order, and so the
+# cold --cache file; the key order of each params dict fixes the JSON key
+# order of the reports.
+@pytest.mark.parametrize("ident, g_max, n_max, k_span, default_digest, small_digest", [
+    ("eq3", 6, 4, 3,
+     "8f083f1a940314c6cf1c61fb92d42e1f24d376a69ab0f618b1b41631a0db773d",
+     "30a6cc2c2ee524a17832445d8f55ecda31a5685d4d34bd29478cbdcedff3b6c7"),
+    ("eq4", 6, 4, 3,
+     "9653eb47953fb6458cc658af7bb248d3fdc4b45ab080949e0ea50fbe1ac843c3",
+     "0f43b60f02e1ba809280ffb091d46128e025ef9724e929df0a23855508557e51"),
+    ("eq5", 6, 4, 3,
+     "a7b9d10840b53b28f5df274eb443d4611c78aa91642db462a01d1ab21c8d417b",
+     "0fe8c68f2e2693aacf3924f9b79b3667f35d13be227f12961262b0e224f6ac69"),
+    ("eq6", 5, 4, 4,
+     "2fa88555e1aef8a6f5e6b3e45bb20577b2722e2cf00831cacbb62d7437c64fd0",
+     "80f5f7ef7b7b3479297d1ef69f3960db39095069e8c6e0a89cf3136e0f281fac"),
+    ("eq7", 4, 3, 4,
+     "ea195f1d190204e57b020d12f366f4eea0372d3b77dbfcb9ccef08da3dc12a48",
+     "468237472af5f688fb4e62fc4f57f1598f948919aa9d53acb5d928c91f858d4e"),
+    ("eq8", 6, 4, 3,
+     "598dcc12591338956952227ad8f26e78a9a2a35bdc6c65236594c92e60f37bb5",
+     "dbf7a7326d6f47248453a6ce09757b072ef2bcb1e31accfee6412518b78c2957"),
+    ("c32a", 4, 3, 2,
+     "26a32b833a5d1e0c4e01510a6830e9ff78c96dee25dfa4c7e6d60d880622e3ab",
+     "03a7461a426041797cdbb2b10a3f54902aeef5e1973a62ff4a3fd1b39b897779"),
+    ("c32b", 4, 3, 2,
+     "8aacb6721cb4b54cfb2cd347d792b286fe97b18cb7f7d023a4280b0b43d5cd88",
+     "5e6783d62445badfe1d2c94f852770228097e81f4b5cb6e83ab2bd5300a367cc"),
+    ("c33a", 4, 3, 2,
+     "b02514e6011344142cf5d00ed11ba9824bd46507b78e778d6826df9d54f5d9c4",
+     "90cd5fac668ce3af7261427ea03accfeed6b9f87d05bd4f4d743048b9f4eb7a6"),
+    ("c33b", 4, 3, 2,
+     "b5e388711bfa4168190bf18ca6e6fbc7399611a9cd172d96806d9e850f4d9f57",
+     "73a5d071e3226fb4453435a62e37631907d69b9f375d5344cb5a0d27c7f17830"),
+    ("c34a", 4, 3, 2,
+     "22aa376cf5b29f85da289c5799895c6219c0f2179c2f9c1d28cc0409b15bc98b",
+     "201a817aaa17a11525bcdcfb36c114bed19474410c3417b04169c97d81e46557"),
+    ("c34b", 4, 3, 2,
+     "63d42df9d5eabb652286bd2ea2b938f87430981b02669362b75b453182372b2d",
+     "486e186fe84e5ae10200b8a3aa6d243387f0b3043c04730165264b99fa42f0c1"),
+    ("c35a", 4, 3, 2,
+     "1ef5f0f5ddc97412338b4f8ad68b78af3b2fa78346f0d368e0c9fd19281acaa8",
+     "662770ac247157af88670418a23b9f38ae345d69f2534b88522b05c43933b1a3"),
+    ("c35b", 4, 3, 2,
+     "4e48a54e9eea94b568439e25391fc1f019ace82f50b2b17492412089bd14c4a4",
+     "b0887e32fc3e76b01343a02b6b67bf88c237e1c3a9eb4a842c7cbed1230e00cc"),
+])
+def test_instance_enumeration_is_pinned(ident, g_max, n_max, k_span, default_digest, small_digest):
+    grids = (
+        (SweepLimits(g_max=g_max, n_max=n_max, k_span=k_span), default_digest),
+        (SweepLimits(g_max=2, n_max=2, k_span=1, rs_max=1), small_digest),
+    )
+    for lim, digest in grids:
+        got = hashlib.sha256(repr(list(instances(ident, lim))).encode()).hexdigest()
+        assert got == digest, (ident, lim.__dict__)

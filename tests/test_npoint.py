@@ -126,7 +126,8 @@ def test_divisibility_invariant_holds_on_generic_path():
 
 
 def test_two_point_matches_recursion_deep():
-    # the two-point family against the raw recursion through genus 12
+    # the series against the engine's closed two-point family through
+    # genus 12
     series = npoint_series(2, 12)
     table = BracketTable()
     for g in range(1, 13):
