@@ -142,10 +142,12 @@ class BracketTable:
     value), so concurrent fills are safe under the interpreter's atomic
     dict operations.
 
-    The table also owns derived rows: the one-sided rows that the
-    identity sweeps read (see `row`), and one closed two-point row per
-    genus that the engine reads its n = 2 keys from.  Rows are emptied by
-    `clear` and never persisted: `cache_save` writes the memo entries only.
+    The table also owns derived data: the one-sided rows that the
+    identity sweeps read (see `row`), one closed two-point row per genus
+    that the engine reads its n = 2 keys from, and a convolution slot (see
+    `convolutions`) that memoizes the sums split_sum builds from the rows
+    for one K at a time.  All of it is emptied by `clear` and never
+    persisted: `cache_save` writes the memo entries only.
     """
 
     VERSION = "v1"
@@ -154,6 +156,8 @@ class BracketTable:
         self._data: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._rows: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
         self._pairs: dict[int, tuple[list[int], int]] = {}
+        self._conv_k: int | None = None
+        self._conv: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -193,10 +197,22 @@ class BracketTable:
             r = self._rows[extras] = {}
         return r
 
+    def convolutions(self, K: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]:
+        """The slot for K: a dict, filled by the caller, mapping a pair of
+        ascending multisets (A, B) to the convolution of rows A and B at K
+        (see identities.split_sum).  It holds one K at a time: asking for
+        another K empties it, since sweeps run each K in one stretch."""
+        if K != self._conv_k:
+            self._conv_k = K
+            self._conv = {}
+        return self._conv
+
     def clear(self) -> None:
         self._data.clear()
         self._rows.clear()
         self._pairs.clear()
+        self._conv_k = None
+        self._conv = {}
         self.hits = self.misses = 0
 
 

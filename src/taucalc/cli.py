@@ -40,7 +40,8 @@ def _parse_int_list(text: str | None) -> tuple[int, ...]:
 
 
 def _grid_bound(text: str) -> int:
-    """A --gmax/--nmax value; a negative one would sweep nothing and pass."""
+    """A --gmax, --nmax or --n value; a negative one would sweep nothing
+    and pass, or recurse without end."""
     try:
         value = int(text)
     except ValueError:
@@ -91,12 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denom", help="denominator profile D(g,n) or script-D(g)")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_grid_bound, default=None)
     common(p)
 
     p = sub.add_parser("monotone", help="long-running monotonicity modes")
     p.add_argument("--lambda", dest="lam", choices=("none", "top"), default="none")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_grid_bound, default=2)
     p.add_argument("--gmax", type=_grid_bound, required=True)
     common(p)
 
@@ -154,14 +155,22 @@ def _run_monotone(args) -> int:
 
 
 def _with_cache(args, body) -> int:
+    """Run body() on the default table, warm from --cache if its file
+    exists, and save the table back unless it still holds exactly the
+    file's entries: an unchanged file is not written again."""
     path = getattr(args, "cache", None)
+    table = br.default_table()
+    stored = -1
     if path and os.path.exists(path):
-        br.default_table().update(br.cache_load(path))
+        loaded = br.cache_load(path)
+        table.update(loaded)
+        stored = len(loaded)
     try:
         return body()
     finally:
-        if path:
-            br.cache_save(br.default_table(), path)
+        # entries are only ever added, so an equal count means the same keys
+        if path and len(table) != stored:
+            br.cache_save(table, path)
 
 
 # built once, at import: the parser is fixed, and building it (gettext

@@ -78,6 +78,8 @@ def _profile(genus: int, value: int, n: int | None = None) -> DenominatorProfile
 
 def compute_D(genus: int, n: int, table: BracketTable | None = None) -> DenominatorProfile:
     """lcm of bracket denominators over all exponent multisets of size n."""
+    if n < 0:
+        raise ValueError(f"the number of points must be nonnegative, got n={n}")
     if 2 * genus - 2 + n <= 0 or 3 * genus - 3 + n < 0:
         raise ValueError(f"unstable or empty moduli space: g={genus}, n={n}")
     values = [

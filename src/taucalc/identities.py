@@ -14,10 +14,12 @@ gives every `tau verify` token its default grid and its runner.
 
 The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
 insertion combinations all go through `split_sum`.  It returns 0 at once
-unless the genus fits both factors' dimensions, reads each factor from a
-row <tau_j prod tau_E>, in the engine's dyadic (num, e) form, that the
-bracket table keeps per sorted extras multiset E (derived data, never
-saved), accumulates integer numerators, and builds one Fraction per call.
+unless the genus fits both factors' dimensions.  Otherwise each split of d
+adds one convolution C_K(A, B) over j of two rows <sigma_j prod sigma_E>,
+in the engine's dyadic (num, e) form, that the bracket table keeps per
+sorted multiset E; the table also keeps the convolutions of the current K
+(both derived data, never saved).  A call accumulates integer numerators
+and builds one Fraction.
 
 Identity ids:
 
@@ -101,6 +103,44 @@ def _pair_scale(K: int) -> tuple[int, tuple[int, ...]]:
     return L, tuple((-1) ** j * (L // x) for j, x in enumerate(w))
 
 
+def _dyadic_sum(acc: dict[int, int]) -> tuple[int, int]:
+    """sum of v/2^e over acc = {e: v} as (num, e); (0, 0) if acc is empty."""
+    if not acc:
+        return 0, 0
+    top = max(acc)
+    return sum(v << (top - e) for e, v in acc.items()), top
+
+
+def _convolution(
+    t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int
+) -> tuple[int, int]:
+    """C_K(A, B) = sum_j scale_K[j] S(j, A) S(K-j, B) as (num, e) = num/2^e,
+    where S(j, E) is row E of the table at j (BracketTable.row, filled
+    here on first use) and scale_K is `_pair_scale(K)`.  genus is the one
+    that K, A and B fix together."""
+    scale = _pair_scale(K)[1]
+    lrow = t.row(A)
+    rrow = t.row(B)
+    acc: dict[int, int] = {}
+    # the left factor fits its dimension at genus g' iff j = lo + 3 g'
+    lo = len(A) - 2 - sum(A)
+    start = lo if lo >= 0 else lo % 3
+    for j in range(start, min(K, lo + 3 * genus) + 1, 3):
+        lv = lrow.get(j)
+        if lv is None:
+            lv = lrow[j] = sigma_bracket((j - lo) // 3, (j,) + A, t)
+        ln, le = lv
+        if not ln:
+            continue
+        rv = rrow.get(K - j)
+        if rv is None:
+            rv = rrow[K - j] = sigma_bracket(genus - (j - lo) // 3, (K - j,) + B, t)
+        rn, re = rv
+        if rn:
+            acc[le + re] = acc.get(le + re, 0) + ln * rn * scale[j]
+    return _dyadic_sum(acc)
+
+
 def split_sum(
     K: int,
     left_extras: Iterable[int],
@@ -120,12 +160,17 @@ def split_sum(
     at the one genus its own dimension fixes, g' is determined by j, and
     only the j in one residue class mod 3 contribute.
 
-    Each factor is read from the row B(j, E) = <tau_j prod tau_E>, in the
-    engine's sigma form (num, e), that the table keeps per sorted E (see
-    BracketTable.row), filled on first use in the same order as the bracket
-    lookups it replaces.  The sigma weights of d and the extras are the same
-    for every split, and `_pair_scale` puts those of tau_j and tau_{K-j} over
-    one denominator, so terms add as integers per e into one Fraction.
+    Each split (I, J) contributes its multiplicity times one convolution
+    C_K(A, B) over j (see `_convolution`), with A = sorted(left_extras +
+    d_I) and B = sorted(right_extras + d_J).  Splits share (A, B) within a
+    call and across calls, so the table keeps the convolutions of the
+    current K in its slot (BracketTable.convolutions).  A convolution reads
+    its factors from the rows S(j, E) = <sigma_j prod sigma_E>, the engine's
+    (num, e) form, that the table keeps per sorted E (BracketTable.row),
+    filled on first use in the same order as the bracket lookups they
+    replace.  The sigma weights of d and the extras are the same for every
+    split, and `_pair_scale` puts those of tau_j and tau_{K-j} over one
+    denominator, so terms add as integers per e into one Fraction.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -135,36 +180,18 @@ def split_sum(
     if K + sum(left) + sum(right) + sum(d) + 4 - len(left) - len(right) - len(d) != 3 * genus:
         return _ZERO
     t = table if table is not None else default_table()
-    den, scale = _pair_scale(K)
+    conv = t.convolutions(K)
     acc: dict[int, int] = {}
     for dI, dJ, count in _splits(d):
-        left_e = tuple(sorted(left + dI))
-        right_e = tuple(sorted(right + dJ))
-        lrow = t.row(left_e)
-        rrow = t.row(right_e)
-        # the left factor fits its dimension at genus g' iff j = lo + 3 g'
-        lo = len(left_e) - 2 - sum(left_e)
-        start = lo if lo >= 0 else lo % 3
-        for j in range(start, min(K, lo + 3 * genus) + 1, 3):
-            lv = lrow.get(j)
-            if lv is None:
-                lv = lrow[j] = sigma_bracket((j - lo) // 3, (j,) + left_e, t)
-            ln, le = lv
-            if not ln:
-                continue
-            rv = rrow.get(K - j)
-            if rv is None:
-                rv = rrow[K - j] = sigma_bracket(genus - (j - lo) // 3, (K - j,) + right_e, t)
-            rn, re = rv
-            if not rn:
-                continue
-            e = le + re
-            acc[e] = acc.get(e, 0) + count * ln * rn * scale[j]
-    if not acc:
-        return _ZERO
-    top = max(acc)
-    num = sum(v << (top - e) for e, v in acc.items())
-    return Fraction(*dyadic_ratio((num, top), den * sigma_weight(left + right + d)))
+        pair = (tuple(sorted(left + dI)), tuple(sorted(right + dJ)))
+        c = conv.get(pair)
+        if c is None:
+            c = conv[pair] = _convolution(t, K, *pair, genus)
+        num, e = c
+        if num:
+            acc[e] = acc.get(e, 0) + count * num
+    den = _pair_scale(K)[0] * sigma_weight(left + right + d)
+    return Fraction(*dyadic_ratio(_dyadic_sum(acc), den))
 
 
 def _dfact_prod(d: Iterable[int]) -> int:

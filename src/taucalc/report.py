@@ -14,20 +14,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .rationals import format_rational
-
 __all__ = ["Report", "reports_to_json", "summary_line", "timed_report"]
 
 
-def _plain(value: Any) -> Any:
-    # an exact type test: isinstance against Fraction goes through ABCMeta
-    if type(value) is Fraction:
+def _fraction_text(value: Any) -> str:
+    # the encoder's hook for values JSON has no type for: only Fraction
+    if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# tuples encode as lists, and a Fraction at any depth as "num/den"
+_ENCODER = json.JSONEncoder(default=_fraction_text)
 
 
 @dataclass
@@ -44,15 +42,17 @@ class Report:
         return self.lhs == self.rhs
 
     def to_dict(self, timing: bool = True) -> dict[str, Any]:
+        """The fields reports_to_json encodes; params and extra are handed
+        over as they are, tuples and Fractions included."""
         out = {
             "id": self.id,
-            "params": _plain(self.params),
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
+            "params": self.params,
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
             "pass": self.passed,
         }
         if self.extra:
-            out["extra"] = _plain(self.extra)
+            out["extra"] = self.extra
         if timing:
             out["ms"] = round(self.ms, 3)
         return out
@@ -81,10 +81,10 @@ def reports_to_json(reports: list[Report], timing: bool = True) -> str:
     """The reports in canonical order as one JSON array.
 
     Each report is encoded on its own, so a large sweep never holds all of
-    its dicts at once; the text equals json.dumps of the whole list.
+    its dicts at once; the text equals the encoding of the whole list.
     """
     ordered = sorted(reports, key=Report.sort_key)
-    return "[" + ", ".join(json.dumps(r.to_dict(timing=timing)) for r in ordered) + "]"
+    return "[" + ", ".join(_ENCODER.encode(r.to_dict(timing=timing)) for r in ordered) + "]"
 
 
 def summary_line(reports: list[Report]) -> str:

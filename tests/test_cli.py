@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import pytest
@@ -265,6 +266,26 @@ def test_truncated_cache_is_rejected_and_not_saved_again(tmp_path, capsys):
     assert cache.read_text() == damaged
 
 
+def test_cache_is_saved_back_only_when_entries_were_added(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "w.cache"
+    small = ["verify", "eq5", "--gmax", "2", "--nmax", "2", "--no-timing", "--cache", str(cache)]
+    # a missing file is created
+    code, first, _ = run(capsys, *small)
+    assert code == 0 and cache.exists()
+    text, mtime = cache.read_bytes(), cache.stat().st_mtime_ns
+    # a warm rerun that computes nothing leaves the file alone
+    monkeypatch.setattr(br, "_DEFAULT_TABLE", br.BracketTable())
+    code, out, _ = run(capsys, *small)
+    assert code == 0 and out == first
+    assert cache.read_bytes() == text and cache.stat().st_mtime_ns == mtime
+    # a run that adds entries rewrites it, and keeps what it held
+    monkeypatch.setattr(br, "_DEFAULT_TABLE", br.BracketTable())
+    code, _, _ = run(capsys, "compute", "--g", "4", "--d", "2,2,2,4,4", "--cache", str(cache))
+    assert code == 0 and cache.read_bytes() != text
+    grown = br.cache_load(str(cache))
+    assert set(dict(grown.items())) > set(dict(br.cache_load(io.StringIO(text.decode())).items()))
+
+
 def test_io_error_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "compute", "--g", "2", "--d", "2,3", "--cache", str(tmp_path))
     assert code == 2 and out == "" and err.startswith("error: ")
@@ -314,6 +335,9 @@ def test_monotone_lambda_top(capsys):
     ("verify", "c35", "--nmax", "-1"),
     ("monotone", "--n", "2", "--gmax", "-1"),
     ("monotone", "--lambda", "top", "--n", "3", "--gmax", "-3"),
+    ("monotone", "--n", "-3", "--gmax", "2"),
+    ("monotone", "--lambda", "top", "--n", "-1", "--gmax", "2"),
+    ("denom", "--g", "2", "--n", "-1"),
 ])
 def test_negative_grid_bound_is_a_usage_error(capsys, argv):
     # an empty grid would print "PASS 0/0" and exit 0 without checking anything

@@ -22,7 +22,7 @@ from taucalc.identities import (
     split_sum,
     verify,
 )
-from taucalc.report import reports_to_json, summary_line
+from taucalc.report import Report, reports_to_json, summary_line
 
 
 def test_alt_pair_sum_examples():
@@ -107,9 +107,38 @@ def test_split_sum_rows_are_table_scoped():
     for key, v in a.items():
         plain.put(key, v)
     assert cache_dumps(a) == cache_dumps(plain)
+    # so is the convolution slot: filled in the same order on a fresh
+    # table, absent from the saved text, and emptied by clear()
+    assert a._conv and a._conv_k == 4
+    assert list(b._conv.items()) == list(a._conv.items())
+    dumped = cache_dumps(a)
     a.clear()
-    assert len(a) == 0 and not a._rows
+    assert len(a) == 0 and not a._rows and not a._conv and a._conv_k is None
+    for key, v in b.items():
+        a.put(key, v)
+    assert cache_dumps(a) == dumped
+    a.clear()
     assert split_sum(*args, a) == value and list(a.items()) == list(b.items())
+    assert list(a._conv.items()) == list(b._conv.items())
+
+
+_call = st.tuples(st.integers(0, 6), _extras, _extras, st.lists(st.integers(0, 3), max_size=2).map(tuple))
+
+
+@given(calls=st.lists(_call, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_convolution_slot_matches_brute_force(calls):
+    # one shared table for calls of mixed K: each drawn call also runs at
+    # K + 3 (the same (A, B) pairs one genus up) and then back at K with d
+    # moved into the left extras, which reaches its (A, B) from another
+    # (extras, d); a slot that kept values across K would answer stale ones
+    table = BracketTable()
+    for K, le, re_, d in calls:
+        rest = sum(le) + sum(re_) + sum(d) + 4 - len(le) - len(re_) - len(d)  # >= -2
+        K += -(K + rest) % 3  # the least K' >= K that some genus fits
+        g = (K + rest) // 3
+        for args in ((K, le, re_, g, d), (K + 3, le, re_, g + 1, d), (K, le + d, re_, g, ())):
+            assert split_sum(*args, table) == brute(*args), args
 
 
 def test_verify_spec_examples():
@@ -220,6 +249,27 @@ def test_report_serialization():
     assert summary_line([r]) == "PASS 1/1"
     with_timing = json.loads(reports_to_json([r], timing=True))
     assert "ms" in with_timing[0]
+
+
+def test_report_encoding_of_nested_values():
+    # the shapes of the monotone violation records and the decomp extras:
+    # tuples and lists in params, an int lhs, nested Fractions and a bool;
+    # the expected text was captured before the encoder changed
+    reports = [
+        Report(id="c53", params={"g": 2, "n": 1}, lhs=7, rhs=Fraction(6), ms=1.23456,
+               extra={"violations": [{"smaller_side": (0, 4), "larger_side": [1, 3]}]}),
+        Report(id="decomp", params={"d": (1, 2), "r": [0, 2], "g": 3},
+               lhs=Fraction(-5, 12), rhs=Fraction(-5, 12),
+               extra={"eq5_residual": Fraction(1, 3), "constants_match": True,
+                      "nested": {"pair": (Fraction(1, 2), [Fraction(-3, 4), False]), "bounds": {2: 7}}}),
+    ]
+    c53 = ('{"id": "c53", "params": {"g": 2, "n": 1}, "lhs": "7", "rhs": "6", "pass": false, '
+           '"extra": {"violations": [{"smaller_side": [0, 4], "larger_side": [1, 3]}]}')
+    decomp = ('{"id": "decomp", "params": {"d": [1, 2], "r": [0, 2], "g": 3}, "lhs": "-5/12", '
+              '"rhs": "-5/12", "pass": true, "extra": {"eq5_residual": "1/3", "constants_match": true, '
+              '"nested": {"pair": ["1/2", ["-3/4", false]], "bounds": {"2": 7}}}')
+    assert reports_to_json(reports, timing=False) == f"[{c53}}}, {decomp}}}]"
+    assert reports_to_json(reports, timing=True) == f'[{c53}, "ms": 1.235}}, {decomp}, "ms": 0.0}}]'
 
 
 def test_instance_enumeration_respects_constraints():
