@@ -9,41 +9,35 @@ harness evaluates both sides of a catalogue of identities exactly.
 
 from .brackets import (
     BracketTable,
-    TauKey,
     bracket,
-    bracket_any_genus,
     cache_load,
     cache_save,
     default_table,
-    genus0_closed,
     one_point,
 )
 from .identities import (
     SweepLimits,
     alt_pair_sum,
+    ch_insertion,
     decomposition_check,
+    lambda_gg1_bracket,
     n1_proof_sums,
     run_sweep,
     split_sum,
     verify,
 )
 from .npoint import (
-    GradedPoly,
     MergedSeries,
     NPointSeries,
-    delta_poly,
     merged_series,
     npoint_series,
-    one_point_series,
 )
 from .rationals import Rational, bernoulli, double_factorial, lcm_of_denominators, ord_at_prime
 from .reduction import (
     MixedKey,
-    ch_insertion,
     faber_closed_form,
     kappa_to_psi,
     lambda_g_bracket,
-    lambda_gg1_bracket,
 )
 from .report import Report
 
@@ -51,27 +45,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketTable",
-    "GradedPoly",
     "MergedSeries",
     "MixedKey",
     "NPointSeries",
     "Rational",
     "Report",
     "SweepLimits",
-    "TauKey",
     "alt_pair_sum",
     "bernoulli",
     "bracket",
-    "bracket_any_genus",
     "cache_load",
     "cache_save",
     "ch_insertion",
     "decomposition_check",
     "default_table",
-    "delta_poly",
     "double_factorial",
     "faber_closed_form",
-    "genus0_closed",
     "kappa_to_psi",
     "lambda_g_bracket",
     "lambda_gg1_bracket",
@@ -80,7 +69,6 @@ __all__ = [
     "n1_proof_sums",
     "npoint_series",
     "one_point",
-    "one_point_series",
     "ord_at_prime",
     "run_sweep",
     "split_sum",

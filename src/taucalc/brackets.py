@@ -49,18 +49,15 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable
 
 from .combinat import submultiset_splits
 from .rationals import format_rational, odd_double_factorial, parse_ratio
 
 __all__ = [
-    "TauKey",
     "BracketTable",
     "CacheError",
     "bracket",
-    "bracket_any_genus",
-    "genus0_closed",
     "one_point",
     "cache_save",
     "cache_load",
@@ -73,27 +70,6 @@ _S11 = (1, 3)  # S_1(1) = 3 * 1/24 = 1/2^3
 
 # genus-0 brackets this small are cheaper to recompute than to store
 _GENUS0_CACHE_THRESHOLD = 8
-
-
-class TauKey(NamedTuple):
-    """Canonical (genus, ascending exponent tuple) key for a bracket."""
-
-    genus: int
-    exponents: tuple[int, ...]
-
-    @classmethod
-    def make(cls, genus: int, exponents: Iterable[int]) -> "TauKey":
-        return cls(genus, tuple(sorted(exponents)))
-
-    @property
-    def npoints(self) -> int:
-        return len(self.exponents)
-
-    def is_stable(self) -> bool:
-        return 2 * self.genus - 2 + self.npoints > 0
-
-    def dimension_matches(self) -> bool:
-        return sum(self.exponents) == 3 * self.genus - 3 + self.npoints
 
 
 def sigma_weight(exponents: Iterable[int]) -> int:
@@ -222,15 +198,6 @@ _DEFAULT_TABLE = BracketTable()
 def default_table() -> BracketTable:
     """The process-wide shared memo table."""
     return _DEFAULT_TABLE
-
-
-def genus0_closed(exponents: Iterable[int]) -> Fraction:
-    """<tau_{d_1}...tau_{d_n}>_0 = (n-3)!/prod(d_j!) when sum d_j = n-3."""
-    d = tuple(exponents)
-    n = len(d)
-    if n < 3 or any(x < 0 for x in d) or sum(d) != n - 3:
-        return _ZERO
-    return Fraction(*dyadic_ratio(_genus0(d), sigma_weight(d)))
 
 
 def one_point(genus: int) -> Fraction:

@@ -21,6 +21,11 @@ sorted multiset E; the table also keeps the convolutions of the current K
 (both derived data, never saved).  A call accumulates integer numerators
 and builds one Fraction.
 
+The bracket side of eq3 is (2g)!/B_2g times Mumford's expansion of
+<ch_{2g-1} prod tau_d>_g, so `ch_insertion` (any odd Chern character of
+the Hodge bundle) and `lambda_gg1_bracket`, through lambda_g lambda_{g-1}
+= (-1)^{g-1} (2g-1)! ch_{2g-1}, live here and read eq3's `_ch_combo`.
+
 Identity ids:
 
   eq4   alternating pair sum with d_j >= 1, sum(d_j - 1) = g - 1 equals
@@ -51,7 +56,7 @@ from .brackets import (
     BracketTable, bracket, default_table, dyadic_ratio, one_point, sigma_bracket, sigma_weight,
 )
 from .combinat import multisets_with_sum, submultiset_splits
-from .rationals import odd_double_factorial
+from .rationals import bernoulli, odd_double_factorial
 from .report import Report, timed_report
 
 __all__ = [
@@ -61,6 +66,8 @@ __all__ = [
     "VERIFY_TOKENS",
     "alt_pair_sum",
     "split_sum",
+    "ch_insertion",
+    "lambda_gg1_bracket",
     "verify",
     "instances",
     "run_sweep",
@@ -209,6 +216,50 @@ def _insertion_combo(genus: int, X: int, d: tuple[int, ...], table) -> Fraction:
     return combo
 
 
+def _ch_combo(genus: int, k: int, d: tuple[int, ...], table) -> Fraction:
+    """(2k)!/B_2k <ch_{2k-1} prod tau_d>_genus by Mumford's expansion: the
+    kappa_{2k-1} term <tau_d tau_{2k}>, minus each d_j raised by 2k-1, plus
+    half the splittings (together `_insertion_combo`) and half the
+    irreducible node, the alternating pair sum one genus down.  At k =
+    genus it is the bracket side of eq3."""
+    return _insertion_combo(genus, k, d, table) + _HALF * alt_pair_sum(k - 1, genus - 1, d, table)
+
+
+def ch_insertion(
+    genus: int,
+    k: int,
+    exponents: Iterable[int],
+    table: BracketTable | None = None,
+) -> Fraction:
+    """<ch_{2k-1}(Hodge bundle) prod tau_{d_j}>_g via Mumford's expansion
+    (Mumford 1983; Faber 1999): B_2k/(2k)! times `_ch_combo`.
+
+    Vanishes identically for k > genus; the harness checks that rather
+    than assuming it.
+    """
+    if k < 1:
+        raise ValueError("the Chern character index 2k-1 needs k >= 1")
+    d = tuple(sorted(exponents))
+    if any(x < 0 for x in d):
+        return _ZERO
+    return bernoulli(2 * k) / factorial(2 * k) * _ch_combo(genus, k, d, table)
+
+
+def lambda_gg1_bracket(
+    genus: int,
+    exponents: Iterable[int],
+    table: BracketTable | None = None,
+) -> Fraction:
+    """<prod psi^{d_j} lambda_g lambda_{g-1}>_{g,n} for g >= 2, d_j >= 1."""
+    d = tuple(exponents)
+    if genus < 2:
+        raise ValueError("needs genus >= 2 (lambda_{g-1} with g-1 >= 1)")
+    if any(x < 1 for x in d) or sum(x - 1 for x in d) != genus - 2:
+        return _ZERO
+    sign = (-1) ** (genus - 1)
+    return sign * factorial(2 * genus - 1) * ch_insertion(genus, genus, d, table)
+
+
 def _eq4_constant(g: int, d: tuple[int, ...]) -> Fraction:
     return Fraction(factorial(2 * g - 1 + len(d)), 2 ** (2 * g) * factorial(2 * g + 1) * _dfact_prod(d))
 
@@ -241,13 +292,16 @@ def _k_c35(g: int, m: int, l: int) -> int:
 
 _GENUS_NOTE = "per-factor genus inferred from its own dimension constraint"
 
+# the largest spectator counts m (c33-c35) and l (c35) on every sweep grid
+_M_MAX = 3
+_L_MAX = 3
+
 
 # ---------------------------------------------------------------------------
 # per-identity sides: (table, **params) -> (lhs, rhs, extra)
 
 def _eq3(table, g, d):
-    lhs = _insertion_combo(g, g, d, table) + _HALF * alt_pair_sum(g - 1, g - 1, d, table)
-    return lhs, _eq3_constant(g, d), {}
+    return _ch_combo(g, g, d, table), _eq3_constant(g, d), {}
 
 
 def _eq8(table, g, d):
@@ -306,8 +360,6 @@ class SweepLimits:
     n_max: int = 4
     k_span: int = 3
     rs_max: int = 2
-    m_max: int = 3
-    l_max: int = 3
 
 
 @dataclass
@@ -364,8 +416,8 @@ def _multiset(name: str, size: str):
     return name, lambda L, **p: combinations_with_replacement(range(L.rs_max + 1), p[size])
 
 
-_M = ("m", lambda L, **_: range(2, L.m_max + 1))
-_L = ("l", lambda L, **_: range(2, L.l_max + 1))
+_M = ("m", lambda L, **_: range(2, _M_MAX + 1))
+_L = ("l", lambda L, **_: range(2, _L_MAX + 1))
 _R_INT = ("r", lambda L, **_: range(L.rs_max + 1))
 _S_UPTO_R = ("s", lambda L, r, **_: range(r + 1))  # symmetric in (r, s)
 _S_INT = ("s", lambda L, **_: range(L.rs_max + 1))

@@ -31,8 +31,9 @@ genus g, so P_r * sum_s c(r,s) Delta^s (summed by Horner's rule in Delta)
 is a product of ints.  Each P_r division by sum x_j runs on the int
 numerators and is exact -- a nonzero remainder aborts, since it can only
 mean an implementation bug.  `Fraction` appears only at the boundary: the
-`GradedPoly` views `NPointSeries.g`/`.f` and `MergedSeries`.  The exposed
-series keep only the stable coefficients; extraction back to F restores
+{monomial: Fraction} dicts `NPointSeries.g`/`.f` and those of
+`MergedSeries`, which hold nonzero coefficients only.  The exposed series
+keep only the stable coefficients; extraction back to F restores
 the polynomial part of the unstable contributions where they matter
 (n = 2).
 """
@@ -43,19 +44,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .brackets import BracketTable
 from .rationals import double_factorial, odd_double_factorial
 
 __all__ = [
-    "GradedPoly",
     "NPointSeries",
     "MergedSeries",
     "DivisionRemainderError",
     "OddPowerError",
-    "delta_poly",
-    "one_point_series",
     "npoint_series",
     "merged_series",
 ]
@@ -185,46 +182,6 @@ def _divide_by_varsum(comp: dict, n: int) -> dict:
     return quotient
 
 
-class GradedPoly:
-    """Sparse multivariate polynomial with exact coefficients.
-
-    max_degree is the degree through which the coefficients are meaningful
-    (series truncation); None marks an exact polynomial.
-    """
-
-    __slots__ = ("n", "terms", "max_degree")
-
-    def __init__(self, n: int, terms: Mapping[Mono, Fraction] | None = None,
-                 max_degree: int | None = None):
-        self.n = n
-        self.terms: Terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
-        self.max_degree = max_degree
-
-    def coefficient(self, mono: Iterable[int]) -> Fraction:
-        mono = tuple(mono)
-        if self.max_degree is not None and sum(mono) > self.max_degree:
-            raise ValueError(
-                f"degree {sum(mono)} exceeds tracked degree {self.max_degree}"
-            )
-        return self.terms.get(mono, _ZERO)
-
-    def is_symmetric(self) -> bool:
-        from itertools import permutations
-
-        for perm in permutations(range(self.n)):
-            for m, c in self.terms.items():
-                pm = tuple(m[i] for i in perm)
-                if self.terms.get(pm, _ZERO) != c:
-                    return False
-        return True
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedPoly) and self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"GradedPoly(n={self.n}, terms={len(self.terms)}, max_degree={self.max_degree})"
-
-
 def _delta(n: int) -> tuple[tuple[Mono, int], ...]:
     # (sum x)^3 without the pure cubes, divided by 3: x_i^2 x_j has
     # coefficient 1 and x_i x_j x_k (i < j < k) coefficient 2
@@ -242,13 +199,6 @@ def _delta(n: int) -> tuple[tuple[Mono, int], ...]:
     return tuple(terms.items())
 
 
-def delta_poly(n: int) -> GradedPoly:
-    """Delta = ((sum x_j)^3 - sum x_j^3)/3; identically 0 for n = 1."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    return GradedPoly(n, dict(_delta(n)), None)
-
-
 @lru_cache(maxsize=None)
 def _one_point_stable(cap: int) -> IntSeries:
     # x^-2 (1 - exp(-x^3/24)): components (-1)^{h+1} x^{3h-2} / (24^h h!),
@@ -260,13 +210,6 @@ def _one_point_stable(cap: int) -> IntSeries:
         for h in range(1, top + 1)
     }
     return _reduced(terms, den)
-
-
-def one_point_series(degree_cap: int) -> GradedPoly:
-    """Stable normalized one-point series exp(-x^3/24) * sum_g x^{3g-2}/(24^g g!)."""
-    if degree_cap < 1:
-        raise ValueError("degree cap must be at least 1")
-    return GradedPoly(1, _fractions(_one_point_stable(degree_cap)), degree_cap)
 
 
 def _delta_power_sum(first: int, top: int, extra: int) -> tuple[IntTerms, int]:
@@ -409,11 +352,11 @@ class NPointSeries:
         self.n = n
         self.degree_cap = degree_cap
         self._stable = _stable_terms(n, degree_cap)
-        self.g = GradedPoly(n, _fractions(self._stable), degree_cap)
-        self._f: GradedPoly | None = None
+        self.g: Terms = _fractions(self._stable)
+        self._f: Terms | None = None
 
     @property
-    def f(self) -> GradedPoly:
+    def f(self) -> Terms:
         """Polynomial part of exp(sum x^3/24) * G, whose coefficients are brackets."""
         if self._f is None:
             cap = self.degree_cap
@@ -430,16 +373,19 @@ class NPointSeries:
                 for mono, c in c_items:
                     out[mono] = out.get(mono, 0) + scale * c
                 den = common
-            self._f = GradedPoly(self.n, _fractions(_reduced(out, den)), cap)
+            self._f = _fractions(_reduced(out, den))
         return self._f
 
     def bracket(self, exponents: Iterable[int]) -> Fraction:
         """Coefficient of prod x^{d_j} in F; equals bracket(g, d) at the fitting genus."""
-        return self.f.coefficient(tuple(exponents))
+        mono = tuple(exponents)
+        if sum(mono) > self.degree_cap:
+            raise ValueError(f"degree {sum(mono)} exceeds tracked degree {self.degree_cap}")
+        return self.f.get(mono, _ZERO)
 
     def dump_lines(self) -> list[str]:
         """F coefficients as "d1,..,dn -> num/den", graded then lex order."""
-        rows = sorted(self.f.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        rows = sorted(self.f.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         return [f"{','.join(map(str, m))} -> {c}" for m, c in rows]
 
 
@@ -468,7 +414,7 @@ class MergedSeries:
         base = npoint_series(n + 2, g_max)
         self.degree_cap = base.degree_cap
         gterms: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        for mono, c in base.g.terms.items():
+        for mono, c in base.g.items():
             a, b = mono[0], mono[1]
             key = (a + b, mono[2:])
             prev = gterms.get(key, _ZERO)
@@ -529,20 +475,3 @@ def merged_series(n: int, g_max: int) -> MergedSeries:
         raise ValueError("need at least one spectator variable")
     return MergedSeries(n, g_max)
 
-
-def warm_table_from_series(series: NPointSeries, table: BracketTable) -> int:
-    """Seed a bracket table with every coefficient of the series' F part.
-
-    Only dimension-consistent stable keys are stored.  Returns the number
-    of entries written.
-    """
-    count = 0
-    n = series.n
-    for mono, c in series.f.terms.items():
-        num = sum(mono) - n + 3
-        g, rem = divmod(num, 3)
-        if rem or g < 0 or 2 * g - 2 + n <= 0:
-            continue
-        table.put((g, tuple(sorted(mono))), c)
-        count += 1
-    return count

@@ -1,7 +1,6 @@
-"""Reduction of kappa-class and selected lambda-class integrals to pure
-psi-brackets.
+"""Reduction of kappa-class and lambda_g integrals to pure psi-brackets.
 
-Three routes live here:
+Two routes live here:
 
 * the kappa reduction of <prod tau_d prod kappa_a> to a signed sum of pure
   tau brackets (Arbarello-Cornalba): one tau_{sum(a_B)+1} per block B of a
@@ -20,11 +19,11 @@ Three routes live here:
   count is scaled to L, the products with num are summed as integers per
   exponent e, and one Fraction is built over L sigma_weight(psi) 2^e,
 * the closed lambda_g formula
-      <prod psi^{d_j} lambda_g> = C(2g+n-3; d) (2^{2g-1}-1)/2^{2g-1} |B_2g|/(2g)!,
-* Mumford's expansion of the odd Chern characters ch_{2k-1} of the Hodge
-  bundle into kappa, psi and boundary contributions, which in particular
-  evaluates <prod psi^d lambda_g lambda_{g-1}> via
-  lambda_g lambda_{g-1} = (-1)^{g-1} (2g-1)! ch_{2g-1}.
+      <prod psi^{d_j} lambda_g> = C(2g+n-3; d) (2^{2g-1}-1)/2^{2g-1} |B_2g|/(2g)!.
+
+The lambda_g lambda_{g-1} integrals go through Mumford's expansion of
+ch_{2k-1}, which is eq3's bracket combination: `identities.ch_insertion`
+and `identities.lambda_gg1_bracket`.  Their closed forms stay here.
 """
 
 from __future__ import annotations
@@ -34,22 +33,19 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterable, NamedTuple
 
-from .brackets import BracketTable, bracket, dyadic_ratio, sigma_bracket, sigma_weight
-from .combinat import multinomial, submultiset_splits
+from .brackets import BracketTable, dyadic_ratio, sigma_bracket, sigma_weight
+from .combinat import multinomial
 from .rationals import bernoulli, odd_double_factorial
 
 __all__ = [
     "MixedKey",
     "kappa_to_psi",
     "lambda_g_bracket",
-    "ch_insertion",
-    "lambda_gg1_bracket",
     "faber_closed_form",
     "faber_kappa_value",
 ]
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 _succ = (1).__add__
 
 
@@ -151,60 +147,6 @@ def lambda_g_bracket(genus: int, exponents: Iterable[int]) -> Fraction:
         * Fraction(abs(b.numerator), b.denominator)
         / factorial(2 * genus)
     )
-
-
-def ch_insertion(
-    genus: int,
-    k: int,
-    exponents: Iterable[int],
-    table: BracketTable | None = None,
-) -> Fraction:
-    """<ch_{2k-1}(Hodge bundle) prod tau_{d_j}>_g via Mumford's expansion.
-
-    Vanishes identically for k > genus; the harness checks that rather
-    than assuming it.
-    """
-    if k < 1:
-        raise ValueError("the Chern character index 2k-1 needs k >= 1")
-    d = tuple(sorted(exponents))
-    if any(x < 0 for x in d):
-        return _ZERO
-    g = genus
-    combo = kappa_to_psi(g, d, (2 * k - 1,), table)
-    for j in range(len(d)):
-        raised = d[:j] + (d[j] + 2 * k - 1,) + d[j + 1 :]
-        combo -= bracket(g, raised, table)
-
-    splits = submultiset_splits(d)
-    for j in range(2 * k - 1):
-        sign = (-1) ** j
-        other = 2 * k - 2 - j
-        combo += _HALF * sign * bracket(g - 1, d + (j, other), table)
-        for left, right, count in splits:
-            gl, rem = divmod(j + sum(left) - len(left) + 2, 3)
-            if rem or gl < 0 or gl > g:
-                continue
-            lv = bracket(gl, (j,) + left, table)
-            if lv:
-                rv = bracket(g - gl, (other,) + right, table)
-                if rv:
-                    combo += _HALF * sign * count * lv * rv
-    return bernoulli(2 * k) / factorial(2 * k) * combo
-
-
-def lambda_gg1_bracket(
-    genus: int,
-    exponents: Iterable[int],
-    table: BracketTable | None = None,
-) -> Fraction:
-    """<prod psi^{d_j} lambda_g lambda_{g-1}>_{g,n} for g >= 2, d_j >= 1."""
-    d = tuple(exponents)
-    if genus < 2:
-        raise ValueError("needs genus >= 2 (lambda_{g-1} with g-1 >= 1)")
-    if any(x < 1 for x in d) or sum(x - 1 for x in d) != genus - 2:
-        return _ZERO
-    sign = (-1) ** (genus - 1)
-    return sign * factorial(2 * genus - 1) * ch_insertion(genus, genus, d, table)
 
 
 def faber_closed_form(genus: int, exponents: Iterable[int]) -> Fraction:

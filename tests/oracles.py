@@ -3,8 +3,12 @@
 Nothing in here imports the package's computational paths beyond plain
 Fractions: the Bernoulli oracle is the tangent-number triangle, the
 genus-0 oracle walks the string equation, the three-point oracle expands
-an explicit closed series, and the reference table freezes values
-published by an unrelated implementation.
+an explicit closed series, the Mumford oracle sums the Chern character
+expansion term by term over labelled splits from bracket and kappa
+functions passed in, and the reference table freezes values published by
+an unrelated implementation.  `warm_table_from_series` seeds a bracket
+table from an n-point series, so that the tests can check the recursion
+against tables filled by the other engine.
 """
 
 from __future__ import annotations
@@ -43,6 +47,64 @@ def genus0_string(d: tuple[int, ...]) -> Fraction:
         if lowered[j] >= 0:
             total += genus0_string(lowered)
     return total
+
+
+def ch_insertion_mumford(genus, k, exponents, bracket, kappa_to_psi, table=None) -> Fraction:
+    """<ch_{2k-1}(Hodge bundle) prod tau_{d_j}>_g via Mumford's expansion:
+    the kappa_{2k-1} term, minus each d_j raised by 2k-1, plus half the
+    irreducible and the splitting boundary terms, the latter summed over
+    ordered pairs I ⊔ J of labelled points.  bracket(g, d, table) and
+    kappa_to_psi(g, psi, kappa, table) are supplied by the caller."""
+    if k < 1:
+        raise ValueError("the Chern character index 2k-1 needs k >= 1")
+    d = tuple(sorted(exponents))
+    if any(x < 0 for x in d):
+        return Fraction(0)
+    g = genus
+    combo = kappa_to_psi(g, d, (2 * k - 1,), table)
+    for j in range(len(d)):
+        raised = d[:j] + (d[j] + 2 * k - 1,) + d[j + 1 :]
+        combo -= bracket(g, raised, table)
+
+    n = len(d)
+    splits = [
+        (tuple(d[i] for i in range(n) if mask >> i & 1),
+         tuple(d[i] for i in range(n) if not mask >> i & 1))
+        for mask in range(2**n)
+    ]
+    half = Fraction(1, 2)
+    for j in range(2 * k - 1):
+        sign = (-1) ** j
+        other = 2 * k - 2 - j
+        combo += half * sign * bracket(g - 1, d + (j, other), table)
+        for left, right in splits:
+            gl, rem = divmod(j + sum(left) - len(left) + 2, 3)
+            if rem or gl < 0 or gl > g:
+                continue
+            lv = bracket(gl, (j,) + left, table)
+            if lv:
+                rv = bracket(g - gl, (other,) + right, table)
+                if rv:
+                    combo += half * sign * lv * rv
+    return bernoulli_tangent(2 * k) / factorial(2 * k) * combo
+
+
+def warm_table_from_series(series, table) -> int:
+    """Seed a bracket table with every coefficient of the series' F part.
+
+    Only dimension-consistent stable keys are stored.  Returns the number
+    of entries written.
+    """
+    count = 0
+    n = series.n
+    for mono, c in series.f.items():
+        num = sum(mono) - n + 3
+        g, rem = divmod(num, 3)
+        if rem or g < 0 or 2 * g - 2 + n <= 0:
+            continue
+        table.put((g, tuple(sorted(mono))), c)
+        count += 1
+    return count
 
 
 def three_point_with_tau0(a: int, b: int, k_max: int = 40) -> Fraction:

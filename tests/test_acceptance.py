@@ -20,6 +20,7 @@ from taucalc.denominators import (
 )
 from taucalc.identities import (
     SweepLimits,
+    lambda_gg1_bracket,
     n1_expected,
     n1_proof_sums,
     run_sweep,
@@ -32,10 +33,11 @@ from taucalc.monotone import (
     psi_swap_check,
     psi_swap_deep,
 )
-from taucalc.npoint import merged_series, npoint_series, warm_table_from_series
+from taucalc.npoint import merged_series, npoint_series
 from taucalc.rationals import odd_double_factorial
-from taucalc.reduction import faber_closed_form, faber_kappa_value, lambda_gg1_bracket
+from taucalc.reduction import faber_closed_form, faber_kappa_value
 from taucalc.report import reports_to_json
+from oracles import warm_table_from_series
 
 TABLE = BracketTable()
 
@@ -167,7 +169,7 @@ def test_criterion_09_faber_chain():
 
 
 def test_criterion_10_section3_conjectures():
-    lim = SweepLimits(g_max=4, n_max=3, k_span=3, rs_max=2, m_max=3, l_max=3)
+    lim = SweepLimits(g_max=4, n_max=3, k_span=3, rs_max=2)
     ok = True
     total = 0
     for ident in ("c32a", "c32b", "c33a", "c33b", "c34a", "c34b", "c35a", "c35b"):

@@ -12,20 +12,18 @@ import taucalc.brackets as br
 from taucalc.brackets import (
     BracketTable,
     CacheError,
-    TauKey,
     bracket,
     bracket_any_genus,
     cache_dumps,
     cache_load,
     cache_save,
-    genus0_closed,
     one_point,
     sigma_weight,
 )
 from taucalc.combinat import multisets_with_sum
-from taucalc.npoint import npoint_series, warm_table_from_series
+from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
-from oracles import REFERENCE_BRACKETS, genus0_string, three_point_with_tau0
+from oracles import REFERENCE_BRACKETS, genus0_string, three_point_with_tau0, warm_table_from_series
 
 
 def test_normalization_and_base_values():
@@ -61,10 +59,10 @@ def test_three_point_series_oracle():
 
 
 def test_genus0_closed_form():
-    assert genus0_closed([0, 0, 0]) == 1
-    assert genus0_closed([1, 0, 0, 0]) == 1
-    assert genus0_closed([1, 1, 0, 0, 0]) == 2
-    assert genus0_closed([2, 0, 0]) == 0  # dimension mismatch
+    assert bracket(0, [0, 0, 0]) == 1
+    assert bracket(0, [1, 0, 0, 0]) == 1
+    assert bracket(0, [1, 1, 0, 0, 0]) == 2
+    assert bracket(0, [2, 0, 0]) == 0  # dimension mismatch
 
 
 def test_genus0_against_string_equation_oracle():
@@ -72,14 +70,14 @@ def test_genus0_against_string_equation_oracle():
 
     for n in range(3, 9):
         for d in multisets_with_sum(n, n - 3):
-            assert genus0_closed(d) == genus0_string(d), d
+            assert bracket(0, d) == genus0_string(d), d
 
 
 def test_genus0_large_n_goes_through_the_table():
     # above the small-case threshold genus-0 values are memoized
     table = BracketTable()
     d = (0,) * 9 + (1, 3, 5)
-    assert bracket(0, d, table) == genus0_closed(d) != 0
+    assert bracket(0, d, table) == genus0_string(d) != 0
     assert (0, tuple(sorted(d))) in table
 
 
@@ -99,13 +97,6 @@ def test_one_point_keys_match_series():
     for g in range(1, 21):
         d = (3 * g - 2,)
         assert bracket(g, d, BracketTable()) == series.bracket(d), g
-
-
-def test_tau_key_canonicalization():
-    key = TauKey.make(2, [3, 2])
-    assert key.exponents == (2, 3)
-    assert key.is_stable() and key.dimension_matches()
-    assert not TauKey.make(1, [0, 0]).dimension_matches()
 
 
 @given(st.integers(1, 4), st.data())

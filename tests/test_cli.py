@@ -345,6 +345,19 @@ def test_negative_grid_bound_is_a_usage_error(capsys, argv):
     assert code == 2 and out == "" and "nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("monotone", "--n", "0", "--gmax", "3"),
+    ("monotone", "--n", "1", "--gmax", "3"),
+    ("monotone", "--lambda", "top", "--n", "0", "--gmax", "3"),
+    ("monotone", "--lambda", "top", "--n", "1", "--gmax", "3"),
+])
+def test_monotone_needs_two_points(capsys, argv):
+    # with fewer than two points there is no swap, and the sweep would
+    # print "PASS" with lhs = rhs = 0
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert code == 2 and out == "" and "argument --n" in err
+
+
 def test_zero_nmax_still_sweeps_unpointed_strata(capsys):
     # c52 and c53 start at n = 0, so --nmax 0 is a real grid
     code, out, _ = run(capsys, "verify", "c53", "--gmax", "2", "--nmax", "0", "--no-timing")

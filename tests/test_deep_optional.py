@@ -11,7 +11,8 @@ import pytest
 from taucalc.brackets import BracketTable
 from taucalc.combinat import multisets_with_sum
 from taucalc.identities import verify
-from taucalc.npoint import npoint_series, warm_table_from_series
+from taucalc.npoint import npoint_series
+from oracles import warm_table_from_series
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("TAUCALC_DEEP"),

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from taucalc.brackets import BracketTable, bracket
 from taucalc.combinat import multisets_with_sum, set_partitions
+from taucalc.identities import ch_insertion, lambda_gg1_bracket
 from taucalc.reduction import (
     MixedKey,
-    ch_insertion,
     faber_closed_form,
     faber_kappa_value,
     kappa_to_psi,
     lambda_g_bracket,
-    lambda_gg1_bracket,
 )
+from oracles import ch_insertion_mumford
 
 
 def test_mixed_key():
@@ -153,6 +153,25 @@ def test_lambda_g_string_compatibility():
 def test_ch_insertion_examples():
     assert ch_insertion(1, 2, [0, 0]) == 0  # k > g vanishing
     assert ch_insertion(1, 1, [0]) == lambda_g_bracket(1, [0])
+
+
+def test_ch_insertion_matches_mumford_loop():
+    # the shared eq3 combination against Mumford's expansion summed term by
+    # term, on every dimension-fitting (g, k, d) with g <= 7, k <= g + 1
+    # and n <= 3
+    table = BracketTable()
+    checked = 0
+    for g in range(0, 8):
+        for k in range(1, g + 2):
+            for n in range(0, 4):
+                total = 3 * g - 3 + n - (2 * k - 1)
+                if total < 0:
+                    continue
+                for d in multisets_with_sum(n, total):
+                    want = ch_insertion_mumford(g, k, d, bracket, kappa_to_psi, table)
+                    assert ch_insertion(g, k, d, table) == want, (g, k, d)
+                    checked += 1
+    assert checked == 657
 
 
 def test_ch_vanishing_above_genus():
