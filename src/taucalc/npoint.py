@@ -24,13 +24,19 @@ every ingredient is a genuine polynomial:
 Arithmetic: every internal builder returns a pair (int numerators, den),
 one common denominator per series, reduced once by the gcd of den and all
 numerators.  Delta has integer coefficients (1 and 2), so its powers are
-integral; the split products C_I C_J are brought over the lcm of their
-denominators and added into one numerator as they are formed; and the
-scalars c(r,s) share the denominator 4^g (2g+n-1)!! for the series' top
-genus g, so P_r * sum_s c(r,s) Delta^s (summed by Horner's rule in Delta)
-is a product of ints.  Each P_r division by sum x_j runs on the int
-numerators and is exact -- a nonzero remainder aborts, since it can only
-mean an implementation bug.  `Fraction` appears only at the boundary: the
+integral.  The split products C_I C_J are brought over the lcm of their
+denominators; for each size |I| = k one product is formed, for
+I = {1..k}, and every other I of that size is a relabelling of it, added
+into one numerator.  With t = r + s the scalar is
+c(r,s) = (2r+n-3)!! 4^r / (4^t (2t+n-1)!!), so the degree-(3t+n-3) part
+of G is Q_t / (4^t (2t+n-1)!!) with
+
+    Q_t = Delta Q_{t-1} + (2t+n-3)!! 4^t P_t,
+
+one product by Delta per degree, all of it over the denominator
+4^g (2g+n-1)!! of the series' top genus g.  Each P_t division by sum x_j
+runs on the int numerators and is exact -- a nonzero remainder aborts,
+since it can only mean an implementation bug.  `Fraction` appears only at the boundary: the
 {monomial: Fraction} dicts `NPointSeries.g`/`.f` and those of
 `MergedSeries`, which hold nonzero coefficients only.  The exposed series
 keep only the stable coefficients; extraction back to F restores
@@ -40,10 +46,12 @@ the polynomial part of the unstable contributions where they matter
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
+from operator import itemgetter
 from typing import Iterable
 
 from .rationals import double_factorial, odd_double_factorial
@@ -83,21 +91,18 @@ def _add_term(terms: dict, mono: Mono, coeff) -> None:
         terms.pop(mono, None)
 
 
-def _mul(a, b, cap: int, out: IntTerms | None = None) -> IntTerms:
-    """Product of two (monomial, int) sequences through total degree cap,
-    added into `out` when given.  Zero coefficients may remain; `_reduced`
-    drops them.
+def _mul(a, b, cap: int) -> IntTerms:
+    """Product of two (monomial, int) sequences through total degree cap.
+    Zero coefficients may remain; `_reduced` drops them.
 
     Inside, each monomial is packed into one int with a field of
     cap.bit_length() bits per variable, so multiplying monomials is one int
     addition; no field of a product within the cap can overflow.
     """
-    if out is None:
-        out = {}
     if len(a) > len(b):
         a, b = b, a
     if not a:
-        return out
+        return {}
     width = cap.bit_length()
     shifts = [width * i for i in range(len(next(iter(b))[0]))]
 
@@ -119,10 +124,7 @@ def _mul(a, b, cap: int, out: IntTerms | None = None) -> IntTerms:
             key = ka + kb
             acc[key] = get(key, 0) + ca * cb
     mask = (1 << width) - 1
-    for key, c in acc.items():
-        mono = tuple([(key >> shift) & mask for shift in shifts])
-        out[mono] = out.get(mono, 0) + c
-    return out
+    return {tuple([(key >> shift) & mask for shift in shifts]): c for key, c in acc.items()}
 
 
 def _reduced(terms: IntTerms, den: int) -> IntSeries:
@@ -149,8 +151,6 @@ def _divide_by_varsum(comp: dict, n: int) -> dict:
     divisor's leading monomial is x_0, so any surviving monomial with zero
     first exponent witnesses a nonzero remainder.
     """
-    import heapq
-
     work = dict(comp)
     heap = [tuple(-e for e in m) for m in work]
     heapq.heapify(heap)
@@ -238,13 +238,13 @@ def _two_point_cfactor(cap: int) -> IntSeries:
 
 def _embed(terms: Iterable[tuple[Mono, int]], positions: tuple[int, ...],
            n: int) -> list[tuple[Mono, int]]:
-    out = []
-    for mono, c in terms:
-        big = [0] * n
-        for p, e in zip(positions, mono):
-            big[p] = e
-        out.append((tuple(big), c))
-    return out
+    # exponent i of each monomial goes to position positions[i] of n (n >= 2);
+    # the positions not named read the zero padded onto the monomial's end
+    source = [len(positions)] * n
+    for i, p in enumerate(positions):
+        source[p] = i
+    pick = itemgetter(*source)
+    return [(pick(mono + (0,)), c) for mono, c in terms]
 
 
 @lru_cache(maxsize=None)
@@ -273,8 +273,9 @@ def _stable_terms(n: int, cap: int) -> IntSeries:
     if n == 2:
         return _two_point_stable(cap)
 
-    # the split products C_I C_J over one denominator, each added into the
-    # numerator as it is formed
+    # the split products C_I C_J over one denominator: for |I| = k every
+    # product is a relabelling of the one for I = {0..k-1}, J = {k..n-1}, so
+    # it is formed once per size and embedded at positions I + J
     num_cap = cap + 1
     factors = {k: _c_factor(k, num_cap) for k in range(1, n)}
     num_den = 1
@@ -286,31 +287,33 @@ def _stable_terms(n: int, cap: int) -> IntSeries:
         (a_items, a_den), (b_items, b_den) = factors[size], factors[n - size]
         scale = num_den // (a_den * b_den)
         a_scaled = [(m, scale * c) for m, c in a_items]
+        product = _mul(_embed(a_scaled, indices[:size], n),
+                       _embed(b_items, indices[size:], n), num_cap).items()
         for left in combinations(indices, size):
             right = tuple(i for i in indices if i not in left)
-            _mul(_embed(a_scaled, left, n), _embed(b_items, right, n), num_cap, numerator)
+            for mono, c in _embed(product, left + right, n):
+                numerator[mono] = numerator.get(mono, 0) + c
 
-    # c(r,s) = (2r+n-3)!! / (4^s (2r+2s+n-1)!!) over 4^g_max (2g_max+n-1)!!
+    # with t = r + s, c(r,s) = (2r+n-3)!! 4^r / (4^t (2t+n-1)!!), so the
+    # degree 3t+n-3 part of G is Q_t / (4^t (2t+n-1)!!) where
+    # Q_t = Delta Q_{t-1} + (2t+n-3)!! 4^t P_t; one Delta product per
+    # degree, over the denominator 2 num_den 4^g_max (2g_max+n-1)!!
     g_max = (cap - n + 3) // 3
     top_odd = double_factorial(2 * g_max + n - 1)
     delta = _delta(n)
+    q: IntTerms = {}
     out: IntTerms = {}
-    for r in range(g_max + 1):
-        # P_r = p / (2 num_den)
-        p = _divide_by_varsum(_component(numerator, 3 * r + n - 2), n)
-        if not p:
-            continue
-        # P_r * sum_s c(r,s) Delta^s by Horner's rule in Delta; the top
-        # degree 3 g_max + n - 3 is within cap, so nothing is truncated
-        lead = double_factorial(2 * r + n - 3)
-        acc: IntTerms = {}
-        for s in range(g_max - r, -1, -1):
-            acc = _mul(delta, acc.items(), cap)
-            c = lead * 4 ** (g_max - s) * (top_odd // double_factorial(2 * r + 2 * s + n - 1))
-            for mono, v in p.items():
-                acc[mono] = acc.get(mono, 0) + c * v
-        for mono, v in acc.items():
-            out[mono] = out.get(mono, 0) + v
+    for t in range(g_max + 1):
+        # P_t = p / (2 num_den); the top degree 3 g_max + n - 3 is within
+        # cap, so no Delta product is truncated
+        q = _mul(delta, q.items(), cap)
+        p = _divide_by_varsum(_component(numerator, 3 * t + n - 2), n)
+        lead = double_factorial(2 * t + n - 3) * 4**t
+        for mono, v in p.items():
+            q[mono] = q.get(mono, 0) + lead * v
+        scale = 4 ** (g_max - t) * (top_odd // double_factorial(2 * t + n - 1))
+        for mono, v in q.items():
+            out[mono] = scale * v
     return _reduced(out, 2 * num_den * 4**g_max * top_odd)
 
 
@@ -429,7 +432,6 @@ class MergedSeries:
                     f"odd power y^{ypow} x^{xs} survived the (y,-y) substitution"
                 )
         self.gterms = gterms
-        self._fterms: dict[tuple[int, tuple[int, ...]], Fraction] | None = None
 
     def coefficient(self, K: int, exponents: Iterable[int]) -> Fraction:
         """Coefficient of y^{2K} prod x^{d_j} in the normalized merged series."""
@@ -437,30 +439,6 @@ class MergedSeries:
         if 2 * K + sum(d) > self.degree_cap:
             raise ValueError("requested coefficient beyond the tracked degree")
         return self.gterms.get((2 * K, d), _ZERO)
-
-    def alt_sum(self, K: int, exponents: Iterable[int]) -> Fraction:
-        """Coefficient of y^{2K} prod x^{d_j} with the x-side normalization
-        removed: equals sum_j (-1)^j <tau_{2K-j} tau_j prod tau_d>."""
-        if self._fterms is None:
-            cap = self.degree_cap
-            exp_terms = _fractions(_exp_cubes(self.n, cap))
-            out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-            for (ypow, xs), c in self.gterms.items():
-                for mono, e in exp_terms.items():
-                    if ypow + sum(xs) + sum(mono) > cap:
-                        continue
-                    key = (ypow, tuple(a + b for a, b in zip(xs, mono)))
-                    prev = out.get(key, _ZERO)
-                    new = prev + c * e
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
-            self._fterms = out
-        d = tuple(exponents)
-        if 2 * K + sum(d) > self.degree_cap:
-            raise ValueError("requested coefficient beyond the tracked degree")
-        return self._fterms.get((2 * K, d), _ZERO)
 
     def dump_lines(self) -> list[str]:
         rows = sorted(self.gterms.items(), key=lambda kv: (kv[0][0] + sum(kv[0][1]), kv[0]))

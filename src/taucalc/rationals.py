@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable
 
 Rational = Fraction
@@ -101,8 +101,6 @@ def ord_at_prime(r: Rational | int, p: int) -> int:
 
 def lcm_of_denominators(values: Iterable[Rational]) -> int:
     """lcm of reduced-form denominators; 1 for the empty collection."""
-    from math import lcm
-
     out = 1
     for v in values:
         v = Fraction(v)

@@ -8,7 +8,8 @@ expansion term by term over labelled splits from bracket and kappa
 functions passed in, and the reference table freezes values published by
 an unrelated implementation.  `warm_table_from_series` seeds a bracket
 table from an n-point series, so that the tests can check the recursion
-against tables filled by the other engine.
+against tables filled by the other engine, and `merged_alt_sums` turns a
+merged series back into alternating pair sums for the same comparison.
 """
 
 from __future__ import annotations
@@ -105,6 +106,33 @@ def warm_table_from_series(series, table) -> int:
         table.put((g, tuple(sorted(mono))), c)
         count += 1
     return count
+
+
+def merged_alt_sums(merged) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The merged series G(y, -y, x) with its x-side normalization removed,
+    i.e. multiplied by exp(sum_j x_j^3 / 24) through the tracked degree.
+
+    The value at (2K, d) is the coefficient of y^{2K} prod x^{d_j}, which
+    equals sum_j (-1)^j <tau_{2K-j} tau_j prod tau_d>; keys that are absent
+    are 0.
+    """
+    cap = merged.degree_cap
+    exp_terms: dict[tuple[int, ...], Fraction] = {(0,) * merged.n: Fraction(1)}
+    for i in range(merged.n):
+        grown: dict[tuple[int, ...], Fraction] = {}
+        for mono, c in exp_terms.items():
+            for k in range((cap - sum(mono)) // 3 + 1):
+                key = mono[:i] + (mono[i] + 3 * k,) + mono[i + 1 :]
+                grown[key] = c * Fraction(1, 24**k * factorial(k))
+        exp_terms = grown
+    out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    for (ypow, xs), c in merged.gterms.items():
+        for mono, e in exp_terms.items():
+            if ypow + sum(xs) + sum(mono) > cap:
+                continue
+            key = (ypow, tuple(a + b for a, b in zip(xs, mono)))
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return {key: c for key, c in out.items() if c}
 
 
 def three_point_with_tau0(a: int, b: int, k_max: int = 40) -> Fraction:

@@ -71,6 +71,10 @@ def test_npoint_special_dump(capsys):
      "4f0576082de0fcec3f51e0897f6ed266dcc1ca56dfaf6259b7105789872314cf"),
     ("npoint --n 3 --gmax 6",
      "f5f7cdac01f1a0d96814b980b5deed593c85087ede309c4863d1601ded8f73aa"),
+    ("npoint --n 5 --gmax 3",
+     "e859c0175b1b757a5e5057b410761adabbb78da1e322b2254900009393d5b182"),
+    ("npoint --n 6 --gmax 2",
+     "cc4baa79191cfc2d9f8a24366c2688f96c8c578065fce0e59b6744dd7afca6f2"),
     ("npoint --n 2 --gmax 3 --special",
      "0822d2aeb6cca4e98bb5197840ff824bb328fff0f52b8499ae12c67e6149a306"),
     ("monotone --n 2 --gmax 20 --no-timing",
