@@ -298,20 +298,29 @@ def _two_point_numerators(g: int) -> tuple[list[int], int]:
     unstable channel exp((x^3+y^3)/24)/(x+y), whose degree-(3g-1) slice is
     (x^3+y^3)^(g-1) (x^2-xy+y^2)/(24^g g!).  Every contribution divides
     whole, so the accumulation runs on integers.
+
+    With y set to 1, the stable channels sum to sum_s x^s (1+x)^(s-1) P_s(x^3)
+    = x sum_s (x+x^2)^(s-1) P_s(x^3), with P_s(z) = sum_u base_s C(g-s, u)
+    z^u.  Horner in x + x^2 from s = g down to 1 evaluates it with shifted
+    additions and products by small ints, O(g^2) of them per row.
     """
     half = (3 * g - 1) // 2
     whole = 4**g * odd_double_factorial(g) * 24**g * factorial(g)
-    num = [0] * (half + 1)
-    for s in range(1, g + 1):
-        # whole / (4^s (2s+1)!! 24^k) = 4^k (2g+1)!!/(2s+1)!! 24^s g!, which
-        # k! divides since k <= g; comb(k, u) then replaces k!/(u! (k-u)!)
+    # base_s = whole / (4^s (2s+1)!! 24^k k!), k = g - s, is an integer
+    # (4^k (2g+1)!!/(2s+1)!! 24^s g!, which k! divides); it and base_s C(k, u)
+    # step by exact division: base_{s-1} = base_s 4 (2s+1) / (24 (k+1))
+    base = whole // (4**g * odd_double_factorial(g))
+    acc = [0] * half  # degrees 0 .. half-1; the final shift by x fills 1 .. half
+    for s in range(g, 0, -1):
+        # acc <- acc (x + x^2), truncated
+        acc = [0] + [a + b for a, b in zip(acc[:-1], [0] + acc)]
         k = g - s
-        base = whole // (4**s * odd_double_factorial(s) * 24**k * factorial(k))
-        row = [base * comb(k, u) for u in range(k + 1)]
-        for i in range(s):
-            ci = comb(s - 1, i)
-            for u in range(min(k, (half - s - i) // 3) + 1):
-                num[s + i + 3 * u] += ci * row[u]
+        term = base
+        for u in range(min(k, (half - 1) // 3) + 1):
+            acc[3 * u] += term
+            term = term * (k - u) // (u + 1)
+        base = base * 4 * (2 * s + 1) // (24 * (k + 1))
+    num = [0] + acc
     # unstable channel: x^a with a = 3u + 1 carries -comb(g-1, u), a = 3u
     # and a = 3u + 2 carry +comb(g-1, u)
     unit = whole // (24**g * factorial(g))

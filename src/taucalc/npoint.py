@@ -35,18 +35,18 @@ of G is Q_t / (4^t (2t+n-1)!!) with
 
 one product by Delta per degree, all of it over the denominator
 4^g (2g+n-1)!! of the series' top genus g.  Each P_t division by sum x_j
-runs on the int numerators and is exact -- a nonzero remainder aborts,
-since it can only mean an implementation bug.  `Fraction` appears only at the boundary: the
-{monomial: Fraction} dicts `NPointSeries.g`/`.f` and those of
-`MergedSeries`, which hold nonzero coefficients only.  The exposed series
-keep only the stable coefficients; extraction back to F restores
-the polynomial part of the unstable contributions where they matter
-(n = 2).
+runs on the int numerators, peeling the quotient off one power of x_1 at
+a time from the top down, and is exact -- a nonzero remainder aborts,
+since it can only mean an implementation bug.  `Fraction` appears only
+at the boundary: the {monomial: Fraction} dicts `NPointSeries.g`/`.f`
+and those of `MergedSeries`, which hold nonzero coefficients only.  The
+exposed series keep only the stable coefficients; extraction back to F
+restores the polynomial part of the unstable contributions where they
+matter (n = 2).
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -81,14 +81,6 @@ class DivisionRemainderError(ArithmeticError):
 
 class OddPowerError(ArithmeticError):
     """An odd power of the merged variable survived antisymmetrization."""
-
-
-def _add_term(terms: dict, mono: Mono, coeff) -> None:
-    new = terms.get(mono, 0) + coeff
-    if new:
-        terms[mono] = new
-    else:
-        terms.pop(mono, None)
 
 
 def _mul(a, b, cap: int) -> IntTerms:
@@ -147,38 +139,35 @@ def _divide_by_varsum(comp: dict, n: int) -> dict:
     """Exact division of a homogeneous component by x_0 + .. + x_{n-1}.
 
     Works on any exact coefficient type (it only adds and subtracts), so
-    int numerators stay ints.  Iterated lex-leading-term elimination; the
-    divisor's leading monomial is x_0, so any surviving monomial with zero
-    first exponent witnesses a nonzero remainder.
+    int numerators stay ints.  Peels by the exponent a of x_0: with
+    comp = sum_a x_0^a comp_a, q = sum_a x_0^a q_a and s = x_1 + .. +
+    x_{n-1}, comp_a = q_{a-1} + s q_a, so q_{a-1} = comp_a - s q_a from the
+    top a down, and comp_0 - s q_0 is the remainder, which must vanish.
     """
-    work = dict(comp)
-    heap = [tuple(-e for e in m) for m in work]
-    heapq.heapify(heap)
+    parts: dict[int, dict] = {}
+    for m, c in comp.items():
+        parts.setdefault(m[0], {})[m] = c
     quotient: dict = {}
-    while heap:
-        neg = heapq.heappop(heap)
-        mono = tuple(-e for e in neg)
-        c = work.pop(mono, None)
-        if not c:
-            continue
-        if mono[0] == 0:
+    q: dict = {}  # q_a, stored with x_0 exponent a
+    for a in range(max(parts, default=0), -1, -1):
+        rem = parts.get(a, {})
+        get = rem.get
+        for m, c in q.items():
+            for i in range(1, n):
+                m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                rem[m2] = get(m2, 0) - c
+        if not a:
+            break
+        q = {}
+        for m, c in rem.items():
+            if c:
+                m = (a - 1,) + m[1:]
+                q[m] = quotient[m] = c
+    for m, c in rem.items():
+        if c:
             raise DivisionRemainderError(
-                f"remainder at monomial {mono}: component not divisible by the variable sum"
+                f"remainder at monomial {m}: component not divisible by the variable sum"
             )
-        q = (mono[0] - 1,) + mono[1:]
-        _add_term(quotient, q, c)
-        for i in range(1, n):
-            m2 = q[:i] + (q[i] + 1,) + q[i + 1 :]
-            prev = work.get(m2)
-            if prev is None:
-                work[m2] = -c
-                heapq.heappush(heap, tuple(-e for e in m2))
-            else:
-                new = prev - c
-                if new:
-                    work[m2] = new
-                else:
-                    del work[m2]
     return quotient
 
 
@@ -261,7 +250,8 @@ def _c_factor(k: int, cap: int) -> IntSeries:
             mono = [0] * k
             mono[i] += 1
             mono[j] += 1
-            _add_term(e1sq, tuple(mono), 1)
+            key = tuple(mono)
+            e1sq[key] = e1sq.get(key, 0) + 1
     return _reduced(_mul(g_items, e1sq.items(), cap), den)
 
 

@@ -10,12 +10,14 @@ an unrelated implementation.  `warm_table_from_series` seeds a bracket
 table from an n-point series, so that the tests can check the recursion
 against tables filled by the other engine, and `merged_alt_sums` turns a
 merged series back into alternating pair sums for the same comparison.
+`two_point_numerators_by_channel` sums the closed two-point rows term by
+term over every channel, against the package's Horner evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 
 def bernoulli_tangent(m: int) -> Fraction:
@@ -133,6 +135,39 @@ def merged_alt_sums(merged) -> dict[tuple[int, tuple[int, ...]], Fraction]:
             key = (ypow, tuple(a + b for a, b in zip(xs, mono)))
             out[key] = out.get(key, Fraction(0)) + c * e
     return {key: c for key, c in out.items() if c}
+
+
+def two_point_numerators_by_channel(g: int) -> tuple[list[int], int]:
+    """The closed two-point row of genus g >= 1, summed channel by channel:
+    integer numerators of <tau_d tau_{3g-1-d}>_g for d = 0 .. (3g-1)//2
+    over whole = 4^g (2g+1)!! 24^g g!, and whole.
+
+    Stable channel s = 1..g contributes base_s C(s-1, i) C(g-s, u) to
+    x^(s+i+3u), with base_s = whole / (4^s (2s+1)!! 24^(g-s) (g-s)!); the
+    unstable channel's slice (x^3+y^3)^(g-1) (x^2-xy+y^2)/(24^g g!) adds
+    whole/(24^g g!) C(g-1, a//3) to x^a, negated for a = 1 mod 3.  A triple
+    loop, O(g^3) products per row.
+    """
+
+    def odd_df(k: int) -> int:
+        return prod(range(1, 2 * k + 2, 2))
+
+    half = (3 * g - 1) // 2
+    whole = 4**g * odd_df(g) * 24**g * factorial(g)
+    num = [0] * (half + 1)
+    for s in range(1, g + 1):
+        k = g - s
+        base = whole // (4**s * odd_df(s) * 24**k * factorial(k))
+        row = [base * comb(k, u) for u in range(k + 1)]
+        for i in range(s):
+            ci = comb(s - 1, i)
+            for u in range(min(k, (half - s - i) // 3) + 1):
+                num[s + i + 3 * u] += ci * row[u]
+    unit = whole // (24**g * factorial(g))
+    for a in range(half + 1):
+        c = unit * comb(g - 1, a // 3)
+        num[a] += -c if a % 3 == 1 else c
+    return num, whole
 
 
 def three_point_with_tau0(a: int, b: int, k_max: int = 40) -> Fraction:

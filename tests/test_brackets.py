@@ -23,7 +23,13 @@ from taucalc.brackets import (
 from taucalc.combinat import multisets_with_sum
 from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
-from oracles import REFERENCE_BRACKETS, genus0_string, three_point_with_tau0, warm_table_from_series
+from oracles import (
+    REFERENCE_BRACKETS,
+    genus0_string,
+    three_point_with_tau0,
+    two_point_numerators_by_channel,
+    warm_table_from_series,
+)
 
 
 def test_normalization_and_base_values():
@@ -89,6 +95,12 @@ def test_one_point_values():
         assert one_point(g) == bracket(g, [3 * g - 2])
     with pytest.raises(ValueError):
         one_point(0)
+
+
+def test_two_point_rows_match_channel_sum():
+    # the Horner evaluation in x + x^2 against the term-by-term channel sum
+    for g in range(1, 61):
+        assert br._two_point_numerators(g) == two_point_numerators_by_channel(g), g
 
 
 def test_one_point_keys_match_series():

@@ -1,6 +1,7 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; roughly a minute of extra work.  The standard
+Enable with TAUCALC_DEEP=1; about 15 s of extra work, most of it the
+two-point monotonicity rows through genus 300.  The standard
 acceptance module stays authoritative; this is head-room validation.
 """
 
@@ -46,5 +47,5 @@ def test_insertion_identities_through_genus_twenty():
 def test_two_point_monotonicity_deep():
     from taucalc.monotone import psi_swap_deep
 
-    report = psi_swap_deep(150)
-    assert report.passed and int(report.lhs) == sum((3 * g - 1) // 2 for g in range(1, 151))
+    report = psi_swap_deep(300)
+    assert report.passed and int(report.lhs) == sum((3 * g - 1) // 2 for g in range(1, 301))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,47 @@ def test_divide_by_varsum_keeps_int_numerators():
     assert all(type(c) is int for c in q.values())
     with pytest.raises(DivisionRemainderError):
         _divide_by_varsum({(1, 1): 1}, 2)
+
+
+def _times_varsum(poly: dict, n: int) -> dict:
+    out: dict = {}
+    for m, c in poly.items():
+        for i in range(n):
+            m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            out[m2] = out.get(m2, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_divide_by_varsum_inverts_product(n):
+    rng = random.Random(n)
+    for degree in (0, 1, 3, 5):
+        monos = list(multisets_with_sum(n, degree))
+        for _ in range(4):
+            # random exponent orders, so the x_0 exponent varies freely
+            poly = {}
+            for m in rng.sample(monos, min(len(monos), 6)):
+                perm = tuple(rng.sample(m, n))
+                poly[perm] = rng.choice([-7, -2, -1, 1, 3, 11**20])
+            q = _divide_by_varsum(_times_varsum(poly, n), n)
+            assert q == poly, (n, degree, poly)
+            assert all(type(c) is int for c in q.values())
+
+
+@pytest.mark.parametrize(
+    "comp",
+    [
+        {(0, 1, 1): 1},
+        {(1, 0, 0): 1, (0, 0, 1): 2},
+        {(0, 0, 0): 5},
+        # x_0 (x_0 + x_1 + x_2) plus one stray term
+        {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 2, 0): 1},
+        {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1},
+    ],
+)
+def test_divide_by_varsum_rejects_remainders(comp):
+    with pytest.raises(DivisionRemainderError, match="remainder at monomial"):
+        _divide_by_varsum(comp, len(next(iter(comp))))
 
 
 def test_series_values_are_fractions_in_lowest_terms():
