@@ -34,7 +34,6 @@ from .npoint import (
 )
 from .rationals import Rational, bernoulli, double_factorial, lcm_of_denominators, ord_at_prime
 from .reduction import (
-    MixedKey,
     faber_closed_form,
     kappa_to_psi,
     lambda_g_bracket,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketTable",
     "MergedSeries",
-    "MixedKey",
     "NPointSeries",
     "Rational",
     "Report",

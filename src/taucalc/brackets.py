@@ -35,7 +35,7 @@ n-point series engine.
 Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
 the pair (num, e), num odd or zero, and sums add by shifting.  Fractions
 are built only at the boundary: `bracket` returns num/(2^e prod (2d_j+1)!!),
-and the cache file and BracketTable.get/put/items hold <tau_d>_g.
+and the cache file and BracketTable.put/items hold <tau_d>_g.
 
 Brackets are total functions: out-of-range input returns 0, never raises.
 """
@@ -97,6 +97,14 @@ def dyadic_ratio(value: tuple[int, int], weight: int) -> tuple[int, int]:
     return (num, weight << e) if e >= 0 else (num << -e, weight)
 
 
+def dyadic_sum(acc: dict[int, int]) -> tuple[int, int]:
+    """sum of v/2^e over acc = {e: v} as (num, e); (0, 0) if acc is empty."""
+    if not acc:
+        return _DZERO
+    top = max(acc)
+    return sum(v << (top - e) for e, v in acc.items()), top
+
+
 def _sigma_form(weight: int, num: int, den: int) -> tuple[int, int]:
     """(num/den) weight as (num, e); ValueError unless dyadic."""
     odd = den >> ((den & -den).bit_length() - 1)
@@ -111,7 +119,7 @@ class BracketTable:
     persistence support.
 
     The memo holds S_g(d) (see the module docstring) as (num, e) = num/2^e,
-    num odd or zero; `get`, `put` and `items` convert to and from Fraction
+    num odd or zero; `put` and `items` convert to and from Fraction
     <tau_d>_g, and `put` raises ValueError for a value whose S is not dyadic.
 
     Insertions are idempotent (recomputation always yields the same exact
@@ -139,18 +147,6 @@ class BracketTable:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return tuple(key) in self._data
-
-    def get(self, key):
-        key = tuple(key)
-        v = self._data.get(key)
-        if v is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return Fraction(*dyadic_ratio(v, sigma_weight(key[1])))
 
     def put(self, key, value: Fraction) -> None:
         key = tuple(key)
@@ -208,7 +204,7 @@ def one_point(genus: int) -> Fraction:
 
 
 def sigma_bracket(
-    genus: int, exponents: Iterable[int], table: BracketTable | None = None, pivot: str = "max"
+    genus: int, exponents: Iterable[int], table: BracketTable | None = None
 ) -> tuple[int, int]:
     """S_genus(d) = prod (2d_j+1)!! <prod tau_{d_j}>_genus as (num, e), num
     odd or zero; (0, 0) outside the stable range."""
@@ -216,22 +212,13 @@ def sigma_bracket(
     if genus < 0 or (d and d[0] < 0):
         return _DZERO
     t = table if table is not None else _DEFAULT_TABLE
-    return _bracket(genus, d, t, pivot == "min")
+    return _bracket(genus, d, t)
 
 
-def bracket(
-    genus: int,
-    exponents: Iterable[int],
-    table: BracketTable | None = None,
-    pivot: str = "max",
-) -> Fraction:
-    """Exact value of <prod tau_{d_j}>_genus; 0 outside the stable range.
-
-    pivot selects which exponent the recursion descends on ("max" or
-    "min"); the result is pivot-independent and the suite checks that.
-    """
+def bracket(genus: int, exponents: Iterable[int], table: BracketTable | None = None) -> Fraction:
+    """Exact value of <prod tau_{d_j}>_genus; 0 outside the stable range."""
     d = tuple(sorted(exponents))
-    v = sigma_bracket(genus, d, table, pivot)
+    v = sigma_bracket(genus, d, table)
     return Fraction(*dyadic_ratio(v, sigma_weight(d))) if v[0] else _ZERO
 
 
@@ -254,7 +241,7 @@ def _genus0(d: tuple[int, ...]) -> tuple[int, int]:
     return _dyadic(num, len(d) - 3)
 
 
-def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
+def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
     n = len(d)
     if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
         return _DZERO
@@ -280,12 +267,12 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tu
             row = t._pairs[g] = _two_point_numerators(g)
         value = _sigma_form(sigma_weight(d), row[0][d[0]], row[1])
     elif d[0] == 0:
-        value = _string(g, d[1:], t, pivot_min)
+        value = _string(g, d[1:], t)
     elif d[0] == 1:
-        num, e = _bracket(g, d[1:], t, pivot_min)
+        num, e = _bracket(g, d[1:], t)
         value = _dyadic(3 * (2 * g - 3 + n) * num, e)
     else:
-        value = _dvv(g, d, t, pivot_min)
+        value = _dvv(g, d, t)
     t._data[key] = value
     return value
 
@@ -330,18 +317,18 @@ def _two_point_numerators(g: int) -> tuple[list[int], int]:
     return num, whole
 
 
-def _string(g: int, rest: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
+def _string(g: int, rest: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
     """S_g(0, rest) = sum_j (2 rest_j + 1) S_g(... rest_j - 1 ...) (g >= 1)."""
     terms = []
     for i, x in enumerate(rest):
         if x >= 1 and (i == 0 or rest[i - 1] != x):
             # lowering the first of a run of equal values keeps the tuple sorted
-            num, e = _bracket(g, rest[:i] + (x - 1,) + rest[i + 1 :], t, pivot_min)
+            num, e = _bracket(g, rest[:i] + (x - 1,) + rest[i + 1 :], t)
             terms.append((rest.count(x) * (2 * x + 1) * num, e))
     return _fold(terms)
 
 
-def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[int, int]:
+def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
     """DVV descent for g >= 1 on a key with n >= 3 exponents, all >= 2.
 
     Every sub-key goes back through _bracket: one with n <= 2 is read from
@@ -350,10 +337,8 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[
     <tau_r prod_I>_0 needs exponents summing to |I| - 2, but each
     exponent of rest is >= 2.
     """
-    # pivot: largest exponent by default
-    idx = 0 if pivot_min else len(d) - 1
-    k = d[idx] - 1
-    rest = d[:idx] + d[idx + 1 :]
+    k = d[-1] - 1
+    rest = d[:-1]
 
     terms = []
 
@@ -361,7 +346,7 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[
     for i, x in enumerate(rest):
         if i == 0 or rest[i - 1] != x:
             sub = tuple(sorted(rest[:i] + rest[i + 1 :] + (x + k,)))
-            num, e = _bracket(g, sub, t, pivot_min)
+            num, e = _bracket(g, sub, t)
             terms.append((rest.count(x) * (2 * x + 1) * num, e))
 
     # boundary terms (k >= 1 since every exponent is >= 2); their 1/2 is
@@ -370,7 +355,7 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[
     for r in range(k):
         s = k - 1 - r
         # irreducible: genus drops, both new insertions on one component
-        num, e = _bracket(g - 1, tuple(sorted(rest + (r, s))), t, pivot_min)
+        num, e = _bracket(g - 1, tuple(sorted(rest + (r, s))), t)
         terms.append((num, e + 1))
         # reducible: ordered splits; the left factor's genus is forced
         # by its dimension, other genera contribute 0
@@ -378,9 +363,9 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable, pivot_min: bool) -> tuple[
             gl, rem = divmod(r + sum(left) - len(left) + 2, 3)
             if rem or gl < 0 or gl > g:
                 continue
-            ln, le = _bracket(gl, tuple(sorted((r,) + left)), t, pivot_min)
+            ln, le = _bracket(gl, tuple(sorted((r,) + left)), t)
             if ln:
-                rn, re = _bracket(g - gl, tuple(sorted((s,) + right)), t, pivot_min)
+                rn, re = _bracket(g - gl, tuple(sorted((s,) + right)), t)
                 if rn:
                     terms.append((count * ln * rn, le + re + 1))
 

@@ -122,6 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_reports(reports: list[Report], timing: bool) -> int:
+    if not reports:
+        # an empty grid checks nothing, so it must not read as a pass
+        print("error: the grid holds no instance to check", file=sys.stderr)
+        return 2
     print(reports_to_json(reports, timing=timing))
     print(summary_line(reports))
     return 0 if all(r.passed for r in reports) else 1

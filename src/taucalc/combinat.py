@@ -36,13 +36,12 @@ def multisets_with_sum(n: int, total: int, min_part: int = 0) -> Iterator[tuple[
     yield from rec([], total, min_part, n)
 
 
-def partitions(total: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions(total: int) -> Iterator[tuple[int, ...]]:
     """Partitions of total into positive parts (ascending tuples)."""
     if total == 0:
         yield ()
         return
-    limit = total if max_parts is None else max_parts
-    for n in range(1, limit + 1):
+    for n in range(1, total + 1):
         yield from multisets_with_sum(n, total, min_part=1)
 
 

@@ -53,7 +53,8 @@ from typing import Any, Callable, Iterable, Iterator
 from . import denominators as dn
 from . import monotone as mono
 from .brackets import (
-    BracketTable, bracket, default_table, dyadic_ratio, one_point, sigma_bracket, sigma_weight,
+    BracketTable, bracket, default_table, dyadic_ratio, dyadic_sum, one_point, sigma_bracket,
+    sigma_weight,
 )
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
@@ -110,14 +111,6 @@ def _pair_scale(K: int) -> tuple[int, tuple[int, ...]]:
     return L, tuple((-1) ** j * (L // x) for j, x in enumerate(w))
 
 
-def _dyadic_sum(acc: dict[int, int]) -> tuple[int, int]:
-    """sum of v/2^e over acc = {e: v} as (num, e); (0, 0) if acc is empty."""
-    if not acc:
-        return 0, 0
-    top = max(acc)
-    return sum(v << (top - e) for e, v in acc.items()), top
-
-
 def _convolution(
     t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int
 ) -> tuple[int, int]:
@@ -145,7 +138,7 @@ def _convolution(
         rn, re = rv
         if rn:
             acc[le + re] = acc.get(le + re, 0) + ln * rn * scale[j]
-    return _dyadic_sum(acc)
+    return dyadic_sum(acc)
 
 
 def split_sum(
@@ -198,7 +191,7 @@ def split_sum(
         if num:
             acc[e] = acc.get(e, 0) + count * num
     den = _pair_scale(K)[0] * sigma_weight(left + right + d)
-    return Fraction(*dyadic_ratio(_dyadic_sum(acc), den))
+    return Fraction(*dyadic_ratio(dyadic_sum(acc), den))
 
 
 def _dfact_prod(d: Iterable[int]) -> int:
@@ -208,9 +201,8 @@ def _dfact_prod(d: Iterable[int]) -> int:
 
 def _insertion_combo(genus: int, X: int, d: tuple[int, ...], table) -> Fraction:
     """<tau_d tau_{2X}>_g - sum_j <..tau_{d_j+2X-1}..>_g + 1/2 * split(2X-2)."""
-    combo = bracket(genus, d + (2 * X,), table)
-    for j in range(len(d)):
-        combo -= bracket(genus, d[:j] + (d[j] + 2 * X - 1,) + d[j + 1 :], table)
+    head, descent = _c33_descent(genus, X - 1, (), d, table)
+    combo = head - descent
     if X >= 1:
         combo += _HALF * split_sum(2 * X - 2, (), (), genus, d, table)
     return combo

@@ -31,14 +31,13 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import factorial, lcm, prod
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .brackets import BracketTable, dyadic_ratio, sigma_bracket, sigma_weight
+from .brackets import BracketTable, dyadic_ratio, dyadic_sum, sigma_bracket, sigma_weight
 from .combinat import multinomial
 from .rationals import bernoulli, odd_double_factorial
 
 __all__ = [
-    "MixedKey",
     "kappa_to_psi",
     "lambda_g_bracket",
     "faber_closed_form",
@@ -47,25 +46,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _succ = (1).__add__
-
-
-class MixedKey(NamedTuple):
-    """A mixed psi/kappa integral on the n-pointed genus-g space."""
-
-    genus: int
-    psi: tuple[int, ...]
-    kappa: tuple[int, ...]
-
-    @classmethod
-    def make(cls, genus: int, psi: Iterable[int], kappa: Iterable[int]) -> "MixedKey":
-        return cls(genus, tuple(sorted(psi)), tuple(sorted(kappa)))
-
-    def dimension_matches(self) -> bool:
-        n = len(self.psi)
-        return sum(self.psi) + sum(self.kappa) == 3 * self.genus - 3 + n
-
-    def is_stable(self) -> bool:
-        return 2 * self.genus - 2 + len(self.psi) > 0
 
 
 def kappa_to_psi(
@@ -78,25 +58,23 @@ def kappa_to_psi(
 
     Total function: dimension mismatches and unstable targets give 0.
     """
-    key = MixedKey.make(genus, psi, kappa)
-    if any(a < 0 for a in key.kappa) or any(d < 0 for d in key.psi):
+    psi = tuple(sorted(psi))
+    kappa = tuple(sorted(kappa))
+    if any(a < 0 for a in kappa) or any(d < 0 for d in psi):
         return _ZERO
-    if not key.dimension_matches() or not key.is_stable():
+    n = len(psi)
+    if sum(psi) + sum(kappa) != 3 * genus - 3 + n or 2 * genus - 2 + n <= 0:
         return _ZERO
 
-    L, states = _block_sum_states(key.kappa)
+    L, states = _block_sum_states(kappa)
     # bracket(g, psi + (s+1 ...)) = S_g / (sigma_weight(psi) prod (2s+3)!!),
     # so with each count scaled to L one integer sum per exponent e remains
     acc: dict[int, int] = {}
     for sums, scale in states:
-        num, e = sigma_bracket(genus, key.psi + tuple(map(_succ, sums)), table)
+        num, e = sigma_bracket(genus, psi + tuple(map(_succ, sums)), table)
         if num:
             acc[e] = acc.get(e, 0) + scale * num
-    if not acc:
-        return _ZERO
-    top = max(acc)
-    num = sum(v << (top - e) for e, v in acc.items())
-    return Fraction(*dyadic_ratio((num, top), L * sigma_weight(key.psi)))
+    return Fraction(*dyadic_ratio(dyadic_sum(acc), L * sigma_weight(psi)))
 
 
 def _block_sum_states(kappa: tuple[int, ...]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:

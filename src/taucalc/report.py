@@ -58,12 +58,9 @@ class Report:
         return out
 
     def sort_key(self) -> tuple:
-        # numeric ordering within an id: params of one id share a schema
-        items = []
-        for k in sorted(self.params):
-            v = self.params[k]
-            items.append((k, tuple(v) if isinstance(v, (list, tuple)) else v))
-        return (self.id, items)
+        # numeric ordering within an id: params of one id share a schema,
+        # and every value is an int or a tuple
+        return (self.id, sorted(self.params.items()))
 
 
 def timed_report(

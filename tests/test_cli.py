@@ -350,6 +350,18 @@ def test_negative_grid_bound_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "eq3", "--gmax", "1"),
+    ("verify", "eq4", "--nmax", "0"),
+    ("verify", "c52", "--gmax", "0"),
+    ("monotone", "--lambda", "top", "--gmax", "0"),
+])
+def test_empty_grid_is_a_usage_error(capsys, argv):
+    # bounds that are valid but leave no instance would print "PASS 0/0"
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert code == 2 and out == "" and "no instance" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("monotone", "--n", "0", "--gmax", "3"),
     ("monotone", "--n", "1", "--gmax", "3"),
     ("monotone", "--lambda", "top", "--n", "0", "--gmax", "3"),

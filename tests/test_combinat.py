@@ -28,7 +28,6 @@ def test_partitions():
     assert list(partitions(0)) == [()]
     assert sorted(partitions(4)) == [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
     assert sum(1 for _ in partitions(9)) == 30
-    assert all(len(p) <= 2 for p in partitions(5, max_parts=2))
 
 
 def test_set_partitions_bell_counts():

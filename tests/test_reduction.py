@@ -9,7 +9,6 @@ from taucalc.brackets import BracketTable, bracket
 from taucalc.combinat import multisets_with_sum, set_partitions
 from taucalc.identities import ch_insertion, lambda_gg1_bracket
 from taucalc.reduction import (
-    MixedKey,
     faber_closed_form,
     faber_kappa_value,
     kappa_to_psi,
@@ -19,10 +18,11 @@ from oracles import ch_insertion_mumford
 
 
 def test_mixed_key():
-    key = MixedKey.make(2, [1, 1], [2, 1])
-    assert key.psi == (1, 1) and key.kappa == (1, 2)
-    assert key.dimension_matches() and key.is_stable()
-    assert not MixedKey.make(2, [1, 0], [2, 1]).dimension_matches()
+    # the psi and kappa indices are sorted before use, and a key off its
+    # dimension is 0
+    value = kappa_to_psi(2, [1, 1], [2, 1])
+    assert value == kappa_to_psi(2, [1, 1], [1, 2]) != 0
+    assert kappa_to_psi(2, [1, 0], [2, 1]) == 0
 
 
 def test_kappa_examples():
