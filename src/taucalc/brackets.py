@@ -128,10 +128,10 @@ class BracketTable:
 
     The table also owns derived data: the one-sided rows that the
     identity sweeps read (see `row`), one closed two-point row per genus
-    that the engine reads its n = 2 keys from, and a convolution slot (see
-    `convolutions`) that memoizes the sums split_sum builds from the rows
-    for one K at a time.  All of it is emptied by `clear` and never
-    persisted: `cache_save` writes the memo entries only.
+    that the engine reads its n = 2 keys from, and one convolution slot per
+    K (see `convolutions`) that memoizes the sums split_sum builds from the
+    rows.  All of it lives as long as the table, is emptied by `clear` and
+    is never persisted: `cache_save` writes the memo entries only.
     """
 
     VERSION = "v1"
@@ -140,8 +140,7 @@ class BracketTable:
         self._data: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._rows: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
         self._pairs: dict[int, tuple[list[int], int]] = {}
-        self._conv_k: int | None = None
-        self._conv: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
+        self._conv: dict[int, dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -171,20 +170,21 @@ class BracketTable:
 
     def convolutions(self, K: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]:
         """The slot for K: a dict, filled by the caller, mapping a pair of
-        ascending multisets (A, B) to the convolution of rows A and B at K
-        (see identities.split_sum).  It holds one K at a time: asking for
-        another K empties it, since sweeps run each K in one stretch."""
-        if K != self._conv_k:
-            self._conv_k = K
-            self._conv = {}
-        return self._conv
+        ascending multisets (A, B) with A <= B to the convolution of rows A
+        and B at K (see identities.split_sum).  The slot of every K is kept
+        for the life of the table, since a sweep comes back to a K it has
+        left: c35 at --gmax 6 --nmax 4 runs 57 stretches of K over 17
+        values."""
+        slot = self._conv.get(K)
+        if slot is None:
+            slot = self._conv[K] = {}
+        return slot
 
     def clear(self) -> None:
         self._data.clear()
         self._rows.clear()
         self._pairs.clear()
-        self._conv_k = None
-        self._conv = {}
+        self._conv.clear()
         self.hits = self.misses = 0
 
 

@@ -27,7 +27,7 @@ from . import identities as ids
 from . import monotone as mono
 from .npoint import merged_series, npoint_series
 from .reduction import kappa_to_psi
-from .report import Report, reports_to_json, summary_line
+from .report import Report, json_chunks, summary_line
 
 
 def _parse_int_list(text: str | None) -> tuple[int, ...]:
@@ -126,7 +126,10 @@ def _emit_reports(reports: list[Report], timing: bool) -> int:
         # an empty grid checks nothing, so it must not read as a pass
         print("error: the grid holds no instance to check", file=sys.stderr)
         return 2
-    print(reports_to_json(reports, timing=timing))
+    # the JSON array goes out in pieces, never as one string
+    for chunk in json_chunks(reports, timing=timing):
+        sys.stdout.write(chunk)
+    print()
     print(summary_line(reports))
     return 0 if all(r.passed for r in reports) else 1
 

@@ -17,9 +17,10 @@ insertion combinations all go through `split_sum`.  It returns 0 at once
 unless the genus fits both factors' dimensions.  Otherwise each split of d
 adds one convolution C_K(A, B) over j of two rows <sigma_j prod sigma_E>,
 in the engine's dyadic (num, e) form, that the bracket table keeps per
-sorted multiset E; the table also keeps the convolutions of the current K
-(both derived data, never saved).  A call accumulates integer numerators
-and builds one Fraction.
+sorted multiset E.  Since C_K(B, A) = (-1)^K C_K(A, B), only the pair with
+A <= B is computed, and the table keeps it for every K it meets (rows and
+convolutions are derived data, never saved).  A call accumulates integer
+numerators and builds one Fraction.
 
 The bracket side of eq3 is (2g)!/B_2g times Mumford's expansion of
 <ch_{2g-1} prod tau_d>_g, so `ch_insertion` (any odd Chern character of
@@ -104,6 +105,21 @@ def _splits(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
 
 
 @lru_cache(maxsize=None)
+def _sides(extras: tuple[int, ...], d: tuple[int, ...], part: int) -> tuple[tuple[int, ...], ...]:
+    """sorted(extras + split[part]) for each split of `_splits(d)`, in its
+    order: part 0 gives the left sides, part 1 the right ones.  Kept per
+    (extras, d), which far fewer calls share than (left, right, d)."""
+    return tuple(tuple(sorted(extras + split[part])) for split in _splits(d))
+
+
+@lru_cache(maxsize=None)
+def _multisets(n: int, total: int, min_part: int) -> tuple[tuple[int, ...], ...]:
+    """multisets_with_sum(n, total, min_part), kept per argument triple: a
+    sweep grid asks for few distinct ones, many times each."""
+    return tuple(multisets_with_sum(n, total, min_part))
+
+
+@lru_cache(maxsize=None)
 def _pair_scale(K: int) -> tuple[int, tuple[int, ...]]:
     """(L, ((-1)^j L / ((2j+1)!! (2K-2j+1)!!) for j = 0..K)), L their lcm."""
     w = [odd_double_factorial(j) * odd_double_factorial(K - j) for j in range(K + 1)]
@@ -117,7 +133,8 @@ def _convolution(
     """C_K(A, B) = sum_j scale_K[j] S(j, A) S(K-j, B) as (num, e) = num/2^e,
     where S(j, E) is row E of the table at j (BracketTable.row, filled
     here on first use) and scale_K is `_pair_scale(K)`.  genus is the one
-    that K, A and B fix together."""
+    that K, A and B fix together.  Since scale_K[K-j] = (-1)^K scale_K[j],
+    C_K(B, A) = (-1)^K C_K(A, B)."""
     scale = _pair_scale(K)[1]
     lrow = t.row(A)
     rrow = t.row(B)
@@ -162,15 +179,17 @@ def split_sum(
 
     Each split (I, J) contributes its multiplicity times one convolution
     C_K(A, B) over j (see `_convolution`), with A = sorted(left_extras +
-    d_I) and B = sorted(right_extras + d_J).  Splits share (A, B) within a
-    call and across calls, so the table keeps the convolutions of the
-    current K in its slot (BracketTable.convolutions).  A convolution reads
-    its factors from the rows S(j, E) = <sigma_j prod sigma_E>, the engine's
-    (num, e) form, that the table keeps per sorted E (BracketTable.row),
-    filled on first use in the same order as the bracket lookups they
-    replace.  The sigma weights of d and the extras are the same for every
-    split, and `_pair_scale` puts those of tau_j and tau_{K-j} over one
-    denominator, so terms add as integers per e into one Fraction.
+    d_I) and B = sorted(right_extras + d_J); `_sides` keeps those sorted
+    sides per (extras, d).  Only the pair with A <= B is ever computed: a
+    split with B < A reads C_K(B, A) and flips the sign of its multiplicity
+    when K is odd.  Splits share their pairs within a call, across calls
+    and across K, so the table keeps the convolutions of every K in its
+    slots (BracketTable.convolutions).  A convolution reads its factors
+    from the rows S(j, E) = <sigma_j prod sigma_E>, the engine's (num, e)
+    form, that the table keeps per sorted E (BracketTable.row), filled on
+    first use.  The sigma weights of d and the extras are the same for
+    every split, and `_pair_scale` puts those of tau_j and tau_{K-j} over
+    one denominator, so terms add as integers per e into one Fraction.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -181,12 +200,16 @@ def split_sum(
         return _ZERO
     t = table if table is not None else default_table()
     conv = t.convolutions(K)
+    flip = -1 if K % 2 else 1
     acc: dict[int, int] = {}
-    for dI, dJ, count in _splits(d):
-        pair = (tuple(sorted(left + dI)), tuple(sorted(right + dJ)))
+    for (_, _, count), A, B in zip(_splits(d), _sides(left, d, 0), _sides(right, d, 1)):
+        if B < A:
+            A, B = B, A
+            count *= flip
+        pair = (A, B)
         c = conv.get(pair)
         if c is None:
-            c = conv[pair] = _convolution(t, K, *pair, genus)
+            c = conv[pair] = _convolution(t, K, A, B, genus)
         num, e = c
         if num:
             acc[e] = acc.get(e, 0) + count * num
@@ -600,7 +623,7 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
         grid = [{**outer, name: v} for outer in grid for v in choices(lim, **outer)]
     for outer in grid:
         for n in range(lim.n_max + 1):
-            for d in multisets_with_sum(n, spec.d_sum(n=n, **outer), spec.min_part):
+            for d in _multisets(n, spec.d_sum(n=n, **outer), spec.min_part):
                 params = {k: outer[k] for k in spec.keys}
                 params["d"] = d
                 # sum(d) holds by construction; the checks decide the rest

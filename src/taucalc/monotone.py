@@ -123,8 +123,8 @@ def two_point_row(g: int) -> list[Fraction]:
     """All two-point brackets of one genus, cheapest first exponent up to
     the balanced middle: [<tau_d tau_{3g-1-d}>_g for d = 0 .. (3g-1)//2].
 
-    Read from the closed two-point family one genus at a time, so deep
-    sweeps stream results instead of building one giant series first.
+    Read from the closed two-point family one genus at a time, as
+    Fractions; psi_swap_deep compares the same row's integer numerators.
     """
     num, whole = _two_point_numerators(g)
     return [Fraction(c, whole) for c in num]
@@ -137,7 +137,9 @@ def psi_swap_deep(g_max: int, progress: Callable[[str], None] | None = None) -> 
     def outcomes():
         checked = bad = 0
         for g in range(1, g_max + 1):
-            values = two_point_row(g)
+            # the row's brackets share the denominator whole > 0, so their
+            # order is the order of the integer numerators
+            values, _ = _two_point_numerators(g)
             for d in range(len(values) - 1):
                 checked += 1
                 ok = values[d] <= values[d + 1]

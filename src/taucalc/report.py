@@ -12,9 +12,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
-__all__ = ["Report", "reports_to_json", "summary_line", "timed_report"]
+__all__ = ["Report", "json_chunks", "reports_to_json", "summary_line", "timed_report"]
 
 
 def _fraction_text(value: Any) -> str:
@@ -27,6 +27,9 @@ def _fraction_text(value: Any) -> str:
 # tuples encode as lists, and a Fraction at any depth as "num/den"
 _ENCODER = json.JSONEncoder(default=_fraction_text)
 
+# encoded reports per piece of json_chunks
+_CHUNK = 256
+
 
 @dataclass
 class Report:
@@ -36,10 +39,12 @@ class Report:
     rhs: Fraction
     ms: float = 0.0
     extra: dict[str, Any] = field(default_factory=dict)
+    # lhs == rhs, compared once when the report is built: its JSON, the
+    # summary line and the exit code all read the flag
+    passed: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
+    def __post_init__(self) -> None:
+        self.passed = self.lhs == self.rhs
 
     def to_dict(self, timing: bool = True) -> dict[str, Any]:
         """The fields reports_to_json encodes; params and extra are handed
@@ -58,9 +63,11 @@ class Report:
         return out
 
     def sort_key(self) -> tuple:
-        # numeric ordering within an id: params of one id share a schema,
-        # and every value is an int or a tuple
-        return (self.id, sorted(self.params.items()))
+        # numeric ordering within an id: params of one id share a schema, so
+        # their values in sorted-name order line up, and each is an int or
+        # a tuple
+        params = self.params
+        return (self.id, *[params[k] for k in sorted(params)])
 
 
 def timed_report(
@@ -74,14 +81,25 @@ def timed_report(
     return Report(id=id, params=params, lhs=lhs, rhs=rhs, ms=ms, extra=extra)
 
 
-def reports_to_json(reports: list[Report], timing: bool = True) -> str:
-    """The reports in canonical order as one JSON array.
+def json_chunks(reports: list[Report], timing: bool = True) -> Iterator[str]:
+    """The text of reports_to_json in pieces: "[", then the reports in
+    canonical order, `_CHUNK` encoded reports per piece, then "]".
 
-    Each report is encoded on its own, so a large sweep never holds all of
-    its dicts at once; the text equals the encoding of the whole list.
+    Each report is encoded on its own and each piece is joined on its own,
+    so a writer of the pieces never holds a large sweep's whole text.
     """
     ordered = sorted(reports, key=Report.sort_key)
-    return "[" + ", ".join(_ENCODER.encode(r.to_dict(timing=timing)) for r in ordered) + "]"
+    yield "["
+    for i in range(0, len(ordered), _CHUNK):
+        text = ", ".join(_ENCODER.encode(r.to_dict(timing=timing)) for r in ordered[i : i + _CHUNK])
+        yield ", " + text if i else text
+    yield "]"
+
+
+def reports_to_json(reports: list[Report], timing: bool = True) -> str:
+    """The reports in canonical order as one JSON array, the join of
+    `json_chunks`; the text equals the encoding of the whole list."""
+    return "".join(json_chunks(reports, timing))
 
 
 def summary_line(reports: list[Report]) -> str:

@@ -327,6 +327,30 @@ def test_failing_reports_exit_one(capsys):
     assert out.strip().splitlines()[-1] == "PASS 0/1"
 
 
+@pytest.mark.parametrize("count", [1, 513])
+def test_report_output_is_written_in_chunks(capsys, count):
+    from fractions import Fraction
+
+    from taucalc.cli import _emit_reports
+    from taucalc.report import _CHUNK, Report, json_chunks, reports_to_json
+
+    # 513 reports fill two whole chunks and start a third; one fails, so
+    # the exit code and the summary read every pass flag
+    reports = [
+        Report(id="eq4", params={"g": g, "d": (1, g)}, lhs=Fraction(g, 3), rhs=Fraction(g, 3 - (g == 7)))
+        for g in range(count, 0, -1)
+    ]
+    assert len(list(json_chunks(reports))) == 2 + -(-count // _CHUNK)
+    code = _emit_reports(reports, timing=False)
+    out = capsys.readouterr().out
+    assert code == (1 if count >= 7 else 0)
+    summary = f"PASS {count - (count >= 7)}/{count}"
+    assert out == reports_to_json(reports, timing=False) + "\n" + summary + "\n"
+    # and the text is the encoding of the whole list, in canonical order
+    whole = [r.to_dict(timing=False) for r in sorted(reports, key=lambda r: r.params["g"])]
+    assert out.splitlines()[0] == json.dumps(whole, default=str)
+
+
 def test_monotone_lambda_top(capsys):
     code, out, _ = run(capsys, "monotone", "--lambda", "top", "--n", "2",
                        "--gmax", "4", "--no-timing")

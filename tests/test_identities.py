@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from taucalc import brackets, identities
 from taucalc.brackets import BracketTable, bracket, cache_dumps
 from taucalc.identities import (
     IDENTITY_IDS,
@@ -107,19 +108,60 @@ def test_split_sum_rows_are_table_scoped():
     for key, v in a.items():
         plain.put(key, v)
     assert cache_dumps(a) == cache_dumps(plain)
-    # so is the convolution slot: filled in the same order on a fresh
-    # table, absent from the saved text, and emptied by clear()
-    assert a._conv and a._conv_k == 4
-    assert list(b._conv.items()) == list(a._conv.items())
+    # so are the convolution slots: one per K met, each holding only pairs
+    # (A, B) with A <= B, filled in the same order on a fresh table, absent
+    # from the saved text, and emptied by clear()
+    assert list(a._conv) == [4] and a._conv[4]
+    assert all(A <= B for A, B in a._conv[4])
+    assert list(b._conv[4].items()) == list(a._conv[4].items())
+    # a second K adds its own slot and leaves the first one as it was
+    kept = dict(a._conv[4])
+    assert split_sum(5, (0, 1), (0, 0), 2, (1, 1), a) == brute(5, (0, 1), (0, 0), 2, (1, 1))
+    assert list(a._conv) == [4, 5] and a._conv[4] == kept
     dumped = cache_dumps(a)
+    for key, v in a.items():
+        plain.put(key, v)
+    assert dumped == cache_dumps(plain)
     a.clear()
-    assert len(a) == 0 and not a._rows and not a._conv and a._conv_k is None
-    for key, v in b.items():
-        a.put(key, v)
-    assert cache_dumps(a) == dumped
+    assert len(a) == 0 and not a._rows and not a._conv
     a.clear()
     assert split_sum(*args, a) == value and list(a.items()) == list(b.items())
-    assert list(a._conv.items()) == list(b._conv.items())
+    assert list(a._conv) == [4] and list(a._conv[4].items()) == list(b._conv[4].items())
+
+
+@given(g=st.integers(0, 3), le=_extras, re_=_extras,
+       d=st.lists(st.integers(0, 4), max_size=3).map(tuple))
+@settings(max_examples=60, deadline=None)
+def test_split_sum_swaps_sides_with_sign(g, le, re_, d):
+    # C_K(B, A) = (-1)^K C_K(A, B): swapping the extras flips the sum by
+    # (-1)^K, and both orders agree with the brute force on one table
+    K = 3 * g - (sum(le) + sum(re_) + sum(d) + 4 - len(le) - len(re_) - len(d))
+    assume(0 <= K <= 6)
+    table = BracketTable()
+    forward = split_sum(K, le, re_, g, d, table)
+    backward = split_sum(K, re_, le, g, d, table)
+    assert forward == brute(K, le, re_, g, d)
+    assert backward == brute(K, re_, le, g, d)
+    assert backward == (-1) ** K * forward
+
+
+def test_c35_default_grid_convolution_count(monkeypatch):
+    # every distinct unordered (K, A, B) of the c35 grid is convolved once
+    # on a fresh table: neither its mirror (B, A) nor a K met again costs
+    # a second one
+    computed = []
+    convolution = identities._convolution
+
+    def counted(*args):
+        computed.append(args[1:4])
+        return convolution(*args)
+
+    monkeypatch.setattr(brackets, "_DEFAULT_TABLE", BracketTable())
+    monkeypatch.setattr(identities, "_convolution", counted)
+    g_max, n_max, run = identities.VERIFY_TOKENS["c35"]
+    assert all(r.passed for r in run(g_max, n_max))
+    assert len(computed) == len(set(computed)) == 2122
+    assert all(A <= B for _, A, B in computed)
 
 
 _call = st.tuples(st.integers(0, 6), _extras, _extras, st.lists(st.integers(0, 3), max_size=2).map(tuple))
@@ -131,7 +173,8 @@ def test_convolution_slot_matches_brute_force(calls):
     # one shared table for calls of mixed K: each drawn call also runs at
     # K + 3 (the same (A, B) pairs one genus up) and then back at K with d
     # moved into the left extras, which reaches its (A, B) from another
-    # (extras, d); a slot that kept values across K would answer stale ones
+    # (extras, d); a memo keyed by (A, B) alone, not by K too, would answer
+    # stale values
     table = BracketTable()
     for K, le, re_, d in calls:
         rest = sum(le) + sum(re_) + sum(d) + 4 - len(le) - len(re_) - len(d)  # >= -2
