@@ -32,7 +32,7 @@ from .npoint import (
     merged_series,
     npoint_series,
 )
-from .rationals import Rational, bernoulli, double_factorial, lcm_of_denominators, ord_at_prime
+from .rationals import bernoulli, double_factorial, lcm_of_denominators, ord_at_prime
 from .reduction import (
     faber_closed_form,
     kappa_to_psi,
@@ -46,7 +46,6 @@ __all__ = [
     "BracketTable",
     "MergedSeries",
     "NPointSeries",
-    "Rational",
     "Report",
     "SweepLimits",
     "alt_pair_sum",

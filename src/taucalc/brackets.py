@@ -130,8 +130,9 @@ class BracketTable:
     identity sweeps read (see `row`), one closed two-point row per genus
     that the engine reads its n = 2 keys from, and one convolution slot per
     K (see `convolutions`) that memoizes the sums split_sum builds from the
-    rows.  All of it lives as long as the table, is emptied by `clear` and
-    is never persisted: `cache_save` writes the memo entries only.
+    rows, and the kappa sub-integrals of `reduction.kappa_to_psi`.  All of
+    it lives as long as the table, is emptied by `clear` and is never
+    persisted: `cache_save` writes the memo entries only.
     """
 
     VERSION = "v1"
@@ -141,6 +142,7 @@ class BracketTable:
         self._rows: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
         self._pairs: dict[int, tuple[list[int], int]] = {}
         self._conv: dict[int, dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]] = {}
+        self._kappa: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -185,6 +187,7 @@ class BracketTable:
         self._rows.clear()
         self._pairs.clear()
         self._conv.clear()
+        self._kappa.clear()
         self.hits = self.misses = 0
 
 

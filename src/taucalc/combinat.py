@@ -2,8 +2,9 @@
 
 Everything here is exact integer combinatorics: multiset sweeps over
 exponent vectors, weighted sub-multiset splits (standing in for sums over
-ordered index subsets), and set partitions (the kappa reduction folds
-over block sums instead; the tests use the full enumeration as its oracle).
+ordered index subsets: the DVV boundary terms, the splitting sums and the
+kappa pushforward recursion all read them), and set partitions (no engine
+uses them; the tests sum the kappa reduction over them as its oracle).
 """
 
 from __future__ import annotations
@@ -64,18 +65,20 @@ def submultiset_splits(exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tup
     values v.  Summing f(left)*g(right)*count over the triples equals the
     sum of f(d_I)*g(d_J) over ordered pairs of index subsets I ⊔ J.
     """
-    groups = _grouped(tuple(exps))
+    # per value v of multiplicity c: k copies go left, c - k right, in C(c, k) ways
+    choices = [
+        [((v,) * k, (v,) * (c - k), comb(c, k)) for k in range(c + 1)]
+        for v, c in _grouped(tuple(exps))
+    ]
     out = []
-    choices = [range(c + 1) for _, c in groups]
     for take in product(*choices):
-        left: list[int] = []
-        right: list[int] = []
+        left = right = ()
         count = 1
-        for (v, c), k in zip(groups, take):
-            left.extend([v] * k)
-            right.extend([v] * (c - k))
-            count *= comb(c, k)
-        out.append((tuple(left), tuple(right), count))
+        for lv, rv, ways in take:
+            left += lv
+            right += rv
+            count *= ways
+        out.append((left, right, count))
     return out
 
 

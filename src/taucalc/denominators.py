@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .brackets import BracketTable, bracket
 from .combinat import multisets_with_sum, partitions
-from .rationals import PrimeOrder, factorize, lcm_of_denominators, ord_at_prime, primes_upto
+from .rationals import factorize, lcm_of_denominators, ord_at_prime, primes_upto
 from .reduction import kappa_to_psi
 from .report import Report, timed_report
 
@@ -47,27 +47,19 @@ class DenominatorProfile:
     genus: int
     value: int
     n: int | None = None
-    factors: list[PrimeOrder] = field(default_factory=list)
-
-    def ord(self, p: int) -> int:
-        for f in self.factors:
-            if f.prime == p:
-                return f.order
-        return 0
+    factors: dict[int, int] = field(default_factory=dict)
 
     def rendered(self) -> str:
         if not self.factors:
             return "1"
-        return " · ".join(
-            f"{f.prime}^{f.order}" if f.order > 1 else str(f.prime) for f in self.factors
-        )
+        return " · ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors.items())
 
     def to_dict(self) -> dict:
         out: dict = {"g": self.genus}
         if self.n is not None:
             out["n"] = self.n
         out["value"] = self.value
-        out["factors"] = [[f.prime, f.order] for f in self.factors]
+        out["factors"] = [[p, e] for p, e in self.factors.items()]
         out["rendered"] = self.rendered()
         return out
 
@@ -77,9 +69,13 @@ def _profile(genus: int, value: int, n: int | None = None) -> DenominatorProfile
 
 
 def compute_D(genus: int, n: int, table: BracketTable | None = None) -> DenominatorProfile:
-    """lcm of bracket denominators over all exponent multisets of size n."""
+    """lcm of bracket denominators over all exponent multisets of size n >= 1."""
     if n < 0:
         raise ValueError(f"the number of points must be nonnegative, got n={n}")
+    if n == 0:
+        # no psi monomial of degree 3g-3 lives on zero points, and an lcm
+        # over nothing would read as D = 1
+        raise ValueError(f"D(g, n) needs n >= 1 points, since no bracket lives on zero: g={genus}")
     if 2 * genus - 2 + n <= 0 or 3 * genus - 3 + n < 0:
         raise ValueError(f"unstable or empty moduli space: g={genus}, n={n}")
     values = [
@@ -169,8 +165,8 @@ def _conjecture41_sides(genus: int, table: BracketTable | None):
 
     detail: dict = {"orders": {}, "witnesses": {}}
     for p in sorted(want):
-        detail["orders"][p] = {"computed": profile.ord(p), "conjectured": want[p]}
-    stray = [f.prime for f in profile.factors if f.prime not in want]
+        detail["orders"][p] = {"computed": profile.factors.get(p, 0), "conjectured": want[p]}
+    stray = [p for p in profile.factors if p not in want]
     detail["stray_primes"] = stray
 
     witness_ok = True
@@ -218,19 +214,19 @@ def threshold_check(genus: int, table: BracketTable | None = None) -> Report:
     return timed_report("c42", {"g": genus}, sides)
 
 
-def s_g_lower_bounds(genus: int) -> list[PrimeOrder]:
+def s_g_lower_bounds(genus: int) -> dict[int, int]:
     """Nested-floor lower bounds for the prime orders of the automorphism
     lcm of genus-g stable curves: p = 2 starts from 2g and halves g;
-    odd p iterates k -> k // p from k = floor(2g/(p-1))."""
+    odd p iterates k -> k // p from k = floor(2g/(p-1)).  Returns {prime:
+    order} in ascending prime order."""
     if genus < 2:
         raise ValueError("needs genus >= 2")
-    out = []
     total = 2 * genus
     m = genus // 2
     while m:
         total += m
         m //= 2
-    out.append(PrimeOrder(2, total))
+    out = {2: total}
     for p in primes_upto(2 * genus + 1):
         if p < 3:
             continue
@@ -241,7 +237,7 @@ def s_g_lower_bounds(genus: int) -> list[PrimeOrder]:
         while k:
             total += k
             k //= p
-        out.append(PrimeOrder(p, total))
+        out[p] = total
     return out
 
 
@@ -251,14 +247,15 @@ def compare_D_S(genus: int, table: BracketTable | None = None) -> Report:
 
     def sides():
         profile = compute_script_D(genus, table)
-        bounds = {po.prime: po.order for po in s_g_lower_bounds(genus)}
-        checks = [("2", profile.ord(2) > bounds[2]), ("3", profile.ord(3) >= bounds.get(3, 0))]
+        orders = profile.factors
+        bounds = s_g_lower_bounds(genus)
+        checks = [("2", orders.get(2, 0) > bounds[2]), ("3", orders.get(3, 0) >= bounds.get(3, 0))]
         for p, b in bounds.items():
             if p >= 5:
-                checks.append((str(p), profile.ord(p) <= b))
+                checks.append((str(p), orders.get(p, 0) <= b))
         extra = {
-            "bounds": {p: b for p, b in bounds.items()},
-            "orders": {po.prime: po.order for po in profile.factors},
+            "bounds": bounds,
+            "orders": orders,
             "failed": [name for name, ok in checks if not ok],
             "note": "bounds are the formula side only; the automorphism lcm itself is not enumerated",
         }

@@ -16,7 +16,6 @@ from typing import Callable, Iterable
 
 from .brackets import BracketTable, _two_point_numerators, bracket, one_point
 from .combinat import multinomial, multisets_with_sum, partitions
-from .rationals import Rational
 from .reduction import kappa_to_psi
 from .report import Report, timed_report
 
@@ -84,7 +83,7 @@ def _swap_sweep(
     ident: str,
     params: dict,
     cases: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-    value: Callable[[tuple[int, ...]], Rational],
+    value: Callable[[tuple[int, ...]], Fraction],
 ) -> Report:
     """Compare value(low) <= value(high) for every case, in case order.
 
@@ -92,9 +91,9 @@ def _swap_sweep(
     multisets with many others, so the values live in a dict that is
     dropped when the sweep returns.
     """
-    seen: dict[tuple[int, ...], Rational] = {}
+    seen: dict[tuple[int, ...], Fraction] = {}
 
-    def at(d: tuple[int, ...]) -> Rational:
+    def at(d: tuple[int, ...]) -> Fraction:
         v = seen.get(d)
         if v is None:
             v = seen[d] = value(d)

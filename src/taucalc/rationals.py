@@ -9,17 +9,12 @@ is 1 -- that is exactly `str(Fraction)`, and `parse_rational` inverts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from typing import Iterable
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
-    "PrimeOrder",
     "double_factorial",
     "odd_double_factorial",
     "bernoulli",
@@ -30,14 +25,6 @@ __all__ = [
     "parse_rational",
     "parse_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class PrimeOrder:
-    """A prime together with the exponent it carries in some factorization."""
-
-    prime: int
-    order: int
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +76,7 @@ def _int_ord(n: int, p: int) -> int:
     return v
 
 
-def ord_at_prime(r: Rational | int, p: int) -> int:
+def ord_at_prime(r: Fraction | int, p: int) -> int:
     """p-adic valuation of a nonzero rational; negative when p divides the denominator."""
     r = Fraction(r)
     if r == 0:
@@ -99,7 +86,7 @@ def ord_at_prime(r: Rational | int, p: int) -> int:
     return _int_ord(abs(r.numerator), p) - _int_ord(r.denominator, p)
 
 
-def lcm_of_denominators(values: Iterable[Rational]) -> int:
+def lcm_of_denominators(values: Iterable[Fraction]) -> int:
     """lcm of reduced-form denominators; 1 for the empty collection."""
     out = 1
     for v in values:
@@ -110,20 +97,21 @@ def lcm_of_denominators(values: Iterable[Rational]) -> int:
     return out
 
 
-def factorize(n: int) -> list[PrimeOrder]:
-    """Prime factorization of a positive integer by trial division."""
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer by trial division, as
+    {prime: order} in ascending prime order."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    out = []
+    out = {}
     p = 2
     while p * p <= n:
         if n % p == 0:
             e = _int_ord(n, p)
-            out.append(PrimeOrder(p, e))
+            out[p] = e
             n //= p**e
         p += 1 if p == 2 else 2
     if n > 1:
-        out.append(PrimeOrder(n, 1))
+        out[n] = 1
     return out
 
 
@@ -139,7 +127,7 @@ def primes_upto(bound: int) -> list[int]:
     return out
 
 
-def format_rational(r: Rational) -> str:
+def format_rational(r: Fraction) -> str:
     return str(Fraction(r))
 
 

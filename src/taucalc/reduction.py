@@ -2,22 +2,20 @@
 
 Two routes live here:
 
-* the kappa reduction of <prod tau_d prod kappa_a> to a signed sum of pure
-  tau brackets (Arbarello-Cornalba): one tau_{sum(a_B)+1} per block B of a
-  set partition of the kappa indices, with weight (-1)^{|B|-1}; the weight
-  follows from unfolding kappa_a = pi_*(psi^{a+1}) against
-  pi^* kappa_b = kappa_b - psi^b, and is pinned by the kappa_0 and
-  single-kappa laws in the suite.  The sum depends only on the multiset of
-  block sums, so it is folded over the kappa indices one at a time: a new
-  index opens a block (weight +1) or joins one of the c blocks sharing a
-  sum s (weight -c).  The states are the multisets of block sums, so the
-  cost grows with their number instead of with the Bell(m) set
-  partitions: kappa_1^11 keeps p(11) = 56 states where the partitions
-  number 678570.  Each resulting bracket is read once, in the engine's
-  sigma form S_g = prod (2d+1)!! <tau_d>_g as a dyadic pair (num, e):
-  with L the lcm of the states' weights prod (2s+3)!!, every state's
-  count is scaled to L, the products with num are summed as integers per
-  exponent e, and one Fraction is built over L sigma_weight(psi) 2^e,
+* the kappa reduction of <prod tau_d prod kappa_a> to pure tau brackets
+  by the pushforward recursion (Arbarello-Cornalba): with b the largest
+  kappa index and B' the others, kappa_b = pi_*(psi_{n+1}^{b+1}),
+  pi^* kappa_a = kappa_a - psi_{n+1}^a and psi_{n+1} D_{i,n+1} = 0 give
+      <kappa_{B'} kappa_b prod tau_d>_{g,n}
+        = sum_{S in B'} (-1)^{|S|} mult(S)
+                        <kappa_{B'-S} tau_{b+1+sum S} prod tau_d>_{g,n+1}
+  over the sub-multisets S of B' (mult(S) the product of binomials, as in
+  `combinat.submultiset_splits`), ending in a pure bracket when no kappa
+  is left.  Every kappa monomial of a genus shares the sub-integrals, so
+  they are memoized on the bracket table, in sigma form times an integer
+  D(kappa) that clears the (2c+1)!! of every new tau_c: the value is a
+  dyadic pair (num, e), each term adds an integer multiple of num per
+  exponent e, and one Fraction is built at the root,
 * the closed lambda_g formula
       <prod psi^{d_j} lambda_g> = C(2g+n-3; d) (2^{2g-1}-1)/2^{2g-1} |B_2g|/(2g)!.
 
@@ -28,13 +26,15 @@ and `identities.lambda_gg1_bracket`.  Their closed forms stay here.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
-from math import factorial, lcm, prod
+from functools import lru_cache
+from math import factorial, lcm
 from typing import Iterable
 
-from .brackets import BracketTable, dyadic_ratio, dyadic_sum, sigma_bracket, sigma_weight
-from .combinat import multinomial
+from .brackets import (
+    BracketTable, default_table, dyadic_ratio, dyadic_sum, sigma_bracket, sigma_weight,
+)
+from .combinat import multinomial, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_succ = (1).__add__
 
 
 def kappa_to_psi(
@@ -65,48 +64,51 @@ def kappa_to_psi(
     n = len(psi)
     if sum(psi) + sum(kappa) != 3 * genus - 3 + n or 2 * genus - 2 + n <= 0:
         return _ZERO
-
-    L, states = _block_sum_states(kappa)
-    # bracket(g, psi + (s+1 ...)) = S_g / (sigma_weight(psi) prod (2s+3)!!),
-    # so with each count scaled to L one integer sum per exponent e remains
-    acc: dict[int, int] = {}
-    for sums, scale in states:
-        num, e = sigma_bracket(genus, psi + tuple(map(_succ, sums)), table)
-        if num:
-            acc[e] = acc.get(e, 0) + scale * num
-    return Fraction(*dyadic_ratio(dyadic_sum(acc), L * sigma_weight(psi)))
+    t = table if table is not None else default_table()
+    value = _sigma_kappa(genus, psi, kappa, t)
+    return Fraction(*dyadic_ratio(value, _kappa_plan(kappa)[0] * sigma_weight(psi)))
 
 
-def _block_sum_states(kappa: tuple[int, ...]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """Fold the kappa indices in one at a time.
+@lru_cache(maxsize=None)
+def _kappa_plan(
+    kappa: tuple[int, ...],
+) -> tuple[int, tuple[tuple[int, tuple[int, ...], int], ...]]:
+    """(D, terms) for the ascending kappa indices B' + (b).
 
-    A state is the sorted tuple of block sums, its count the signed number
-    of set partitions of the indices folded so far that have those sums.
-    Returns L, the lcm of the weights prod (2s+3)!! of the states with a
-    nonzero count, and those states in fold order, each paired with its
-    count times L / weight.
+    D(()) = 1, and D(kappa) is the lcm over the sub-multisets S of B' of
+    (2c+1)!! D(B' - S) with c = b+1+sum(S).  terms holds, per S, the triple
+    (c, B' - S, (-1)^|S| mult(S) D(kappa) / ((2c+1)!! D(B' - S))).
     """
-    states: dict[tuple[int, ...], int] = {(): 1}
-    for a in kappa:
-        folded: dict[tuple[int, ...], int] = {}
-        get = folded.get
-        for sums, coeff in states.items():
-            opened = tuple(sorted(sums + (a,)))
-            folded[opened] = get(opened, 0) + coeff
-            for s in set(sums):
-                # joining any of the sums.count(s) blocks of sum s gives the
-                # same state and flips the sign (-1)^{|B|-1} of that block
-                rest = list(sums)
-                rest.remove(s)
-                insort(rest, s + a)
-                joined = tuple(rest)
-                folded[joined] = get(joined, 0) - sums.count(s) * coeff
-        states = folded
+    if not kappa:
+        return 1, ()
+    b = kappa[-1]
+    parts = [
+        (b + 1 + sum(S), rest, (-1) ** len(S) * count)
+        for S, rest, count in submultiset_splits(kappa[:-1])
+    ]
+    dens = [odd_double_factorial(c) * _kappa_plan(rest)[0] for c, rest, _ in parts]
+    D = lcm(*dens)
+    return D, tuple((c, rest, coeff * (D // x)) for (c, rest, coeff), x in zip(parts, dens))
 
-    w = [odd_double_factorial(s + 1) for s in range(sum(kappa) + 1)]
-    weights = {sums: prod(map(w.__getitem__, sums)) for sums, c in states.items() if c}
-    L = lcm(*weights.values())
-    return L, [(sums, states[sums] * (L // x)) for sums, x in weights.items()]
+
+def _sigma_kappa(
+    g: int, psi: tuple[int, ...], kappa: tuple[int, ...], t: BracketTable
+) -> tuple[int, int]:
+    """sigma_weight(psi) D(kappa) <prod tau_psi prod kappa_kappa>_g as (num, e),
+    for ascending psi and kappa that fit the dimension; memoized on t."""
+    if len(kappa) < 2:
+        # no kappa, or the last step: one term, tau_{b+1}, with D((b,)) = (2b+3)!!
+        return sigma_bracket(g, psi + (kappa[0] + 1,) if kappa else psi, t)
+    key = (g, psi, kappa)
+    value = t._kappa.get(key)
+    if value is None:
+        acc: dict[int, int] = {}
+        for c, rest, w in _kappa_plan(kappa)[1]:
+            num, e = _sigma_kappa(g, tuple(sorted(psi + (c,))), rest, t)
+            if num:
+                acc[e] = acc.get(e, 0) + w * num
+        value = t._kappa[key] = dyadic_sum(acc)
+    return value
 
 
 def lambda_g_bracket(genus: int, exponents: Iterable[int]) -> Fraction:

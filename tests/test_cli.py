@@ -222,6 +222,12 @@ def test_denom_output(capsys):
     assert code == 0 and json.loads(out.strip().splitlines()[1])["value"] == 24
 
 
+def test_denom_on_zero_points_is_an_input_error(capsys):
+    # D(g, 0) would be an lcm over no bracket, and used to print D(2,0) = 1
+    code, out, err = run(capsys, "denom", "--g", "2", "--n", "0")
+    assert code == 2 and out == "" and "n >= 1" in err
+
+
 def test_cache_round_trip(tmp_path, capsys):
     warm = tmp_path / "warm.cache"
     code, out, _ = run(capsys, "compute", "--g", "3", "--d", "1,2,6", "--cache", str(warm))

@@ -1,7 +1,8 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; about 15 s of extra work, most of it the
-two-point monotonicity rows through genus 300.  The standard
+Enable with TAUCALC_DEEP=1; the module takes about 10 s on a 2-vCPU VM,
+7 s of it the two-point monotonicity rows through genus 300 and 1.3 s the
+denominator block through genus 8.  The standard
 acceptance module stays authoritative; this is head-room validation.
 """
 
@@ -11,7 +12,7 @@ import pytest
 
 from taucalc.brackets import BracketTable
 from taucalc.combinat import multisets_with_sum
-from taucalc.identities import verify
+from taucalc.identities import VERIFY_TOKENS, verify
 from taucalc.npoint import npoint_series
 from oracles import warm_table_from_series
 
@@ -49,3 +50,11 @@ def test_two_point_monotonicity_deep():
 
     report = psi_swap_deep(300)
     assert report.passed and int(report.lhs) == sum((3 * g - 1) // 2 for g in range(1, 301))
+
+
+def test_denominator_block_through_genus_eight():
+    # c41, c42 and c4s for g = 2..8, and c43 for each pair g <= h with
+    # g + h <= 8
+    reports = VERIFY_TOKENS["c41"][2](8, 1)
+    assert all(r.passed for r in reports), [r.id for r in reports if not r.passed]
+    assert len(reports) == 3 * 7 + 25

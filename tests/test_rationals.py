@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taucalc.rationals import (
-    PrimeOrder,
     bernoulli,
     double_factorial,
     factorize,
@@ -72,8 +71,8 @@ def test_lcm_of_denominators():
 
 
 def test_factorize():
-    assert factorize(5760) == [PrimeOrder(2, 7), PrimeOrder(3, 2), PrimeOrder(5, 1)]
-    assert factorize(1) == []
+    assert list(factorize(5760).items()) == [(2, 7), (3, 2), (5, 1)]
+    assert factorize(1) == {}
 
 
 def test_serialization_round_trip():

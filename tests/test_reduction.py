@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucalc.brackets import BracketTable, bracket
-from taucalc.combinat import multisets_with_sum, set_partitions
+from taucalc.brackets import BracketTable, bracket, cache_dumps
+from taucalc.combinat import multisets_with_sum, partitions, set_partitions
 from taucalc.identities import ch_insertion, lambda_gg1_bracket
 from taucalc.reduction import (
     faber_closed_form,
@@ -109,6 +109,40 @@ def test_kappa_fold_matches_set_partition_sum(data):
     table = BracketTable()
     expected = _kappa_by_set_partitions(g, psi, kappa, table)
     assert kappa_to_psi(g, psi, kappa, table) == expected
+
+
+def test_kappa_memo_is_shared_across_monomials():
+    # every kappa partition of 3g-3+n with psi = (0,)*n, g <= 3, n <= 2
+    cases = [
+        (g, (0,) * n, kappa)
+        for g in range(1, 4)
+        for n in range(3)
+        if 2 * g - 2 + n > 0
+        for kappa in partitions(3 * g - 3 + n)
+    ]
+    assert len(cases) == 66
+    oracle = BracketTable()
+    forward = BracketTable()
+    values = {}
+    for g, psi, kappa in cases:
+        values[g, psi, kappa] = kappa_to_psi(g, psi, kappa, forward)
+        assert values[g, psi, kappa] == _kappa_by_set_partitions(g, psi, kappa, oracle), (g, kappa)
+    # a later monomial reads the sub-integrals an earlier one left, so the
+    # values must not depend on the order the monomials come in
+    backward = BracketTable()
+    for g, psi, kappa in reversed(cases):
+        assert kappa_to_psi(g, psi, kappa, backward) == values[g, psi, kappa], (g, kappa)
+    assert forward._kappa and backward._kappa == forward._kappa
+
+    # the memo is derived data of its table: a second table starts without
+    # it, it is never saved, and clear() empties it
+    assert not BracketTable()._kappa
+    plain = BracketTable()
+    for key, v in forward.items():
+        plain.put(key, v)
+    assert cache_dumps(forward) == cache_dumps(plain)
+    forward.clear()
+    assert len(forward) == 0 and not forward._kappa
 
 
 def test_single_kappa_law():
