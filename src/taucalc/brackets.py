@@ -25,17 +25,19 @@ coefficients and one 1/2 (no division by (2k+3)!!):
 
 with ordered pairs (I, J) and unstable or dimension-violating brackets
 equal to 0.  Sub-keys with a tau_0 or tau_1 are canonicalized in turn, and
-every key visited, closed or not, is memoized under its own exponents, so
-the descent only ever sees n >= 3 keys and stops at n <= 2.  S_1(1) =
-3 <tau_1>_1 = 1/8 is answered before the memo and never stored, so no
-cache file holds it.
+every key of genus >= 1 visited, closed or not, is memoized under its own
+exponents, so the descent only ever sees n >= 3 keys and stops at n <= 2.
+Genus-0 keys and S_1(1) = 3 <tau_1>_1 = 1/8 are answered before the memo
+and never stored, so no cache file written here holds them.
 The test suite checks the closed forms and both equations against the
 n-point series engine.
 
 Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
-the pair (num, e), num odd or zero, and sums add by shifting.  Fractions
-are built only at the boundary: `bracket` returns num/(2^e prod (2d_j+1)!!),
-and the cache file and BracketTable.put/items hold <tau_d>_g.
+the pair (num, e), num odd or zero, and sums add by shifting.  Every sum
+of such pairs, here and in the derived memos, goes through `dyadic_sum`,
+which returns that normal form.  Fractions are built only at the
+boundary: `bracket` returns num/(2^e prod (2d_j+1)!!), and the cache file
+and BracketTable.put/items hold <tau_d>_g.
 
 Brackets are total functions: out-of-range input returns 0, never raises.
 """
@@ -46,6 +48,7 @@ import contextlib
 import hashlib
 import io
 import os
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
@@ -68,9 +71,6 @@ _ZERO = Fraction(0)
 _DZERO = (0, 0)
 _S11 = (1, 3)  # S_1(1) = 3 * 1/24 = 1/2^3
 
-# genus-0 brackets this small are cheaper to recompute than to store
-_GENUS0_CACHE_THRESHOLD = 8
-
 
 def sigma_weight(exponents: Iterable[int]) -> int:
     """prod (2d_j+1)!!, the factor between <prod tau_{d_j}> and S(d)."""
@@ -85,12 +85,6 @@ def _dyadic(num: int, e: int) -> tuple[int, int]:
     return num >> tz, e - tz
 
 
-def _fold(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of the dyadic terms (num, e), in normal form."""
-    top = max(e for _, e in terms)
-    return _dyadic(sum(num << (top - e) for num, e in terms), top)
-
-
 def dyadic_ratio(value: tuple[int, int], weight: int) -> tuple[int, int]:
     """(num, den), not reduced, of num/(2^e weight) for value = (num, e)."""
     num, e = value
@@ -98,11 +92,12 @@ def dyadic_ratio(value: tuple[int, int], weight: int) -> tuple[int, int]:
 
 
 def dyadic_sum(acc: dict[int, int]) -> tuple[int, int]:
-    """sum of v/2^e over acc = {e: v} as (num, e); (0, 0) if acc is empty."""
+    """sum of v/2^e over acc = {e: v} as (num, e), num odd or zero; (0, 0)
+    if acc is empty."""
     if not acc:
         return _DZERO
     top = max(acc)
-    return sum(v << (top - e) for e, v in acc.items()), top
+    return _dyadic(sum(v << (top - e) for e, v in acc.items()), top)
 
 
 def _sigma_form(weight: int, num: int, den: int) -> tuple[int, int]:
@@ -126,22 +121,33 @@ class BracketTable:
     value), so concurrent fills are safe under the interpreter's atomic
     dict operations.
 
-    The table also owns derived data: the one-sided rows that the
-    identity sweeps read (see `row`), one closed two-point row per genus
-    that the engine reads its n = 2 keys from, and one convolution slot per
-    K (see `convolutions`) that memoizes the sums split_sum builds from the
-    rows, and the kappa sub-integrals of `reduction.kappa_to_psi`.  All of
-    it lives as long as the table, is emptied by `clear` and is never
-    persisted: `cache_save` writes the memo entries only.
+    The table also owns derived data, in plain dicts that their callers
+    index and fill directly, every value in the same (num, e) normal form:
+
+      _pairs  genus -> the closed two-point row that the engine reads its
+              n = 2 keys from
+      _rows   ascending multiset E -> {j: S(j, E)}, the one-sided rows
+              <sigma_j prod sigma_E> at the genus that fits the dimension,
+              read by identities.split_sum
+      _conv   K -> {(A, B): C_K(A, B)}, A <= B, the convolutions split_sum
+              builds from two rows.  The slot of every K is kept, since a
+              sweep comes back to a K it has left: c35 at --gmax 6
+              --nmax 4 runs 57 stretches of K over 17 values.
+      _kappa  the kappa sub-integrals of reduction.kappa_to_psi
+
+    All of it lives as long as the table, is emptied by `clear` and is
+    never persisted: `cache_save` writes the memo entries only.
     """
 
     VERSION = "v1"
 
     def __init__(self) -> None:
         self._data: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-        self._rows: dict[tuple[int, ...], dict[int, tuple[int, int]]] = {}
+        self._rows: defaultdict[tuple[int, ...], dict[int, tuple[int, int]]] = defaultdict(dict)
         self._pairs: dict[int, tuple[list[int], int]] = {}
-        self._conv: dict[int, dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]] = {}
+        self._conv: defaultdict[
+            int, dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]
+        ] = defaultdict(dict)
         self._kappa: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
         self.hits = 0
         self.misses = 0
@@ -160,27 +166,6 @@ class BracketTable:
     def update(self, other: "BracketTable") -> None:
         """Copy every memo entry of `other` into this table."""
         self._data.update(other._data)
-
-    def row(self, extras: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-        """The row for the ascending multiset `extras`: a dict, filled by the
-        caller, mapping j to the sigma form (num, e) of <tau_j prod
-        tau_extras> at the one genus that fits its dimension."""
-        r = self._rows.get(extras)
-        if r is None:
-            r = self._rows[extras] = {}
-        return r
-
-    def convolutions(self, K: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]:
-        """The slot for K: a dict, filled by the caller, mapping a pair of
-        ascending multisets (A, B) with A <= B to the convolution of rows A
-        and B at K (see identities.split_sum).  The slot of every K is kept
-        for the life of the table, since a sweep comes back to a K it has
-        left: c35 at --gmax 6 --nmax 4 runs 57 stretches of K over 17
-        values."""
-        slot = self._conv.get(K)
-        if slot is None:
-            slot = self._conv[K] = {}
-        return slot
 
     def clear(self) -> None:
         self._data.clear()
@@ -248,7 +233,7 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
     n = len(d)
     if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
         return _DZERO
-    if g == 0 and n <= _GENUS0_CACHE_THRESHOLD:
+    if g == 0:
         return _genus0(d)
     if g == 1 and d == (1,):
         return _S11
@@ -260,9 +245,7 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
         return v
     t.misses += 1
 
-    if g == 0:
-        value = _genus0(d)
-    elif n == 1:
+    if n == 1:
         value = _sigma_form(sigma_weight(d), 1, 24**g * factorial(g))
     elif n == 2:
         row = t._pairs.get(g)
@@ -322,13 +305,13 @@ def _two_point_numerators(g: int) -> tuple[list[int], int]:
 
 def _string(g: int, rest: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
     """S_g(0, rest) = sum_j (2 rest_j + 1) S_g(... rest_j - 1 ...) (g >= 1)."""
-    terms = []
+    acc: dict[int, int] = {}
     for i, x in enumerate(rest):
         if x >= 1 and (i == 0 or rest[i - 1] != x):
             # lowering the first of a run of equal values keeps the tuple sorted
             num, e = _bracket(g, rest[:i] + (x - 1,) + rest[i + 1 :], t)
-            terms.append((rest.count(x) * (2 * x + 1) * num, e))
-    return _fold(terms)
+            acc[e] = acc.get(e, 0) + rest.count(x) * (2 * x + 1) * num
+    return dyadic_sum(acc)
 
 
 def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
@@ -343,14 +326,14 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
     k = d[-1] - 1
     rest = d[:-1]
 
-    terms = []
+    acc: dict[int, int] = {}
 
     # descent: raise one remaining exponent by k (group equal values)
     for i, x in enumerate(rest):
         if i == 0 or rest[i - 1] != x:
             sub = tuple(sorted(rest[:i] + rest[i + 1 :] + (x + k,)))
             num, e = _bracket(g, sub, t)
-            terms.append((rest.count(x) * (2 * x + 1) * num, e))
+            acc[e] = acc.get(e, 0) + rest.count(x) * (2 * x + 1) * num
 
     # boundary terms (k >= 1 since every exponent is >= 2); their 1/2 is
     # the +1 on the exponent
@@ -359,7 +342,7 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
         s = k - 1 - r
         # irreducible: genus drops, both new insertions on one component
         num, e = _bracket(g - 1, tuple(sorted(rest + (r, s))), t)
-        terms.append((num, e + 1))
+        acc[e + 1] = acc.get(e + 1, 0) + num
         # reducible: ordered splits; the left factor's genus is forced
         # by its dimension, other genera contribute 0
         for left, right, count in splits:
@@ -370,9 +353,10 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
             if ln:
                 rn, re = _bracket(g - gl, tuple(sorted((s,) + right)), t)
                 if rn:
-                    terms.append((count * ln * rn, le + re + 1))
+                    e = le + re + 1
+                    acc[e] = acc.get(e, 0) + count * ln * rn
 
-    return _fold(terms)
+    return dyadic_sum(acc)
 
 
 class CacheError(ValueError):
@@ -424,13 +408,13 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     """Parse a TAUCACHE file into a fresh table.
 
     The file must end with the checksum trailer that cache_save writes;
-    a file without it, or with entries after it, is rejected, and so is a
-    value whose sigma form (see the module docstring) is not dyadic.  A key
-    the engine never stores (a negative genus or exponent, an unstable
-    (g, n), or exponents not summing to 3g-3+n) is rejected before its
-    weight is computed, and the weights are computed in a memo local to
-    the load, so a hostile file cannot fill the process-wide factorial
-    caches.
+    a file without it, or with entries after it, is rejected, and so are a
+    second line with the key of an earlier one and a value whose sigma
+    form (see the module docstring) is not dyadic.  A key the engine never
+    stores (a negative genus or exponent, an unstable (g, n), or exponents
+    not summing to 3g-3+n) is rejected before its weight is computed, and
+    the weights are computed in a memo local to the load, so a hostile file
+    cannot fill the process-wide factorial caches.
     With verify=True every entry is recomputed from scratch (through a
     private empty table) and compared; any disagreement aborts the load.
     """
@@ -456,6 +440,8 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     # recomputed values, never the file's claims
     scratch = BracketTable()
     entry_lines: list[str] = []
+    # the line each key was read from; cache_save never writes a key twice
+    first_line: dict[tuple[int, tuple[int, ...]], int] = {}
     # (2d+1)!! memoized for this load only, not in odd_double_factorial
     weight = lru_cache(maxsize=None)(lambda d: prod(range(2 * d + 1, 0, -2)))
     sealed = False
@@ -484,6 +470,9 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
         n = len(exps)
         if g < 0 or (exps and exps[0] < 0) or 2 * g - 2 + n <= 0 or sum(exps) != 3 * g - 3 + n:
             raise CacheError(f"line {lineno}: no bracket has the key of {line!r}")
+        first = first_line.setdefault((g, exps), lineno)
+        if first != lineno:
+            raise CacheError(f"line {lineno}: the key of {line!r} was already read on line {first}")
         if verify:
             recomputed = bracket(g, exps, scratch)
             if recomputed != Fraction(num, den):

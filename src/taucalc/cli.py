@@ -154,20 +154,22 @@ def _run_denom(args) -> int:
 
 
 def _run_monotone(args) -> int:
-    timing = not args.no_timing
     if args.lam == "top":
         strata = mono.stable_strata(1, args.gmax, args.n, args.n)
-        return _emit_reports([mono.lambda_g_swap_check(g, n) for g, n in strata], timing)
-    if args.n == 2:
-        report = mono.psi_swap_deep(
-            args.gmax, progress=lambda msg: print(msg, file=sys.stderr)
-        )
-        return _emit_reports([report], timing)
-    reports = []
-    for g, n in mono.stable_strata(0, args.gmax, args.n, args.n):
-        reports.append(mono.psi_swap_check(g, n))
-        print(f"g={g} done", file=sys.stderr)
-    return _emit_reports(reports, timing)
+        reports = [mono.lambda_g_swap_check(g, n) for g, n in strata]
+    elif args.n == 2:
+        reports = [mono.psi_swap_deep(args.gmax, progress=lambda msg: print(msg, file=sys.stderr))]
+    else:
+        reports = []
+        for g, n in mono.stable_strata(0, args.gmax, args.n, args.n):
+            reports.append(mono.psi_swap_check(g, n))
+            print(f"g={g} done", file=sys.stderr)
+    # every monotone report counts its comparisons on the lhs; a run that
+    # compares nothing must not read as a pass
+    if not any(r.lhs for r in reports):
+        print("error: the grid holds no instance to compare", file=sys.stderr)
+        return 2
+    return _emit_reports(reports, not args.no_timing)
 
 
 def _with_cache(args, body) -> int:
@@ -212,10 +214,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _with_cache(args, lambda: print(kappa_to_psi(args.g, d, args.a)) or 0)
 
         if args.verb == "npoint":
-            series = (merged_series if args.special else npoint_series)(args.n, args.gmax)
-            for line in series.dump_lines():
-                print(line)
-            return 0
+            def npoint_body() -> int:
+                series = (merged_series if args.special else npoint_series)(args.n, args.gmax)
+                for line in series.dump_lines():
+                    print(line)
+                return 0
+
+            return _with_cache(args, npoint_body)
 
         if args.verb == "verify":
             return _with_cache(args, lambda: _run_verify(args))

@@ -216,28 +216,16 @@ def threshold_check(genus: int, table: BracketTable | None = None) -> Report:
 
 def s_g_lower_bounds(genus: int) -> dict[int, int]:
     """Nested-floor lower bounds for the prime orders of the automorphism
-    lcm of genus-g stable curves: p = 2 starts from 2g and halves g;
-    odd p iterates k -> k // p from k = floor(2g/(p-1)).  Returns {prime:
-    order} in ascending prime order."""
+    lcm of genus-g stable curves: 2g + ord_2(g!) at p = 2, and k + ord_p(k!)
+    with k = floor(2g/(p-1)) at odd p.  Returns {prime: order} in ascending
+    prime order."""
     if genus < 2:
         raise ValueError("needs genus >= 2")
-    total = 2 * genus
-    m = genus // 2
-    while m:
-        total += m
-        m //= 2
-    out = {2: total}
+    out = {2: 2 * genus + _ord_factorial(2, genus)}
     for p in primes_upto(2 * genus + 1):
-        if p < 3:
-            continue
-        k = 2 * genus // (p - 1)
-        if k == 0:
-            continue
-        total = 0
-        while k:
-            total += k
-            k //= p
-        out[p] = total
+        if p >= 3:
+            k = 2 * genus // (p - 1)
+            out[p] = k + _ord_factorial(p, k)
     return out
 
 

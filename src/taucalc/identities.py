@@ -17,10 +17,11 @@ insertion combinations all go through `split_sum`.  It returns 0 at once
 unless the genus fits both factors' dimensions.  Otherwise each split of d
 adds one convolution C_K(A, B) over j of two rows <sigma_j prod sigma_E>,
 in the engine's dyadic (num, e) form, that the bracket table keeps per
-sorted multiset E.  Since C_K(B, A) = (-1)^K C_K(A, B), only the pair with
-A <= B is computed, and the table keeps it for every K it meets (rows and
-convolutions are derived data, never saved).  A call accumulates integer
-numerators and builds one Fraction.
+sorted multiset E in its `_rows`.  Since C_K(B, A) = (-1)^K C_K(A, B),
+only the pair with A <= B is computed, and the table keeps it in its
+`_conv` slot for every K it meets (rows and convolutions are derived data,
+never saved; see BracketTable).  A call accumulates integer numerators and
+builds one Fraction.
 
 The bracket side of eq3 is (2g)!/B_2g times Mumford's expansion of
 <ch_{2g-1} prod tau_d>_g, so `ch_insertion` (any odd Chern character of
@@ -131,13 +132,13 @@ def _convolution(
     t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int
 ) -> tuple[int, int]:
     """C_K(A, B) = sum_j scale_K[j] S(j, A) S(K-j, B) as (num, e) = num/2^e,
-    where S(j, E) is row E of the table at j (BracketTable.row, filled
-    here on first use) and scale_K is `_pair_scale(K)`.  genus is the one
+    where S(j, E) is row E of the table at j (`t._rows[E]`, filled here on
+    first use) and scale_K is `_pair_scale(K)`.  genus is the one
     that K, A and B fix together.  Since scale_K[K-j] = (-1)^K scale_K[j],
     C_K(B, A) = (-1)^K C_K(A, B)."""
     scale = _pair_scale(K)[1]
-    lrow = t.row(A)
-    rrow = t.row(B)
+    lrow = t._rows[A]
+    rrow = t._rows[B]
     acc: dict[int, int] = {}
     # the left factor fits its dimension at genus g' iff j = lo + 3 g'
     lo = len(A) - 2 - sum(A)
@@ -184,12 +185,12 @@ def split_sum(
     split with B < A reads C_K(B, A) and flips the sign of its multiplicity
     when K is odd.  Splits share their pairs within a call, across calls
     and across K, so the table keeps the convolutions of every K in its
-    slots (BracketTable.convolutions).  A convolution reads its factors
-    from the rows S(j, E) = <sigma_j prod sigma_E>, the engine's (num, e)
-    form, that the table keeps per sorted E (BracketTable.row), filled on
-    first use.  The sigma weights of d and the extras are the same for
-    every split, and `_pair_scale` puts those of tau_j and tau_{K-j} over
-    one denominator, so terms add as integers per e into one Fraction.
+    slots (`t._conv[K]`).  A convolution reads its factors from the rows
+    S(j, E) = <sigma_j prod sigma_E>, the engine's (num, e) form, that the
+    table keeps per sorted E (`t._rows[E]`), filled on first use.  The
+    sigma weights of d and the extras are the same for every split, and
+    `_pair_scale` puts those of tau_j and tau_{K-j} over one denominator,
+    so terms add as integers per e into one Fraction.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -199,7 +200,7 @@ def split_sum(
     if K + sum(left) + sum(right) + sum(d) + 4 - len(left) - len(right) - len(d) != 3 * genus:
         return _ZERO
     t = table if table is not None else default_table()
-    conv = t.convolutions(K)
+    conv = t._conv[K]
     flip = -1 if K % 2 else 1
     acc: dict[int, int] = {}
     for (_, _, count), A, B in zip(_splits(d), _sides(left, d, 0), _sides(right, d, 1)):

@@ -309,8 +309,8 @@ def _stable_terms(n: int, cap: int) -> IntSeries:
 
 @lru_cache(maxsize=None)
 def _exp_cubes(n: int, cap: int) -> IntSeries:
-    """exp(sum x_j^3 / 24) truncated at total degree cap."""
-    top = cap // 3
+    """exp(sum x_j^3 / 24) truncated at total degree cap (empty if cap < 0)."""
+    top = max(cap, 0) // 3
     den = 24**top * factorial(top)
     terms: IntTerms = {(0,) * n: 1}
     for i in range(n):
@@ -387,10 +387,8 @@ def npoint_series(n: int, g_max: int) -> NPointSeries:
     """Build the n-point series through genus g_max (degree 3*g_max + n - 3)."""
     if n < 1 or g_max < 0:
         raise ValueError("need n >= 1 and g_max >= 0")
-    cap = 3 * g_max + n - 3
-    if n == 1:
-        cap = max(cap, 1)
-    return NPointSeries(n, cap)
+    # n <= 2 at g_max = 0 gives a negative cap: no stable bracket, no term
+    return NPointSeries(n, 3 * g_max + n - 3)
 
 
 class MergedSeries:

@@ -21,6 +21,8 @@ from taucalc.brackets import (
     sigma_weight,
 )
 from taucalc.combinat import multisets_with_sum
+from taucalc.denominators import compute_script_D
+from taucalc.identities import SweepLimits, run_sweep
 from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
 from oracles import (
@@ -79,12 +81,12 @@ def test_genus0_against_string_equation_oracle():
             assert bracket(0, d) == genus0_string(d), d
 
 
-def test_genus0_large_n_goes_through_the_table():
-    # above the small-case threshold genus-0 values are memoized
+def test_genus0_large_n_is_not_memoized():
+    # genus 0 is closed at every n, so it is answered before the memo
     table = BracketTable()
     d = (0,) * 9 + (1, 3, 5)
     assert bracket(0, d, table) == genus0_string(d) != 0
-    assert (0, tuple(sorted(d))) in table._data
+    assert (0, tuple(sorted(d))) not in table._data and len(table) == 0
 
 
 def test_one_point_values():
@@ -208,6 +210,33 @@ def test_memo_holds_dyadic_normal_form():
         assert Fraction(num, 2**e) == bracket(g, d) * sigma_weight(d), (g, d)
 
 
+def test_derived_memos_hold_dyadic_normal_form():
+    # the kappa sub-integrals, the rows and the convolution slots are summed
+    # by the same dyadic_sum as the memo, so they share its normal form
+    table = BracketTable()
+    compute_script_D(5, table)
+    run_sweep("c35a", SweepLimits(4, 3, k_span=2), table)
+    assert table._kappa and table._rows and table._conv
+    values = list(table._kappa.values())
+    for store in (table._rows, table._conv):
+        values += [v for inner in store.values() for v in inner.values()]
+    for num, e in values:
+        assert type(num) is int and type(e) is int
+        assert num % 2 == 1 or (num, e) == (0, 0), (num, e)
+
+
+def test_clear_empties_every_store():
+    table = BracketTable()
+    assert bracket(2, (2, 3), table) == Fraction(29, 5760)  # a two-point key
+    run_sweep("c35a", SweepLimits(3, 3, k_span=2), table)
+    compute_script_D(3, table)
+    stores = {name: v for name, v in vars(table).items() if isinstance(v, dict)}
+    assert {"_data", "_rows", "_pairs", "_conv", "_kappa"} <= set(stores)
+    assert all(stores.values()), [name for name, v in stores.items() if not v]
+    table.clear()
+    assert not any(stores.values()) and table.hits == table.misses == 0
+
+
 def test_bracket_values_are_fractions_in_lowest_terms():
     table = BracketTable()
     keys = [(1, (1,)), (0, (0, 0, 0)), (2, (2, 3)), (3, (1, 1, 2, 3)), (4, (2, 2, 2, 4, 4)),
@@ -278,6 +307,13 @@ def test_cache_requires_trailer_and_nothing_after_it():
         cache_load(io.StringIO(_sealed("1|1|1/24") + "2|4|1/1152\n"))
     with pytest.raises(CacheError, match="line 2: malformed entry"):
         cache_load(io.StringIO(_sealed("1|1|1/0")))
+
+
+def test_cache_rejects_a_key_read_twice():
+    # cache_save writes each key once; a second line must not overwrite the
+    # first one without notice (1/7 is dyadic in sigma form: 945/7 = 135)
+    with pytest.raises(CacheError, match="line 3: .* already read on line 2"):
+        cache_load(io.StringIO(_sealed("2|4|1/1152", "2|4|1/7")))
 
 
 def test_cache_rejects_value_whose_sigma_form_is_not_dyadic():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import pytest
 
 import taucalc.brackets as br
-from taucalc.cli import main
+from taucalc.cli import _PARSER, main
 
 
 @pytest.fixture(autouse=True)
@@ -384,9 +385,14 @@ def test_negative_grid_bound_is_a_usage_error(capsys, argv):
     ("verify", "eq4", "--nmax", "0"),
     ("verify", "c52", "--gmax", "0"),
     ("monotone", "--lambda", "top", "--gmax", "0"),
+    # a report per stratum, but none compares anything: at genus 0 the
+    # two-point rows are empty and (0, 0, 0) has no single-unit move
+    ("monotone", "--n", "2", "--gmax", "0"),
+    ("monotone", "--n", "3", "--gmax", "0"),
 ])
 def test_empty_grid_is_a_usage_error(capsys, argv):
-    # bounds that are valid but leave no instance would print "PASS 0/0"
+    # bounds that are valid but leave no instance would print "PASS 0/0",
+    # or "PASS k/k" with lhs = rhs = 0
     code, out, err = run(capsys, *argv, "--no-timing")
     assert code == 2 and out == "" and "no instance" in err
 
@@ -402,6 +408,42 @@ def test_monotone_needs_two_points(capsys, argv):
     # print "PASS" with lhs = rhs = 0
     code, out, err = run(capsys, *argv, "--no-timing")
     assert code == 2 and out == "" and "argument --n" in err
+
+
+# the smallest command line of each verb
+_MINIMAL_ARGV = {
+    "compute": ("compute", "--g", "1", "--d", "1"),
+    "compute-kappa": ("compute-kappa", "--g", "1", "--n", "1", "--a", "1"),
+    "npoint": ("npoint", "--n", "2", "--gmax", "1"),
+    "verify": ("verify", "eq4", "--gmax", "2", "--nmax", "2"),
+    "denom": ("denom", "--g", "2", "--n", "1"),
+    "monotone": ("monotone", "--n", "2", "--gmax", "2"),
+    "cache": ("cache", "--export", "{tmp}/exported.cache"),
+}
+
+
+def test_minimal_argv_covers_every_verb():
+    verbs = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_MINIMAL_ARGV) == set(verbs.choices)
+
+
+@pytest.mark.parametrize("verb", sorted(_MINIMAL_ARGV))
+def test_every_verb_rejects_a_damaged_cache(tmp_path, capsys, verb):
+    # "Any command takes --cache PATH": a damaged file stops every verb
+    # before it prints anything, and is left as it was
+    cache = tmp_path / "damaged.cache"
+    cache.write_text("not a cache\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in _MINIMAL_ARGV[verb]]
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
+    assert code == 2 and out == "" and "line 1" in err
+    assert cache.read_text() == "not a cache\n"
+
+
+def test_npoint_creates_a_missing_cache(tmp_path, capsys):
+    cache = tmp_path / "new.cache"
+    code, out, _ = run(capsys, "npoint", "--n", "2", "--gmax", "1", "--cache", str(cache))
+    assert code == 0 and out.splitlines()[0] == "0,2 -> 1/24"
+    assert len(br.cache_load(str(cache))) == 0
 
 
 def test_zero_nmax_still_sweeps_unpointed_strata(capsys):

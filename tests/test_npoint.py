@@ -47,6 +47,13 @@ def test_one_point_series():
     assert s[(7,)] == Fraction(1, 82944)  # + 1/(24^3 3!)
 
 
+def test_genus_zero_series_below_three_points_are_empty():
+    # no stable bracket has n <= 2 at genus 0, so nothing sits below the cap
+    for n in (1, 2):
+        series = npoint_series(n, 0)
+        assert series.g == {} and series.f == {}, n
+
+
 def test_series_degree_guard():
     s = NPointSeries(1, 5)
     with pytest.raises(ValueError, match="tracked degree"):
