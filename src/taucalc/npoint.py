@@ -21,39 +21,46 @@ every ingredient is a genuine polynomial:
     C_{|I|=2} = sum_s Delta(x,y)^s (x+y) / (4^s (2s+1)!!)
     C_{|I|=k} = (sum_I x)^2 G(x_I)           (k >= 3, all stable)
 
+Sorted keys: G and F are symmetric, because brackets are, so every
+internal series is a dict keyed by ascending exponent tuples of length n,
+zeros included (the key form of `multisets_with_sum`); a key's value is
+the coefficient of each of its orderings.  Only sorted targets are
+computed, by lookups in per-(n, degree) tables of lowered keys
+(`_lowerings`).  Multiplying by p_k = sum x_j^k sums the lowered keys
+times their multiplicities, so Delta = (p_1^3 - p_3) / 3 (divided
+exactly) and C_k = p_1^2 G_k; the split numerator sums over the
+`submultiset_splits` of a key, only at the degrees 3t+n-2 that get
+divided; division by e_1 = p_1 peels from the largest maximum down and
+checks every key of the degree (`_divide_by_e1`); F = sum_j p_3^j G /
+(24^j j!), plus for n = 2 the polynomial part of the unstable 1/(x+y).
+
 Arithmetic: every internal builder returns a pair (int numerators, den),
 one common denominator per series, reduced once by the gcd of den and all
-numerators.  Delta has integer coefficients (1 and 2), so its powers are
-integral.  The split products C_I C_J are brought over the lcm of their
-denominators; for each size |I| = k one product is formed, for
-I = {1..k}, and every other I of that size is a relabelling of it, added
-into one numerator.  With t = r + s the scalar is
+numerators.  With t = r + s the scalar is
 c(r,s) = (2r+n-3)!! 4^r / (4^t (2t+n-1)!!), so the degree-(3t+n-3) part
 of G is Q_t / (4^t (2t+n-1)!!) with
 
     Q_t = Delta Q_{t-1} + (2t+n-3)!! 4^t P_t,
 
 one product by Delta per degree, all of it over the denominator
-4^g (2g+n-1)!! of the series' top genus g.  Each P_t division by sum x_j
-runs on the int numerators, peeling the quotient off one power of x_1 at
-a time from the top down, and is exact -- a nonzero remainder aborts,
-since it can only mean an implementation bug.  `Fraction` appears only
-at the boundary: the {monomial: Fraction} dicts `NPointSeries.g`/`.f`
-and those of `MergedSeries`, which hold nonzero coefficients only.  The
-exposed series keep only the stable coefficients; extraction back to F
-restores the polynomial part of the unstable contributions where they
-matter (n = 2).
+4^g (2g+n-1)!! of the series' top genus g.  A remainder in a division by
+e_1 aborts, since it can only mean an implementation bug.  `Fraction`
+appears only at the boundary: the {monomial: Fraction} dicts of nonzero
+coefficients `NPointSeries.g`/`.f`, laid out from the sorted keys with one
+shared Fraction per key, and those of `MergedSeries`, read off `.g`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable
 
+from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import double_factorial, odd_double_factorial
 
 __all__ = [
@@ -68,9 +75,9 @@ __all__ = [
 Mono = tuple[int, ...]
 Terms = dict[Mono, Fraction]
 IntTerms = dict[Mono, int]
-# an exact series as (numerator items, common denominator): the value of
-# each monomial is its numerator over den
-IntSeries = tuple[tuple[tuple[Mono, int], ...], int]
+# an exact symmetric series as (numerators at sorted keys, common
+# denominator): the value of each ordering of a key is its numerator over den
+IntSeries = tuple[IntTerms, int]
 
 _ZERO = Fraction(0)
 
@@ -83,112 +90,117 @@ class OddPowerError(ArithmeticError):
     """An odd power of the merged variable survived antisymmetrization."""
 
 
-def _mul(a, b, cap: int) -> IntTerms:
-    """Product of two (monomial, int) sequences through total degree cap.
-    Zero coefficients may remain; `_reduced` drops them.
+@lru_cache(maxsize=None)
+def _lowerings(n: int, degree: int, k: int) -> tuple[tuple[Mono, tuple[tuple[Mono, int], ...]], ...]:
+    """Each sorted key of the degree with its row of lowered keys: for every
+    distinct part v >= k, the key with one v lowered to v - k (re-sorted)
+    and the multiplicity of v.  Parts go in ascending order, so the largest
+    part's entry comes last."""
+    table = []
+    # every k shares the key list of the p_1 table
+    for m in multisets_with_sum(n, degree) if k == 1 else (m for m, _ in _lowerings(n, degree, 1)):
+        row = []
+        for i, v in enumerate(m):
+            if v >= k and (not i or m[i - 1] != v):
+                j = bisect_left(m, v - k, 0, i)
+                row.append((m[:j] + (v - k,) + m[j:i] + m[i + 1 :], m.count(v)))
+        table.append((m, tuple(row)))
+    return tuple(table)
 
-    Inside, each monomial is packed into one int with a field of
-    cap.bit_length() bits per variable, so multiplying monomials is one int
-    addition; no field of a product within the cap can overflow.
+
+@lru_cache(maxsize=None)
+def _peel_order(n: int, degree: int) -> tuple:
+    # the keys whose largest part is unique, largest maximum first
+    return tuple(sorted((r for r in _lowerings(n, degree, 1) if r[1] and r[1][-1][1] == 1),
+                        key=lambda r: -r[0][-1]))
+
+
+def _times_power_sum(a: IntTerms, n: int, degree: int, k: int) -> IntTerms:
+    """p_k * a at every sorted key of the degree (a is read at degree - k)."""
+    get = a.get
+    out = {}
+    for m, row in _lowerings(n, degree, k):
+        c = 0
+        for low, mult in row:
+            c += mult * get(low, 0)
+        if c:
+            out[m] = c
+    return out
+
+
+def _times_delta(a: IntTerms, n: int, degree: int) -> IntTerms:
+    """Delta * a at every sorted key of the degree, Delta = (p_1^3 - p_3) / 3."""
+    cube = a
+    for d in range(degree - 2, degree + 1):
+        cube = _times_power_sum(cube, n, d, 1)
+    cubes = _times_power_sum(a, n, degree, 3)
+    # exact: Delta has integer coefficients
+    return {m: c // 3 for m, _ in _lowerings(n, degree, 3) if (c := cube.get(m, 0) - cubes.get(m, 0))}
+
+
+def _divide_by_e1(p: IntTerms, n: int, degree: int) -> IntTerms:
+    """Exact quotient of p's degree component by e_1 = x_1 + .. + x_n.
+
+    A quotient key q raised at its largest part is a key m whose largest
+    part is unique, and p[m] is q's value plus quotient values at the keys
+    m lowered in a smaller part, whose maximum exceeds q's.  So the
+    quotient is peeled from the largest maximum down; then every key of
+    the degree, these included, must be reproduced, else there is a
+    remainder.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return {}
-    width = cap.bit_length()
-    shifts = [width * i for i in range(len(next(iter(b))[0]))]
-
-    def pack(mono: Mono) -> int:
-        key = 0
-        for e, shift in zip(mono, shifts):
-            key |= e << shift
-        return key
-
-    bitems = sorted(((sum(m), pack(m), c) for m, c in b), key=lambda t: t[0])
-    acc: dict[int, int] = {}
-    get = acc.get
-    for ma, ca in a:
-        room = cap - sum(ma)
-        ka = pack(ma)
-        for db, kb, cb in bitems:
-            if db > room:
-                break
-            key = ka + kb
-            acc[key] = get(key, 0) + ca * cb
-    mask = (1 << width) - 1
-    return {tuple([(key >> shift) & mask for shift in shifts]): c for key, c in acc.items()}
+    get = p.get
+    q: IntTerms = {}
+    for m, row in _peel_order(n, degree):
+        c = get(m, 0)
+        for low, mult in row[:-1]:
+            c -= mult * q.get(low, 0)
+        if c:
+            q[row[-1][0]] = c
+    for m, row in _lowerings(n, degree, 1):
+        if sum(mult * q.get(low, 0) for low, mult in row) != get(m, 0):
+            raise DivisionRemainderError(
+                f"remainder at monomial {m}: component not divisible by the variable sum"
+            )
+    return q
 
 
 def _reduced(terms: IntTerms, den: int) -> IntSeries:
     """Freeze numerators over den, cancelling their common gcd with den."""
     terms = {m: c for m, c in terms.items() if c}
     g = gcd(den, *terms.values())
-    return tuple((m, c // g) for m, c in terms.items()), den // g
-
-
-def _fractions(series: IntSeries) -> Terms:
-    items, den = series
-    return {m: Fraction(c, den) for m, c in items}
-
-
-def _component(a: dict, degree: int) -> dict:
-    return {m: c for m, c in a.items() if sum(m) == degree}
-
-
-def _divide_by_varsum(comp: dict, n: int) -> dict:
-    """Exact division of a homogeneous component by x_0 + .. + x_{n-1}.
-
-    Works on any exact coefficient type (it only adds and subtracts), so
-    int numerators stay ints.  Peels by the exponent a of x_0: with
-    comp = sum_a x_0^a comp_a, q = sum_a x_0^a q_a and s = x_1 + .. +
-    x_{n-1}, comp_a = q_{a-1} + s q_a, so q_{a-1} = comp_a - s q_a from the
-    top a down, and comp_0 - s q_0 is the remainder, which must vanish.
-    """
-    parts: dict[int, dict] = {}
-    for m, c in comp.items():
-        parts.setdefault(m[0], {})[m] = c
-    quotient: dict = {}
-    q: dict = {}  # q_a, stored with x_0 exponent a
-    for a in range(max(parts, default=0), -1, -1):
-        rem = parts.get(a, {})
-        get = rem.get
-        for m, c in q.items():
-            for i in range(1, n):
-                m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                rem[m2] = get(m2, 0) - c
-        if not a:
-            break
-        q = {}
-        for m, c in rem.items():
-            if c:
-                m = (a - 1,) + m[1:]
-                q[m] = quotient[m] = c
-    for m, c in rem.items():
-        if c:
-            raise DivisionRemainderError(
-                f"remainder at monomial {m}: component not divisible by the variable sum"
-            )
-    return quotient
-
-
-def _delta(n: int) -> tuple[tuple[Mono, int], ...]:
-    # (sum x)^3 without the pure cubes, divided by 3: x_i^2 x_j has
-    # coefficient 1 and x_i x_j x_k (i < j < k) coefficient 2
-    terms: IntTerms = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if i == j == k:
-                    continue
-                mono = [0] * n
-                mono[i] += 1
-                mono[j] += 1
-                mono[k] += 1
-                terms[tuple(mono)] = 2 if i < j < k else 1
-    return tuple(terms.items())
+    return {m: c // g for m, c in terms.items()}, den // g
 
 
 @lru_cache(maxsize=None)
+def _arrangers(steps: tuple[bool, ...]) -> tuple[itemgetter, ...]:
+    """Getters laying a sorted key out in each of its distinct orderings, in
+    lex order; steps[i] says whether part i + 1 exceeds part i."""
+    ranks = (0, *accumulate(steps))
+    first = [ranks.index(r) for r in range(ranks[-1] + 1)]
+
+    def arrangements(rest: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if len(rest) < 2:
+            return [rest]
+        return [(r,) + tail for i, r in enumerate(rest) if not i or rest[i - 1] != r
+                for tail in arrangements(rest[:i] + rest[i + 1 :])]
+
+    return tuple(itemgetter(*[first[r] for r in a]) for a in arrangements(ranks))
+
+
+def _orderings(key: Mono) -> list[Mono]:
+    """The distinct monomials whose exponents sort to key, in lex order."""
+    if len(key) < 2:
+        return [key]
+    return [get(key) for get in _arrangers(tuple(map(lt, key, key[1:])))]
+
+
+def _expanded(series: IntSeries) -> tuple[Terms, Terms]:
+    """(sorted-key Fractions, every ordering sharing its key's Fraction)."""
+    terms, den = series
+    by_key = {m: Fraction(c, den) for m, c in terms.items()}
+    return by_key, {mono: c for m, c in by_key.items() for mono in _orderings(m)}
+
+
 def _one_point_stable(cap: int) -> IntSeries:
     # x^-2 (1 - exp(-x^3/24)): components (-1)^{h+1} x^{3h-2} / (24^h h!),
     # over the denominator of the top term
@@ -201,58 +213,50 @@ def _one_point_stable(cap: int) -> IntSeries:
     return _reduced(terms, den)
 
 
-def _delta_power_sum(first: int, top: int, extra: int) -> tuple[IntTerms, int]:
-    # sum_{s=first}^{top} x^s y^s (x+y)^{s+extra} / (4^s (2s+1)!!) as int
-    # numerators over 4^top (2top+1)!!
+def _delta_power_sum(first: int, top: int, extra: int) -> IntSeries:
+    # sum_{s=first}^{top} x^s y^s (x+y)^{s+extra} / (4^s (2s+1)!!) at its
+    # sorted keys, as int numerators over 4^top (2top+1)!!
     den = 4**top * odd_double_factorial(top)
     terms: IntTerms = {}
     for s in range(first, top + 1):
         c = den // (4**s * odd_double_factorial(s))
-        for i in range(s + extra + 1):
+        for i in range((s + extra) // 2 + 1):
             terms[(s + i, 2 * s + extra - i)] = c * comb(s + extra, i)
-    return terms, den
-
-
-@lru_cache(maxsize=None)
-def _two_point_stable(cap: int) -> IntSeries:
-    # sum_{s>=1} x^s y^s (x+y)^{s-1} / (4^s (2s+1)!!), degree 3s-1
-    return _reduced(*_delta_power_sum(1, (cap + 1) // 3, -1))
-
-
-@lru_cache(maxsize=None)
-def _two_point_cfactor(cap: int) -> IntSeries:
-    # (x+y)^2 * full two-point G: sum_{s>=0} x^s y^s (x+y)^{s+1} / (4^s (2s+1)!!)
-    return _reduced(*_delta_power_sum(0, (cap - 1) // 3, 1))
-
-
-def _embed(terms: Iterable[tuple[Mono, int]], positions: tuple[int, ...],
-           n: int) -> list[tuple[Mono, int]]:
-    # exponent i of each monomial goes to position positions[i] of n (n >= 2);
-    # the positions not named read the zero padded onto the monomial's end
-    source = [len(positions)] * n
-    for i, p in enumerate(positions):
-        source[p] = i
-    pick = itemgetter(*source)
-    return [(pick(mono + (0,)), c) for mono, c in terms]
+    return _reduced(terms, den)
 
 
 @lru_cache(maxsize=None)
 def _c_factor(k: int, cap: int) -> IntSeries:
     """(sum_I x)^2 G(x_I) for |I| = k as a polynomial, unstable parts folded in."""
     if k == 1:
-        return (((0,), 1),), 1
+        return {(0,): 1}, 1
     if k == 2:
-        return _two_point_cfactor(cap)
-    g_items, den = _stable_terms(k, cap - 2)
-    e1sq: IntTerms = {}
-    for i in range(k):
-        for j in range(k):
-            mono = [0] * k
-            mono[i] += 1
-            mono[j] += 1
-            key = tuple(mono)
-            e1sq[key] = e1sq.get(key, 0) + 1
-    return _reduced(_mul(g_items, e1sq.items(), cap), den)
+        # (x+y)^2 * full two-point G: sum_{s>=0} x^s y^s (x+y)^{s+1} / (4^s (2s+1)!!)
+        return _delta_power_sum(0, (cap - 1) // 3, 1)
+    g, den = _stable_terms(k, cap - 2)
+    out: IntTerms = {}
+    for d in range(k - 1, cap + 1, 3):
+        out.update(_times_power_sum(_times_power_sum(g, k, d - 1, 1), k, d, 1))
+    return _reduced(out, den)
+
+
+def _split_numerator(left: dict, right: dict, n: int, degree: int) -> IntTerms:
+    # sum over I ⊔ J of C_I C_J at the degree's sorted keys; left[k] holds
+    # C_k scaled to the common denominator of the size-k products
+    out: IntTerms = {}
+    for m, _ in _lowerings(n, degree, 1):
+        c = 0
+        for lo, hi, count in submultiset_splits(m):
+            k = len(lo)
+            if 0 < k < n:
+                a = left[k].get(lo)
+                if a:
+                    b = right[n - k].get(hi)
+                    if b:
+                        c += count * a * b
+        if c:
+            out[m] = c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -261,28 +265,18 @@ def _stable_terms(n: int, cap: int) -> IntSeries:
     if n == 1:
         return _one_point_stable(cap)
     if n == 2:
-        return _two_point_stable(cap)
+        # sum_{s>=1} x^s y^s (x+y)^{s-1} / (4^s (2s+1)!!), degree 3s-1
+        return _delta_power_sum(1, (cap + 1) // 3, -1)
 
-    # the split products C_I C_J over one denominator: for |I| = k every
-    # product is a relabelling of the one for I = {0..k-1}, J = {k..n-1}, so
-    # it is formed once per size and embedded at positions I + J
+    # the split products C_I C_J over one denominator num_den
     num_cap = cap + 1
     factors = {k: _c_factor(k, num_cap) for k in range(1, n)}
-    num_den = 1
-    for k in range(1, n):
-        num_den = lcm(num_den, factors[k][1] * factors[n - k][1])
-    numerator: IntTerms = {}
-    indices = tuple(range(n))
-    for size in range(1, n):
-        (a_items, a_den), (b_items, b_den) = factors[size], factors[n - size]
-        scale = num_den // (a_den * b_den)
-        a_scaled = [(m, scale * c) for m, c in a_items]
-        product = _mul(_embed(a_scaled, indices[:size], n),
-                       _embed(b_items, indices[size:], n), num_cap).items()
-        for left in combinations(indices, size):
-            right = tuple(i for i in indices if i not in left)
-            for mono, c in _embed(product, left + right, n):
-                numerator[mono] = numerator.get(mono, 0) + c
+    num_den = lcm(*(factors[k][1] * factors[n - k][1] for k in range(1, n)))
+    left = {
+        k: {m: num_den // (den * factors[n - k][1]) * c for m, c in terms.items()}
+        for k, (terms, den) in factors.items()
+    }
+    right = {k: terms for k, (terms, _) in factors.items()}
 
     # with t = r + s, c(r,s) = (2r+n-3)!! 4^r / (4^t (2t+n-1)!!), so the
     # degree 3t+n-3 part of G is Q_t / (4^t (2t+n-1)!!) where
@@ -290,14 +284,13 @@ def _stable_terms(n: int, cap: int) -> IntSeries:
     # degree, over the denominator 2 num_den 4^g_max (2g_max+n-1)!!
     g_max = (cap - n + 3) // 3
     top_odd = double_factorial(2 * g_max + n - 1)
-    delta = _delta(n)
     q: IntTerms = {}
     out: IntTerms = {}
     for t in range(g_max + 1):
-        # P_t = p / (2 num_den); the top degree 3 g_max + n - 3 is within
-        # cap, so no Delta product is truncated
-        q = _mul(delta, q.items(), cap)
-        p = _divide_by_varsum(_component(numerator, 3 * t + n - 2), n)
+        # P_t = p / (2 num_den), at degree 3t+n-3 <= cap
+        degree = 3 * t + n - 3
+        q = _times_delta(q, n, degree)
+        p = _divide_by_e1(_split_numerator(left, right, n, degree + 1), n, degree + 1)
         lead = double_factorial(2 * t + n - 3) * 4**t
         for mono, v in p.items():
             q[mono] = q.get(mono, 0) + lead * v
@@ -307,34 +300,33 @@ def _stable_terms(n: int, cap: int) -> IntSeries:
     return _reduced(out, 2 * num_den * 4**g_max * top_odd)
 
 
-@lru_cache(maxsize=None)
-def _exp_cubes(n: int, cap: int) -> IntSeries:
-    """exp(sum x_j^3 / 24) truncated at total degree cap (empty if cap < 0)."""
+def _times_exp_cubes(a: IntTerms, n: int, low: int, cap: int) -> tuple[IntTerms, int]:
+    """exp(p_3/24) * a = sum_j p_3^j a / (24^j j!) through degree cap, as
+    numerators over 24^top top! (top = cap // 3); a lives at the degrees
+    low, low + 3, ..."""
     top = max(cap, 0) // 3
     den = 24**top * factorial(top)
-    terms: IntTerms = {(0,) * n: 1}
-    for i in range(n):
-        single = []
-        for k in range(top + 1):
-            mono = [0] * n
-            mono[i] = 3 * k
-            single.append((tuple(mono), den // (24**k * factorial(k))))
-        terms = _mul(terms.items(), single, cap)
-    return _reduced(terms, den**n)
+    out = {m: den * c for m, c in a.items()}
+    term = a
+    for j in range(1, top + 1):
+        weight = 24 ** (top - j) * (factorial(top) // factorial(j))
+        lifted: IntTerms = {}
+        for d in range(low + 3 * j, cap + 1, 3):
+            lifted.update(_times_power_sum(term, n, d, 3))
+        term = lifted
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + weight * c
+    return out, den
 
 
 def _two_point_correction(cap: int) -> IntSeries:
     # the unstable 1/(x+y) contributes (exp(..)-1)/(x+y) to the polynomial
     # part; degree by degree the division is exact.  Division drops one
-    # degree, so feed it one degree more.
-    items, den = _exp_cubes(2, cap + 1)
-    shifted = {m: c for m, c in items if m != (0, 0)}
+    # degree, so feed it one degree more; the constant term is never divided.
+    e, den = _times_exp_cubes({(0, 0): 1}, 2, 0, cap + 1)
     out: IntTerms = {}
-    for deg in range(1, cap + 2):
-        comp = _component(shifted, deg)
-        if comp:
-            for mono, c in _divide_by_varsum(comp, 2).items():
-                out[mono] = out.get(mono, 0) + c
+    for d in range(3, cap + 2, 3):
+        out.update(_divide_by_e1(e, 2, d))
     return _reduced(out, den)
 
 
@@ -345,7 +337,8 @@ class NPointSeries:
         self.n = n
         self.degree_cap = degree_cap
         self._stable = _stable_terms(n, degree_cap)
-        self.g: Terms = _fractions(self._stable)
+        _, self.g = _expanded(self._stable)
+        self._f_keys: Terms = {}
         self._f: Terms | None = None
 
     @property
@@ -353,33 +346,39 @@ class NPointSeries:
         """Polynomial part of exp(sum x^3/24) * G, whose coefficients are brackets."""
         if self._f is None:
             cap = self.degree_cap
-            g_items, g_den = self._stable
-            e_items, e_den = _exp_cubes(self.n, cap)
-            out = _mul(g_items, e_items, cap)
+            g_terms, g_den = self._stable
+            out, e_den = _times_exp_cubes(g_terms, self.n, self.n % 3, cap)
             den = g_den * e_den
             if self.n == 2:
-                c_items, c_den = _two_point_correction(cap)
+                c_terms, c_den = _two_point_correction(cap)
                 common = lcm(den, c_den)
-                scale = common // den
-                out = {m: scale * c for m, c in out.items()}
-                scale = common // c_den
-                for mono, c in c_items:
-                    out[mono] = out.get(mono, 0) + scale * c
+                out = {m: common // den * c for m, c in out.items()}
+                for mono, c in c_terms.items():
+                    out[mono] = out.get(mono, 0) + common // c_den * c
                 den = common
-            self._f = _fractions(_reduced(out, den))
+            self._f_keys, self._f = _expanded(_reduced(out, den))
         return self._f
 
     def bracket(self, exponents: Iterable[int]) -> Fraction:
         """Coefficient of prod x^{d_j} in F; equals bracket(g, d) at the fitting genus."""
         mono = tuple(exponents)
+        if len(mono) != self.n:
+            raise ValueError(f"expected {self.n} exponents, got {len(mono)}")
         if sum(mono) > self.degree_cap:
             raise ValueError(f"degree {sum(mono)} exceeds tracked degree {self.degree_cap}")
         return self.f.get(mono, _ZERO)
 
     def dump_lines(self) -> list[str]:
         """F coefficients as "d1,..,dn -> num/den", graded then lex order."""
-        rows = sorted(self.f.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return [f"{','.join(map(str, m))} -> {c}" for m, c in rows]
+        self.f  # extraction fills the sorted keys
+        return _graded_lines((sum(m), _orderings(m), f" -> {c}") for m, c in self._f_keys.items())
+
+
+def _graded_lines(groups) -> list[str]:
+    # groups of (degree, monomials, text shared by them): one line per
+    # monomial, "e1,..,ek" + text, by degree then lex order
+    rows = sorted((degree, mono, text) for degree, monos, text in groups for mono in monos)
+    return [f"{','.join(map(str, mono))}{text}" for _, mono, text in rows]
 
 
 @lru_cache(maxsize=None)
@@ -406,14 +405,12 @@ class MergedSeries:
         self.degree_cap = base.degree_cap
         gterms: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         for mono, c in base.g.items():
-            a, b = mono[0], mono[1]
-            key = (a + b, mono[2:])
-            prev = gterms.get(key, _ZERO)
-            new = prev + c * (-1) ** b
-            if new:
-                gterms[key] = new
-            else:
-                gterms.pop(key, None)
+            key = (mono[0] + mono[1], mono[2:])
+            if mono[1] % 2:
+                c = -c
+            prev = gterms.get(key)
+            gterms[key] = c if prev is None else prev + c
+        gterms = {key: c for key, c in gterms.items() if c}
         for (ypow, xs) in gterms:
             if ypow % 2:
                 raise OddPowerError(
@@ -424,20 +421,21 @@ class MergedSeries:
     def coefficient(self, K: int, exponents: Iterable[int]) -> Fraction:
         """Coefficient of y^{2K} prod x^{d_j} in the normalized merged series."""
         d = tuple(exponents)
+        if len(d) != self.n:
+            raise ValueError(f"expected {self.n} exponents, got {len(d)}")
         if 2 * K + sum(d) > self.degree_cap:
             raise ValueError("requested coefficient beyond the tracked degree")
         return self.gterms.get((2 * K, d), _ZERO)
 
     def dump_lines(self) -> list[str]:
-        rows = sorted(self.gterms.items(), key=lambda kv: (kv[0][0] + sum(kv[0][1]), kv[0]))
-        return [
-            f"{ypow},{','.join(map(str, xs))} -> {c}" if xs else f"{ypow} -> {c}"
-            for (ypow, xs), c in rows
-        ]
+        # the series is symmetric in the x side: one text per sorted key
+        return _graded_lines(
+            (ypow + sum(xs), [(ypow,) + o for o in _orderings(xs)], f" -> {c}")
+            for (ypow, xs), c in self.gterms.items() if list(xs) == sorted(xs)
+        )
 
 
 def merged_series(n: int, g_max: int) -> MergedSeries:
     if n < 1:
         raise ValueError("need at least one spectator variable")
     return MergedSeries(n, g_max)
-

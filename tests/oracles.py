@@ -12,12 +12,17 @@ against tables filled by the other engine, and `merged_alt_sums` turns a
 merged series back into alternating pair sums for the same comparison.
 `two_point_numerators_by_channel` sums the closed two-point rows term by
 term over every channel, against the package's Horner evaluation.
+`divide_by_varsum` and `delta_terms` are the n-point engine's division by
+x_0 + .. + x_{n-1} and its Delta polynomial over every monomial, the
+oracles of its sorted-key kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, prod
+
+from taucalc.npoint import DivisionRemainderError
 
 
 def bernoulli_tangent(m: int) -> Fraction:
@@ -168,6 +173,59 @@ def two_point_numerators_by_channel(g: int) -> tuple[list[int], int]:
         c = unit * comb(g - 1, a // 3)
         num[a] += -c if a % 3 == 1 else c
     return num, whole
+
+
+def divide_by_varsum(comp: dict, n: int) -> dict:
+    """Exact division of a homogeneous component by x_0 + .. + x_{n-1}.
+
+    Works on any exact coefficient type (it only adds and subtracts), so
+    int numerators stay ints.  Peels by the exponent a of x_0: with
+    comp = sum_a x_0^a comp_a, q = sum_a x_0^a q_a and s = x_1 + .. +
+    x_{n-1}, comp_a = q_{a-1} + s q_a, so q_{a-1} = comp_a - s q_a from the
+    top a down, and comp_0 - s q_0 is the remainder, which must vanish.
+    """
+    parts: dict[int, dict] = {}
+    for m, c in comp.items():
+        parts.setdefault(m[0], {})[m] = c
+    quotient: dict = {}
+    q: dict = {}  # q_a, stored with x_0 exponent a
+    for a in range(max(parts, default=0), -1, -1):
+        rem = parts.get(a, {})
+        get = rem.get
+        for m, c in q.items():
+            for i in range(1, n):
+                m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                rem[m2] = get(m2, 0) - c
+        if not a:
+            break
+        q = {}
+        for m, c in rem.items():
+            if c:
+                m = (a - 1,) + m[1:]
+                q[m] = quotient[m] = c
+    for m, c in rem.items():
+        if c:
+            raise DivisionRemainderError(
+                f"remainder at monomial {m}: component not divisible by the variable sum"
+            )
+    return quotient
+
+
+def delta_terms(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """((sum x)^3 - sum x^3) / 3 over n variables as (monomial, coefficient)
+    pairs: x_i^2 x_j has coefficient 1 and x_i x_j x_k (i < j < k) 2."""
+    terms: dict[tuple[int, ...], int] = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if i == j == k:
+                    continue
+                mono = [0] * n
+                mono[i] += 1
+                mono[j] += 1
+                mono[k] += 1
+                terms[tuple(mono)] = 2 if i < j < k else 1
+    return tuple(terms.items())
 
 
 def three_point_with_tau0(a: int, b: int, k_max: int = 40) -> Fraction:

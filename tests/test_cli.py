@@ -80,6 +80,18 @@ def test_npoint_special_dump(capsys):
      "0822d2aeb6cca4e98bb5197840ff824bb328fff0f52b8499ae12c67e6149a306"),
     ("monotone --n 2 --gmax 20 --no-timing",
      "e7dc16b6f68ba6897e50490a9139227bf8252114103b23fff3fdcd09d0308bea"),
+    # pinned from the full-monomial engine before the sorted-key one; the
+    # first four equal the digests in perfbench/expected.json
+    ("npoint --n 4 --gmax 7",
+     "472dc4091b7be69e99ddbcc6a59c088d857eab389ba60b089ecd41379822c35c"),
+    ("npoint --n 5 --gmax 4",
+     "d9ba73f1a215f277c4b2a4b035b47e0dc3f8dd9c202160d8eb85b3c168be8d80"),
+    ("npoint --n 3 --gmax 9",
+     "f79d5840523825ad846cdfb5d7151d67f1e669424c66c5eeaf8c97aff4137afd"),
+    ("npoint --n 2 --gmax 5 --special",
+     "098ce4d02d75fb620727283c5366ab9ef617b3498b1e4cd326b335194eb88f0d"),
+    ("npoint --n 6 --gmax 3",
+     "57cd466af2d6cd64b0e48579b6f742464a7eaf8f8855280753086004bb1dc3bf"),
 ])
 def test_npoint_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

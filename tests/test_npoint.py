@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -10,13 +11,13 @@ from taucalc.npoint import (
     MergedSeries,
     NPointSeries,
     OddPowerError,
-    _delta,
-    _divide_by_varsum,
+    _divide_by_e1,
+    _times_delta,
     merged_series,
     npoint_series,
 )
 from taucalc.identities import alt_pair_sum
-from oracles import merged_alt_sums
+from oracles import delta_terms as _delta, divide_by_varsum as _divide_by_varsum, merged_alt_sums
 from taucalc.rationals import odd_double_factorial
 from math import factorial, gcd
 
@@ -58,6 +59,13 @@ def test_series_degree_guard():
     s = NPointSeries(1, 5)
     with pytest.raises(ValueError, match="tracked degree"):
         s.bracket((6,))
+
+
+def test_wrong_exponent_count_is_rejected():
+    with pytest.raises(ValueError, match="expected 3 exponents, got 2"):
+        npoint_series(3, 2).bracket((0, 0))
+    with pytest.raises(ValueError, match="expected 1 exponents, got 2"):
+        merged_series(1, 2).coefficient(1, (0, 0))
 
 
 def test_divide_by_varsum_exact_and_remainder():
@@ -118,6 +126,54 @@ def test_divide_by_varsum_rejects_remainders(comp):
         _divide_by_varsum(comp, len(next(iter(comp))))
 
 
+def _random_symmetric(rng, n: int, degree: int) -> dict:
+    # integer numerators on a random handful of the degree's sorted keys
+    keys = list(multisets_with_sum(n, degree))
+    return {m: rng.choice([-7, -2, -1, 1, 3, 11**20]) for m in rng.sample(keys, min(len(keys), 5))}
+
+
+def _every_ordering(terms: dict) -> dict:
+    return {mono: c for m, c in terms.items() for mono in set(permutations(m))}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sorted_key_delta_product_matches_oracle(n):
+    rng = random.Random(10 + n)
+    delta = _delta(n)
+    for degree in (0, 1, 2, 4, 7):
+        for _ in range(3):
+            a = _random_symmetric(rng, n, degree)
+            want: dict = {}
+            for m, c in _every_ordering(a).items():
+                for dm, dc in delta:
+                    key = tuple(x + y for x, y in zip(m, dm))
+                    want[key] = want.get(key, 0) + c * dc
+            want = {m: c for m, c in want.items() if c}
+            assert _every_ordering(_times_delta(a, n, degree + 3)) == want, (n, a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sorted_key_division_matches_oracle(n):
+    rng = random.Random(20 + n)
+    for degree in (0, 1, 3, 5, 8):
+        for _ in range(3):
+            q = _random_symmetric(rng, n, degree)
+            full = _times_varsum(_every_ordering(q), n)
+            want = _divide_by_varsum(full, n)
+            assert want == _every_ordering(q)
+            sorted_keys = {m: c for m, c in full.items() if list(m) == sorted(m)}
+            got = _divide_by_e1(sorted_keys, n, degree + 1)
+            assert _every_ordering(got) == want, (n, q)
+            assert all(type(c) is int for c in got.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sorted_key_division_rejects_a_symmetric_remainder(n):
+    # p_2 = sum x_j^2 is symmetric but no multiple of the variable sum
+    with pytest.raises(DivisionRemainderError, match="remainder at monomial"):
+        _divide_by_e1({(0,) * (n - 1) + (2,): 1}, n, 2)
+
+
 def test_series_values_are_fractions_in_lowest_terms():
     # the builders run on int numerators; the exposed polynomials carry
     # Fraction values only
@@ -164,10 +220,24 @@ def test_oracle_equivalence_small():
 
 
 def test_symmetry_of_npoint_output():
-    # the split products are relabellings of one product per subset size,
-    # so a wrong relabelling shows up as an asymmetric series
+    # the series are computed at sorted keys and laid out in every
+    # ordering, so a wrong ordering shows up as an asymmetric series
     for n, g_hi in ((3, 3), (4, 2), (5, 3), (6, 2)):
         assert _is_symmetric(npoint_series(n, g_hi).g, n), (n, g_hi)
+
+
+def test_series_equals_descent_on_three_and_four_point_strata():
+    # the two engines check each other on every key of (g, 3) for g <= 10
+    # and of (g, 4) for g <= 7, the descent on one table
+    table = BracketTable()
+    keys = 0
+    for n, g_hi in ((3, 10), (4, 7)):
+        series = npoint_series(n, g_hi)
+        for g in range(g_hi + 1):
+            for d in multisets_with_sum(n, 3 * g - 3 + n):
+                assert series.bracket(d) == bracket(g, d, table), (n, g, d)
+                keys += 1
+    assert keys == 754
 
 
 def test_components_sit_on_the_genus_grading():
