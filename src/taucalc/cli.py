@@ -19,7 +19,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from . import brackets as br
 from . import denominators as dn
@@ -27,7 +28,7 @@ from . import identities as ids
 from . import monotone as mono
 from .npoint import merged_series, npoint_series
 from .reduction import kappa_to_psi
-from .report import Report, json_chunks, summary_line
+from .report import Report, json_chunks
 
 
 def _parse_int_list(text: str | None) -> tuple[int, ...]:
@@ -121,17 +122,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit_reports(reports: list[Report], timing: bool) -> int:
-    if not reports:
+def _emit_reports(reports: Iterable[Report], timing: bool) -> int:
+    """Write the reports, given in canonical order, a piece at a time, then
+    "PASS k/N"; the summary and the exit code count them as they go out."""
+    pending = iter(reports)
+    first = next(pending, None)
+    if first is None:
         # an empty grid checks nothing, so it must not read as a pass
         print("error: the grid holds no instance to check", file=sys.stderr)
         return 2
-    # the JSON array goes out in pieces, never as one string
-    for chunk in json_chunks(reports, timing=timing):
+    total = passed = 0
+
+    def counted() -> Iterator[Report]:
+        nonlocal total, passed
+        for r in chain((first,), pending):
+            total += 1
+            passed += r.passed
+            yield r
+
+    for chunk in json_chunks(counted(), timing=timing):
         sys.stdout.write(chunk)
     print()
-    print(summary_line(reports))
-    return 0 if all(r.passed for r in reports) else 1
+    print(f"PASS {passed}/{total}")
+    return 0 if passed == total else 1
 
 
 def _run_verify(args) -> int:
@@ -169,7 +182,7 @@ def _run_monotone(args) -> int:
     if not any(r.lhs for r in reports):
         print("error: the grid holds no instance to compare", file=sys.stderr)
         return 2
-    return _emit_reports(reports, not args.no_timing)
+    return _emit_reports(sorted(reports, key=Report.sort_key), not args.no_timing)
 
 
 def _with_cache(args, body) -> int:

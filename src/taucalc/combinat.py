@@ -10,7 +10,7 @@ uses them; the tests sum the kappa reduction over them as its oracle).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import comb
 from typing import Iterator, Sequence
 
@@ -48,13 +48,7 @@ def partitions(total: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _grouped(exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    groups: list[list[int]] = []
-    for e in exps:
-        if groups and groups[-1][0] == e:
-            groups[-1][1] += 1
-        else:
-            groups.append([e, 1])
-    return tuple((v, c) for v, c in groups)
+    return tuple((v, len(list(run))) for v, run in groupby(exps))
 
 
 def submultiset_splits(exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:

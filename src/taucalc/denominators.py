@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .brackets import BracketTable, bracket
 from .combinat import multisets_with_sum, partitions
@@ -159,18 +160,11 @@ def conjecture41_check(genus: int, table: BracketTable | None = None) -> Report:
 def _conjecture41_sides(genus: int, table: BracketTable | None):
     profile = compute_script_D(genus, table)
     want = conjectured_orders(genus)
-    conjectured_value = 1
-    for p, e in want.items():
-        conjectured_value *= p**e
-
     detail: dict = {"orders": {}, "witnesses": {}}
-    for p in sorted(want):
-        detail["orders"][p] = {"computed": profile.factors.get(p, 0), "conjectured": want[p]}
-    stray = [p for p in profile.factors if p not in want]
-    detail["stray_primes"] = stray
-
+    detail["stray_primes"] = [p for p in profile.factors if p not in want]
     witness_ok = True
     for p in sorted(want):
+        detail["orders"][p] = {"computed": profile.factors.get(p, 0), "conjectured": want[p]}
         if p < 5:
             continue
         found, predicted, k = witness_search(genus, p, table)
@@ -184,7 +178,7 @@ def _conjecture41_sides(genus: int, table: BracketTable | None):
         }
         witness_ok = witness_ok and found == predicted
 
-    rhs = conjectured_value if witness_ok else -1
+    rhs = prod(p**e for p, e in want.items()) if witness_ok else -1
     return Fraction(profile.value), Fraction(rhs), detail
 
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import factorial, lcm
 from typing import Any, Callable, Iterable, Iterator
 
@@ -60,7 +60,7 @@ from .brackets import (
 )
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
-from .report import Report, timed_report
+from .report import Report, sort_key, timed_report
 
 __all__ = [
     "ParameterError",
@@ -214,8 +214,9 @@ def split_sum(
         num, e = c
         if num:
             acc[e] = acc.get(e, 0) + count * num
-    den = _pair_scale(K)[0] * sigma_weight(left + right + d)
-    return Fraction(*dyadic_ratio(dyadic_sum(acc), den))
+    top = max(acc, default=0)
+    num = sum(v << (top - e) for e, v in acc.items())
+    return Fraction(*dyadic_ratio((num, top), _pair_scale(K)[0] * sigma_weight(left + right + d)))
 
 
 def _dfact_prod(d: Iterable[int]) -> int:
@@ -635,14 +636,21 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
                     yield params
 
 
+def _sweep(identity: str, limits: SweepLimits | None, table: BracketTable | None) -> Iterator[Report]:
+    """The reports of one identity over the grid in canonical order, each
+    evaluated when it is pulled.  `instances` has checked every tuple, so
+    each is evaluated without a second check."""
+    grid = sorted(instances(identity, limits), key=lambda p: sort_key(identity, p))
+    return (verify(identity, table, checked=True, **p) for p in grid)
+
+
 def run_sweep(
     identity: str, limits: SweepLimits | None = None, table: BracketTable | None = None
 ) -> list[Report]:
-    """All reports for one identity over the grid, in grid order
-    (report.reports_to_json puts them in canonical order).  `instances`
-    has checked every tuple, so each is evaluated without a second check.
-    """
-    return [verify(identity, table, checked=True, **p) for p in instances(identity, limits)]
+    """All reports for one identity over the grid, in canonical order (the
+    order of report.sort_key, not of the grid's loops): the list of the
+    lazy sweep that `tau verify` streams."""
+    return list(_sweep(identity, limits, table))
 
 
 # ---------------------------------------------------------------------------
@@ -710,35 +718,33 @@ def n1_sum_reports(genus: int, table: BracketTable | None = None) -> list[Report
 # ---------------------------------------------------------------------------
 # the `tau verify` tokens
 
-def _sweeps(k_span: int, *idents: str) -> Callable[[int, int], list[Report]]:
-    def run(g_max: int, n_max: int) -> list[Report]:
+def _sweeps(k_span: int, *idents: str) -> Callable[[int, int], Iterator[Report]]:
+    # idents come in id order, which leads the canonical key
+    def run(g_max: int, n_max: int) -> Iterator[Report]:
         lim = SweepLimits(g_max=g_max, n_max=n_max, k_span=k_span)
-        return [r for ident in idents for r in run_sweep(ident, lim)]
+        return chain.from_iterable(_sweep(ident, lim, None) for ident in idents)
     return run
+
+
+def _sorted(run: Callable[[int, int], list[Report]]) -> Callable[[int, int], list[Report]]:
+    """run(g_max, n_max), with its few reports put in canonical order."""
+    return lambda g_max, n_max: sorted(run(g_max, n_max), key=Report.sort_key)
 
 
 def _c41(g_max: int, n_max: int) -> list[Report]:
     # the whole denominator-chapter block: prime-order profile plus the
     # threshold, product-divisibility and automorphism-bound corollaries
     top = max(g_max, 2)
-    reports = []
-    for g in range(2, top + 1):
-        reports.append(dn.conjecture41_check(g))
-        reports.append(dn.threshold_check(g))
-        reports.append(dn.compare_D_S(g))
-    for g in range(0, top + 1):
-        for h in range(g, top - g + 1):
-            ok = dn.divisibility_check(g, h)
-            reports.append(Report(
-                id="c43", params={"g": g, "h": h},
-                lhs=Fraction(1), rhs=Fraction(1 if ok else 0),
-            ))
-    return reports
+    checks = (dn.conjecture41_check, dn.threshold_check, dn.compare_D_S)
+    return [check(g) for g in range(2, top + 1) for check in checks] + [
+        Report(id="c43", params={"g": g, "h": h}, lhs=Fraction(1),
+               rhs=Fraction(int(dn.divisibility_check(g, h))))
+        for g in range(top + 1) for h in range(g, top - g + 1)]
 
 
 # every `tau verify` token: its default g_max and n_max, and run(g_max,
-# n_max), which returns its reports on that grid
-VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], list[Report]]]] = {
+# n_max), which returns its reports on that grid in canonical order
+VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], Iterable[Report]]]] = {
     "eq3": (6, 4, _sweeps(3, "eq3")),
     "eq4": (6, 4, _sweeps(3, "eq4")),
     "eq5": (6, 4, _sweeps(3, "eq5")),
@@ -749,18 +755,18 @@ VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], list[Report]]]] = 
     "c33": (4, 3, _sweeps(2, "c33a", "c33b")),
     "c34": (4, 3, _sweeps(2, "c34a", "c34b")),
     "c35": (4, 3, _sweeps(2, "c35a", "c35b")),
-    "decomp": (5, 4, lambda g_max, n_max: [
-        decomposition_check(p["g"], p["d"]) for p in instances("eq3", SweepLimits(g_max, n_max))]),
-    "n1sums": (10, 1, lambda g_max, n_max: [
-        r for g in range(1, g_max + 1) for r in n1_sum_reports(g)]),
-    "c41": (3, 1, _c41),
-    "c51": (6, 4, lambda g_max, n_max: [
+    "decomp": (5, 4, _sorted(lambda g_max, n_max: [
+        decomposition_check(p["g"], p["d"]) for p in instances("eq3", SweepLimits(g_max, n_max))])),
+    "n1sums": (10, 1, _sorted(lambda g_max, n_max: [
+        r for g in range(1, g_max + 1) for r in n1_sum_reports(g)])),
+    "c41": (3, 1, _sorted(_c41)),
+    "c51": (6, 4, _sorted(lambda g_max, n_max: [
         mono.psi_swap_check(g, n) for g, n in mono.stable_strata(0, g_max, 1, n_max)] + [
-        mono.lambda_g_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)]),
-    "c52": (3, 2, lambda g_max, n_max: [
-        mono.kappa_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max, min_dim=2)]),
-    "c53": (3, 2, lambda g_max, n_max: [
-        mono.bounds_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max)]),
-    "c54": (4, 4, lambda g_max, n_max: [
-        mono.psi_floor_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)]),
+        mono.lambda_g_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)])),
+    "c52": (3, 2, _sorted(lambda g_max, n_max: [
+        mono.kappa_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max, min_dim=2)])),
+    "c53": (3, 2, _sorted(lambda g_max, n_max: [
+        mono.bounds_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max)])),
+    "c54": (4, 4, _sorted(lambda g_max, n_max: [
+        mono.psi_floor_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)])),
 }

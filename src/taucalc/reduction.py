@@ -119,33 +119,18 @@ def lambda_g_bracket(genus: int, exponents: Iterable[int]) -> Fraction:
         return _ZERO
     if any(x < 0 for x in d) or sum(d) != 2 * genus - 3 + n:
         return _ZERO
-    b = bernoulli(2 * genus)
     two = 2 ** (2 * genus - 1)
-    return (
-        Fraction(multinomial(d))
-        * Fraction(two - 1, two)
-        * Fraction(abs(b.numerator), b.denominator)
-        / factorial(2 * genus)
-    )
+    return multinomial(d) * Fraction(two - 1, two) * abs(bernoulli(2 * genus)) / factorial(2 * genus)
 
 
 def faber_closed_form(genus: int, exponents: Iterable[int]) -> Fraction:
     """(2g-3+n)! |B_2g| / (2^{2g-1} (2g)! prod (2d_j-1)!!), the conjectured
     value of <prod psi^{d_j} lambda_g lambda_{g-1}>."""
     d = tuple(exponents)
-    n = len(d)
-    b = bernoulli(2 * genus)
-    den = 2 ** (2 * genus - 1) * factorial(2 * genus)
-    for x in d:
-        den *= odd_double_factorial(x - 1)
-    return Fraction(factorial(2 * genus - 3 + n), den) * Fraction(
-        abs(b.numerator), b.denominator
-    )
+    den = 2 ** (2 * genus - 1) * factorial(2 * genus) * sigma_weight(x - 1 for x in d)
+    return Fraction(factorial(2 * genus - 3 + len(d)), den) * abs(bernoulli(2 * genus))
 
 
 def faber_kappa_value(genus: int) -> Fraction:
     """<kappa_{g-2} lambda_g lambda_{g-1}>_g = |B_2g| (g-1)! / (2^g (2g)!)."""
-    b = bernoulli(2 * genus)
-    return Fraction(abs(b.numerator), b.denominator) * Fraction(
-        factorial(genus - 1), 2**genus * factorial(2 * genus)
-    )
+    return abs(bernoulli(2 * genus)) * Fraction(factorial(genus - 1), 2**genus * factorial(2 * genus))

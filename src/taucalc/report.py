@@ -4,6 +4,11 @@ A report passes iff lhs == rhs exactly (rational equality, no tolerance).
 Sweep-style checks (monotonicity, witness searches) encode themselves in
 the same shape by putting the number of comparisons run on the lhs and
 the number satisfied on the rhs.
+
+Reports have one canonical order, `sort_key`.  Every `tau verify` and
+`tau monotone` producer hands its reports over in that order, a sweep
+evaluating each when it is pulled, so `json_chunks` writes them as they
+come, and no whole list of a sweep's reports is ever held.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator
 
-__all__ = ["Report", "json_chunks", "reports_to_json", "summary_line", "timed_report"]
+__all__ = ["Report", "json_chunks", "reports_to_json", "sort_key", "summary_line", "timed_report"]
 
 
 def _fraction_text(value: Any) -> str:
@@ -29,6 +35,12 @@ _ENCODER = json.JSONEncoder(default=_fraction_text)
 
 # encoded reports per piece of json_chunks
 _CHUNK = 256
+
+
+def sort_key(id: str, params: dict[str, Any]) -> tuple:
+    """The canonical order of reports: by id, then numerically by params,
+    whose values in sorted-name order line up within an id (ints, tuples)."""
+    return (id, *[params[k] for k in sorted(params)])
 
 
 @dataclass
@@ -63,11 +75,7 @@ class Report:
         return out
 
     def sort_key(self) -> tuple:
-        # numeric ordering within an id: params of one id share a schema, so
-        # their values in sorted-name order line up, and each is an int or
-        # a tuple
-        params = self.params
-        return (self.id, *[params[k] for k in sorted(params)])
+        return sort_key(self.id, self.params)
 
 
 def timed_report(
@@ -81,25 +89,25 @@ def timed_report(
     return Report(id=id, params=params, lhs=lhs, rhs=rhs, ms=ms, extra=extra)
 
 
-def json_chunks(reports: list[Report], timing: bool = True) -> Iterator[str]:
-    """The text of reports_to_json in pieces: "[", then the reports in
-    canonical order, `_CHUNK` encoded reports per piece, then "]".
-
-    Each report is encoded on its own and each piece is joined on its own,
-    so a writer of the pieces never holds a large sweep's whole text.
+def json_chunks(reports: Iterable[Report], timing: bool = True) -> Iterator[str]:
+    """The reports as one JSON array in pieces, in the order they come: "[",
+    then `_CHUNK` encoded reports per piece, then "]".  A piece pulls its
+    reports only when it is asked for, so a writer of the pieces holds at
+    most one piece's reports and text, never a large sweep's whole list.
     """
-    ordered = sorted(reports, key=Report.sort_key)
+    pending = iter(reports)
     yield "["
-    for i in range(0, len(ordered), _CHUNK):
-        text = ", ".join(_ENCODER.encode(r.to_dict(timing=timing)) for r in ordered[i : i + _CHUNK])
-        yield ", " + text if i else text
+    sep = ""
+    while chunk := list(islice(pending, _CHUNK)):
+        yield sep + ", ".join(_ENCODER.encode(r.to_dict(timing=timing)) for r in chunk)
+        sep = ", "
     yield "]"
 
 
 def reports_to_json(reports: list[Report], timing: bool = True) -> str:
     """The reports in canonical order as one JSON array, the join of
     `json_chunks`; the text equals the encoding of the whole list."""
-    return "".join(json_chunks(reports, timing))
+    return "".join(json_chunks(sorted(reports, key=Report.sort_key), timing))
 
 
 def summary_line(reports: list[Report]) -> str:

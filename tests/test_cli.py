@@ -354,10 +354,11 @@ def test_report_output_is_written_in_chunks(capsys, count):
     from taucalc.report import _CHUNK, Report, json_chunks, reports_to_json
 
     # 513 reports fill two whole chunks and start a third; one fails, so
-    # the exit code and the summary read every pass flag
+    # the exit code and the summary read every pass flag.  The writer takes
+    # its reports in canonical order, as every producer hands them over
     reports = [
         Report(id="eq4", params={"g": g, "d": (1, g)}, lhs=Fraction(g, 3), rhs=Fraction(g, 3 - (g == 7)))
-        for g in range(count, 0, -1)
+        for g in range(1, count + 1)
     ]
     assert len(list(json_chunks(reports))) == 2 + -(-count // _CHUNK)
     code = _emit_reports(reports, timing=False)
@@ -368,6 +369,86 @@ def test_report_output_is_written_in_chunks(capsys, count):
     # and the text is the encoding of the whole list, in canonical order
     whole = [r.to_dict(timing=False) for r in sorted(reports, key=lambda r: r.params["g"])]
     assert out.splitlines()[0] == json.dumps(whole, default=str)
+
+
+def test_report_writer_holds_at_most_one_chunk(monkeypatch):
+    from fractions import Fraction
+
+    from taucalc.cli import _emit_reports
+    from taucalc.report import _CHUNK, Report, reports_to_json
+
+    count = 2 * _CHUNK + 3
+    reports = [
+        Report(id="eq4", params={"g": g, "d": (1, g)}, lhs=Fraction(g), rhs=Fraction(g + (g == 300)))
+        for g in range(1, count + 1)
+    ]
+
+    class Sink(io.StringIO):
+        # each encoded report holds one "id" field
+        def written(self):
+            return self.getvalue().count('"id": ')
+
+    sink = Sink()
+    monkeypatch.setattr("sys.stdout", sink)
+    yielded = 0
+
+    def produce():
+        nonlocal yielded
+        for r in reports:
+            # a report handed over is pending until its text is written
+            assert yielded + 1 - sink.written() <= _CHUNK
+            yielded += 1
+            yield r
+
+    code = _emit_reports(produce(), timing=False)
+    assert yielded == sink.written() == count
+    assert code == 1
+    assert sink.getvalue() == reports_to_json(reports, timing=False) + f"\nPASS {count - 1}/{count}\n"
+
+
+def test_error_after_output_started_exits_two(capsys, monkeypatch):
+    from fractions import Fraction
+
+    import taucalc.identities as ids
+    from taucalc.report import Report
+
+    # a sweep streams its reports, so an error partway through leaves the
+    # pieces already written: a truncated array and no summary line
+    def run_then_fail(g_max, n_max):
+        yield Report(id="eq4", params={"g": 1, "d": (1,)}, lhs=Fraction(1), rhs=Fraction(1))
+        raise ValueError("damaged input")
+
+    monkeypatch.setitem(ids.VERIFY_TOKENS, "eq4", (1, 1, run_then_fail))
+    code, out, err = run(capsys, "verify", "eq4", "--no-timing")
+    assert code == 2 and "damaged input" in err
+    assert out.startswith("[") and not out.rstrip().endswith("]") and "PASS" not in out
+
+
+# a small grid per verify token, each holding some instance
+_SMALL_GRIDS = {
+    "eq3": (3, 2), "eq4": (3, 2), "eq5": (2, 2), "eq6": (2, 2), "eq7": (3, 3), "eq8": (3, 2),
+    "c32": (2, 2), "c33": (2, 2), "c34": (2, 2), "c35": (2, 2), "decomp": (3, 2), "n1sums": (3, 1),
+    "c41": (3, 1), "c51": (2, 2), "c52": (2, 1), "c53": (2, 1), "c54": (2, 2),
+}
+
+
+def test_small_grids_cover_every_verify_token():
+    from taucalc.identities import VERIFY_TOKENS
+
+    assert _SMALL_GRIDS.keys() == VERIFY_TOKENS.keys()
+
+
+@pytest.mark.parametrize("token", sorted(_SMALL_GRIDS))
+def test_verify_tokens_yield_canonical_order(capsys, token):
+    from taucalc.identities import VERIFY_TOKENS
+    from taucalc.report import summary_line
+
+    g_max, n_max = _SMALL_GRIDS[token]
+    reports = list(VERIFY_TOKENS[token][2](g_max, n_max))
+    keys = [r.sort_key() for r in reports]
+    assert len(reports) > 1 and keys == sorted(keys)
+    code, out, _ = run(capsys, "verify", token, "--gmax", str(g_max), "--nmax", str(n_max), "--no-timing")
+    assert code == 0 and out.splitlines()[-1] == summary_line(reports)
 
 
 def test_monotone_lambda_top(capsys):
