@@ -9,6 +9,9 @@ Verbs:
   monotone        long-running monotonicity modes with progress streaming
   cache           export / import the bracket memo table
 
+Each verb's parser names the function that runs it, and every verb runs
+one way: warm from --cache, run, and save the table back if it grew.
+
 Exit codes: 0 success or all-pass, 1 any verification failure, 2 usage,
 input or I/O errors.  All rationals print as num/den.
 """
@@ -73,11 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="omit elapsed-time fields from reports")
 
     p = sub.add_parser("compute", help="one bracket <tau_{d_1}..tau_{d_n}>_g")
+    p.set_defaults(run=lambda args: print(br.bracket(args.g, args.d)) or 0)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--d", type=_parse_int_list, default=())
     common(p)
 
     p = sub.add_parser("compute-kappa", help="one mixed integral <tau_d kappa_a>_{g,n}")
+    p.set_defaults(run=_run_compute_kappa)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=_parse_int_list, required=True)
@@ -85,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("npoint", help="dump n-point function coefficients")
+    p.set_defaults(run=_run_npoint)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gmax", type=int, required=True)
     p.add_argument("--special", action="store_true",
@@ -92,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="verification sweeps")
+    p.set_defaults(run=_run_verify)
     p.add_argument("identity", choices=ids.VERIFY_TOKENS)
     p.add_argument("--gmax", type=_grid_bound, default=None)
     p.add_argument("--nmax", type=_grid_bound, default=None)
@@ -101,17 +108,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("denom", help="denominator profile D(g,n) or script-D(g)")
+    p.set_defaults(run=_run_denom)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=_grid_bound, default=None)
     common(p)
 
     p = sub.add_parser("monotone", help="long-running monotonicity modes")
+    p.set_defaults(run=_run_monotone)
     p.add_argument("--lambda", dest="lam", choices=("none", "top"), default="none")
     p.add_argument("--n", type=_swap_points, default=2)
     p.add_argument("--gmax", type=_grid_bound, required=True)
     common(p)
 
     p = sub.add_parser("cache", help="export or import the bracket table")
+    p.set_defaults(run=_run_cache)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--export", metavar="PATH")
     group.add_argument("--import", dest="import_path", metavar="PATH")
@@ -120,6 +130,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     return top
+
+
+def _run_compute_kappa(args) -> int:
+    d = args.d if args.d is not None else (0,) * args.n
+    if len(d) != args.n:
+        raise ValueError(f"--d must list exactly {args.n} exponents")
+    print(kappa_to_psi(args.g, d, args.a))
+    return 0
+
+
+def _run_npoint(args) -> int:
+    series = (merged_series if args.special else npoint_series)(args.n, args.gmax)
+    for line in series.dump_lines():
+        print(line)
+    return 0
 
 
 def _emit_reports(reports: Iterable[Report], timing: bool) -> int:
@@ -182,7 +207,19 @@ def _run_monotone(args) -> int:
     if not any(r.lhs for r in reports):
         print("error: the grid holds no instance to compare", file=sys.stderr)
         return 2
-    return _emit_reports(sorted(reports, key=Report.sort_key), not args.no_timing)
+    # every branch lists its strata by genus, the canonical order
+    return _emit_reports(reports, not args.no_timing)
+
+
+def _run_cache(args) -> int:
+    if args.export:
+        count = br.cache_save(br.default_table(), args.export)
+        print(f"exported {count} entries to {args.export}")
+        return 0
+    table = br.cache_load(args.import_path, verify=args.verify_cache)
+    br.default_table().update(table)
+    print(f"imported {len(table)} entries from {args.import_path}")
+    return 0
 
 
 def _with_cache(args, body) -> int:
@@ -214,50 +251,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
     try:
-        if args.verb == "compute":
-            return _with_cache(args, lambda: print(br.bracket(args.g, args.d)) or 0)
-
-        if args.verb == "compute-kappa":
-            d = args.d if args.d is not None else (0,) * args.n
-            if len(d) != args.n:
-                print(f"--d must list exactly {args.n} exponents", file=sys.stderr)
-                return 2
-            return _with_cache(args, lambda: print(kappa_to_psi(args.g, d, args.a)) or 0)
-
-        if args.verb == "npoint":
-            def npoint_body() -> int:
-                series = (merged_series if args.special else npoint_series)(args.n, args.gmax)
-                for line in series.dump_lines():
-                    print(line)
-                return 0
-
-            return _with_cache(args, npoint_body)
-
-        if args.verb == "verify":
-            return _with_cache(args, lambda: _run_verify(args))
-
-        if args.verb == "denom":
-            return _with_cache(args, lambda: _run_denom(args))
-
-        if args.verb == "monotone":
-            return _with_cache(args, lambda: _run_monotone(args))
-
-        if args.verb == "cache":
-            def cache_body() -> int:
-                if args.export:
-                    count = br.cache_save(br.default_table(), args.export)
-                    print(f"exported {count} entries to {args.export}")
-                    return 0
-                table = br.cache_load(args.import_path, verify=args.verify_cache)
-                br.default_table().update(table)
-                print(f"imported {len(table)} entries from {args.import_path}")
-                return 0
-
-            return _with_cache(args, cache_body)
-
-        raise AssertionError(args.verb)  # pragma: no cover
+        return _with_cache(args, lambda: args.run(args))
     except (br.CacheError, ids.ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -197,12 +197,9 @@ def threshold_check(genus: int, table: BracketTable | None = None) -> Report:
     def sides():
         target = script_D_value(genus, table)
         bound = genus // 2 + 1
-        minimal = None
-        for n in range(1, bound + 1):
-            if compute_D(genus, n, table).value == target:
-                minimal = n
-                break
         at_bound = compute_D(genus, bound, table).value
+        below = (n for n in range(1, bound) if compute_D(genus, n, table).value == target)
+        minimal = next(below, bound if at_bound == target else None)
         return Fraction(at_bound), Fraction(target), {"minimal_n": minimal, "bound": bound}
 
     return timed_report("c42", {"g": genus}, sides)

@@ -10,18 +10,12 @@ its free parameters with their sweep ranges, the solved sum of d, its
 constraints and its two sides.  `instances` enumerates the grid from the
 spec and keeps the tuples that meet the constraints, `verify` checks one
 tuple against the same constraints and evaluates it, and `VERIFY_TOKENS`
-gives every `tau verify` token its default grid and its runner.
+gives every `tau verify` token its default grid and a runner that yields
+its reports in canonical order, each evaluated when it is pulled.
 
 The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
-insertion combinations all go through `split_sum`.  It returns 0 at once
-unless the genus fits both factors' dimensions.  Otherwise each split of d
-adds one convolution C_K(A, B) over j of two rows <sigma_j prod sigma_E>,
-in the engine's dyadic (num, e) form, that the bracket table keeps per
-sorted multiset E in its `_rows`.  Since C_K(B, A) = (-1)^K C_K(A, B),
-only the pair with A <= B is computed, and the table keeps it in its
-`_conv` slot for every K it meets (rows and convolutions are derived data,
-never saved; see BracketTable).  A call accumulates integer numerators and
-builds one Fraction.
+insertion combinations all go through `split_sum`, one convolution of two
+of the bracket table's rows per split (see its docstring).
 
 The bracket side of eq3 is (2g)!/B_2g times Mumford's expansion of
 <ch_{2g-1} prod tau_d>_g, so `ch_insertion` (any odd Chern character of
@@ -37,6 +31,7 @@ Identity ids:
   eq7   the K > g complement of eq5
   eq8   tau_{2g-2} insertion variant with an explicit constant
   eq3   the lambda_g lambda_{g-1} proportionality in pure-psi form
+  decomp  eq3 termwise: eq5's residual plus half of eq4 one genus down
   c32   paired-insertion splitting identities (a: vanishing-range, b: constant)
   c33   tau_{2K+2} with m spectator insertions (a, b as above)
   c34   tau_{2K+s+1} with m spectators and one tau_s partner (a, b)
@@ -45,7 +40,7 @@ Identity ids:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
@@ -326,6 +321,20 @@ def _eq8(table, g, d):
     return _insertion_combo(g, g - 1, d, table), rhs, {}
 
 
+def _decomp(table, g, d):
+    """eq3 termwise, constants included: eq5's residual plus half of eq4 at g - 1."""
+    residual = _insertion_combo(g, g, d, table)
+    half_alt = _HALF * alt_pair_sum(g - 1, g - 1, d, table)
+    const_eq3 = _eq3_constant(g, d)
+    consts_match = const_eq3 == _HALF * _eq4_constant(g - 1, d)
+    extra = {
+        "eq5_residual": residual,
+        "half_alt_pair_sum": half_alt,
+        "constants_match": consts_match,
+    }
+    return residual + half_alt, const_eq3 if consts_match else Fraction(-1), extra
+
+
 def _c32b(table, g, r, s, d):
     den = sigma_weight((r, s)) * 4**g * factorial(2 * g - 1) * _dfact_prod(d)
     lhs = Fraction(factorial(2 * g - 1 + len(d)), den)
@@ -580,6 +589,8 @@ _IDENTITIES: dict[str, _Identity] = {
         sides=_c35b,
     ),
 }
+# decomp takes the tuples eq3 takes: only its sides differ
+_IDENTITIES["decomp"] = replace(_IDENTITIES["eq3"], sides=_decomp)
 
 IDENTITY_IDS = tuple(_IDENTITIES)
 
@@ -657,28 +668,8 @@ def run_sweep(
 # the eq3 = eq5 + eq4@(g-1) decomposition and the one-point proof sums
 
 def decomposition_check(genus: int, d: Iterable[int], table: BracketTable | None = None) -> Report:
-    """Check that the lambda_g lambda_{g-1} identity decomposes termwise into
-    the simpler identity plus half the alternating pair sum one genus down,
-    constants included.  It takes the tuples eq3 takes."""
-    params = {"g": genus, "d": tuple(sorted(d))}
-    problem = _IDENTITIES["eq3"].violation(params)
-    if problem is not None:
-        raise ParameterError(f"decomposition {problem}")
-    d = params["d"]
-
-    def sides():
-        residual = _insertion_combo(genus, genus, d, table)
-        half_alt = _HALF * alt_pair_sum(genus - 1, genus - 1, d, table)
-        const_eq3 = _eq3_constant(genus, d)
-        consts_match = const_eq3 == _HALF * _eq4_constant(genus - 1, d)
-        extra = {
-            "eq5_residual": residual,
-            "half_alt_pair_sum": half_alt,
-            "constants_match": consts_match,
-        }
-        return residual + half_alt, const_eq3 if consts_match else Fraction(-1), extra
-
-    return timed_report("decomp", params, sides)
+    """The `decomp` report of one eq3 tuple (see `_decomp`)."""
+    return verify("decomp", table, g=genus, d=tuple(d))
 
 
 def _n1_sum(g: int, part: int, table: BracketTable | None) -> Fraction:
@@ -726,25 +717,23 @@ def _sweeps(k_span: int, *idents: str) -> Callable[[int, int], Iterator[Report]]
     return run
 
 
-def _sorted(run: Callable[[int, int], list[Report]]) -> Callable[[int, int], list[Report]]:
-    """run(g_max, n_max), with its few reports put in canonical order."""
-    return lambda g_max, n_max: sorted(run(g_max, n_max), key=Report.sort_key)
-
-
-def _c41(g_max: int, n_max: int) -> list[Report]:
-    # the whole denominator-chapter block: prime-order profile plus the
-    # threshold, product-divisibility and automorphism-bound corollaries
-    top = max(g_max, 2)
-    checks = (dn.conjecture41_check, dn.threshold_check, dn.compare_D_S)
-    return [check(g) for g in range(2, top + 1) for check in checks] + [
-        Report(id="c43", params={"g": g, "h": h}, lhs=Fraction(1),
-               rhs=Fraction(int(dn.divisibility_check(g, h))))
-        for g in range(top + 1) for h in range(g, top - g + 1)]
+def _c41(g_max: int, n_max: int) -> Iterator[Report]:
+    # the denominator-chapter block from genus 2 in canonical order: c41-c43, c4s
+    if g_max < 2:
+        return
+    genera = range(2, g_max + 1)
+    yield from map(dn.conjecture41_check, genera)
+    yield from map(dn.threshold_check, genera)
+    for g in range(g_max + 1):
+        for h in range(g, g_max - g + 1):
+            yield Report(id="c43", params={"g": g, "h": h}, lhs=Fraction(1),
+                         rhs=Fraction(int(dn.divisibility_check(g, h))))
+    yield from map(dn.compare_D_S, genera)
 
 
 # every `tau verify` token: its default g_max and n_max, and run(g_max,
-# n_max), which returns its reports on that grid in canonical order
-VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], Iterable[Report]]]] = {
+# n_max), an iterator over its reports on that grid in canonical order
+VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], Iterator[Report]]]] = {
     "eq3": (6, 4, _sweeps(3, "eq3")),
     "eq4": (6, 4, _sweeps(3, "eq4")),
     "eq5": (6, 4, _sweeps(3, "eq5")),
@@ -755,18 +744,17 @@ VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], Iterable[Report]]]
     "c33": (4, 3, _sweeps(2, "c33a", "c33b")),
     "c34": (4, 3, _sweeps(2, "c34a", "c34b")),
     "c35": (4, 3, _sweeps(2, "c35a", "c35b")),
-    "decomp": (5, 4, _sorted(lambda g_max, n_max: [
-        decomposition_check(p["g"], p["d"]) for p in instances("eq3", SweepLimits(g_max, n_max))])),
-    "n1sums": (10, 1, _sorted(lambda g_max, n_max: [
-        r for g in range(1, g_max + 1) for r in n1_sum_reports(g)])),
-    "c41": (3, 1, _sorted(_c41)),
-    "c51": (6, 4, _sorted(lambda g_max, n_max: [
-        mono.psi_swap_check(g, n) for g, n in mono.stable_strata(0, g_max, 1, n_max)] + [
-        mono.lambda_g_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)])),
-    "c52": (3, 2, _sorted(lambda g_max, n_max: [
-        mono.kappa_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max, min_dim=2)])),
-    "c53": (3, 2, _sorted(lambda g_max, n_max: [
-        mono.bounds_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max)])),
-    "c54": (4, 4, _sorted(lambda g_max, n_max: [
-        mono.psi_floor_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)])),
+    "decomp": (5, 4, _sweeps(3, "decomp")),
+    "n1sums": (10, 1, lambda g_max, n_max: (
+        r for g in range(1, g_max + 1) for r in n1_sum_reports(g))),
+    "c41": (3, 1, _c41),
+    "c51": (6, 4, lambda g_max, n_max: chain(
+        (mono.psi_swap_check(g, n) for g, n in mono.stable_strata(0, g_max, 1, n_max)),
+        (mono.lambda_g_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)))),
+    "c52": (3, 2, lambda g_max, n_max: (
+        mono.kappa_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max, min_dim=2))),
+    "c53": (3, 2, lambda g_max, n_max: (
+        mono.bounds_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max))),
+    "c54": (4, 4, lambda g_max, n_max: (
+        mono.psi_floor_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max))),
 }

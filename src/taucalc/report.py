@@ -5,10 +5,10 @@ Sweep-style checks (monotonicity, witness searches) encode themselves in
 the same shape by putting the number of comparisons run on the lhs and
 the number satisfied on the rhs.
 
-Reports have one canonical order, `sort_key`.  Every `tau verify` and
-`tau monotone` producer hands its reports over in that order, a sweep
-evaluating each when it is pulled, so `json_chunks` writes them as they
-come, and no whole list of a sweep's reports is ever held.
+Reports have one canonical order, `sort_key`.  Every `tau verify` token
+yields its reports in that order, each evaluated when it is pulled, so
+`json_chunks` writes them as they come and no token's whole list is held;
+the CLI counts its "PASS k/N" summary as they go out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-__all__ = ["Report", "json_chunks", "reports_to_json", "sort_key", "summary_line", "timed_report"]
+__all__ = ["Report", "json_chunks", "reports_to_json", "sort_key", "timed_report"]
 
 
 def _fraction_text(value: Any) -> str:
@@ -108,8 +108,3 @@ def reports_to_json(reports: list[Report], timing: bool = True) -> str:
     """The reports in canonical order as one JSON array, the join of
     `json_chunks`; the text equals the encoding of the whole list."""
     return "".join(json_chunks(sorted(reports, key=Report.sort_key), timing))
-
-
-def summary_line(reports: list[Report]) -> str:
-    passed = sum(1 for r in reports if r.passed)
-    return f"PASS {passed}/{len(reports)}"

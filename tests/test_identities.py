@@ -23,7 +23,7 @@ from taucalc.identities import (
     split_sum,
     verify,
 )
-from taucalc.report import Report, reports_to_json, summary_line
+from taucalc.report import Report, reports_to_json
 
 
 def test_alt_pair_sum_examples():
@@ -265,6 +265,22 @@ def test_decomposition_check():
         decomposition_check(3, (1, 1))
 
 
+def test_decomp_is_an_identity_on_the_eq3_grid():
+    # decomp takes eq3's tuples, and verify evaluates it like any identity
+    r = verify("decomp", g=3, d=(1, 2))
+    want = decomposition_check(3, (1, 2))
+    assert (r.id, r.params) == ("decomp", {"g": 3, "d": (1, 2)})
+    assert (r.lhs, r.rhs, r.extra) == (want.lhs, want.rhs, want.extra)
+    # its two terms add up to eq3's bracket side, and its constant is eq3's
+    eq3 = verify("eq3", g=3, d=(1, 2))
+    assert r.extra["eq5_residual"] + r.extra["half_alt_pair_sum"] == r.lhs == eq3.lhs
+    assert r.rhs == eq3.rhs and r.passed
+    lim = SweepLimits(g_max=4, n_max=3)
+    assert list(instances("decomp", lim)) == list(instances("eq3", lim))
+    with pytest.raises(ParameterError, match="decomp needs"):
+        verify("decomp", g=3, d=(1, 1))
+
+
 def test_n1_sums():
     assert n1_proof_sums(1) == (Fraction(1, 12), Fraction(1, 12), Fraction(1, 24))
     assert n1_expected(2) == (Fraction(1, 120), Fraction(1, 240), Fraction(1, 1152))
@@ -289,7 +305,6 @@ def test_report_serialization():
     assert payload == [
         {"id": "eq4", "params": {"g": 1, "d": [1]}, "lhs": "1/12", "rhs": "1/12", "pass": True}
     ]
-    assert summary_line([r]) == "PASS 1/1"
     with_timing = json.loads(reports_to_json([r], timing=True))
     assert "ms" in with_timing[0]
 
