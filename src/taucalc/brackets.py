@@ -24,8 +24,10 @@ coefficients and one 1/2 (no division by (2k+3)!!):
                          + sum_{I ⊔ J, g'} S_{g'}(r, d_I) S_{g-g'}(s, d_J)]
 
 with ordered pairs (I, J) and unstable or dimension-violating brackets
-equal to 0.  Sub-keys with a tau_0 or tau_1 are canonicalized in turn, and
-every key of genus >= 1 visited, closed or not, is memoized under its own
+equal to 0.  A term equals its mirror, with (r, I) and (s, J) swapped, so
+the sum is taken over mirror pairs at weight 1, and a self-mirror term at
+1/2.  Sub-keys with a tau_0 or tau_1 are canonicalized in turn, and every
+key of genus >= 1 visited, closed or not, is memoized under its own
 exponents, so the descent only ever sees n >= 3 keys and stops at n <= 2.
 Genus-0 keys and S_1(1) = 3 <tau_1>_1 = 1/8 are answered before the memo
 and never stored, so no cache file written here holds them.
@@ -109,6 +111,13 @@ def _sigma_form(weight: int, num: int, den: int) -> tuple[int, int]:
     return _dyadic(q, (den // odd).bit_length() - 1)
 
 
+def _storable(g: int, d: tuple[int, ...]) -> bool:
+    """Whether the engine could store the key (g, d); computes no weight."""
+    n = len(d)
+    stable = g >= 0 and 2 * g - 2 + n > 0 and sum(d) == 3 * g - 3 + n
+    return stable and list(d) == sorted(d) and min(d, default=0) >= 0
+
+
 class BracketTable:
     """Memo table of brackets keyed by (genus, ascending exponents), with
     persistence support.
@@ -157,6 +166,8 @@ class BracketTable:
 
     def put(self, key, value: Fraction) -> None:
         key = tuple(key)
+        if not _storable(*key):
+            raise ValueError(f"no bracket has the key {key}")
         self._data[key] = _sigma_form(sigma_weight(key[1]), value.numerator, value.denominator)
 
     def items(self):
@@ -222,7 +233,7 @@ def bracket_any_genus(exponents: Iterable[int], table: BracketTable | None = Non
 
 
 def _genus0(d: tuple[int, ...]) -> tuple[int, int]:
-    # (2d+1)!!/d! = (2d+1) C(2d, d)/2^d, and sum(d) = n - 3
+    # (2d+1)!!/d! = (2d+1) C(2d, d)/2^d, and sum(d) = n - 3 (so n >= 3)
     num = factorial(len(d) - 3)
     for x in d:
         num *= (2 * x + 1) * comb(2 * x, x)
@@ -230,19 +241,19 @@ def _genus0(d: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
-    n = len(d)
-    if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
-        return _DZERO
     if g == 0:
-        return _genus0(d)
+        return _genus0(d) if sum(d) == len(d) - 3 else _DZERO
     if g == 1 and d == (1,):
         return _S11
 
-    key = (g, d)
+    key = (g, d)  # a hit needs no range check: the memo holds _storable keys
     v = t._data.get(key)
     if v is not None:
         t.hits += 1
         return v
+    n = len(d)
+    if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
+        return _DZERO
     t.misses += 1
 
     if n == 1:
@@ -319,9 +330,9 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
 
     Every sub-key goes back through _bracket: one with n <= 2 is read from
     its closed form, and one with a tau_0 or tau_1 is stripped by the
-    string or dilaton equation.  No boundary factor is ever genus 0:
-    <tau_r prod_I>_0 needs exponents summing to |I| - 2, but each
-    exponent of rest is >= 2.
+    string or dilaton equation.  The 1/2-sum over ordered pairs of the
+    boundary terms is evaluated over mirror pairs (see the module
+    docstring), which visits the same sub-keys.
     """
     k = d[-1] - 1
     rest = d[:-1]
@@ -335,26 +346,25 @@ def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
             num, e = _bracket(g, sub, t)
             acc[e] = acc.get(e, 0) + rest.count(x) * (2 * x + 1) * num
 
-    # boundary terms (k >= 1 since every exponent is >= 2); their 1/2 is
-    # the +1 on the exponent
-    splits = submultiset_splits(rest)
-    for r in range(k):
-        s = k - 1 - r
+    # boundary terms (k >= 1 since every exponent is >= 2), one per mirror
+    # pair; only a self-mirror term keeps the 1/2, as the +1 on its exponent
+    for r in range((k + 1) // 2):
         # irreducible: genus drops, both new insertions on one component
-        num, e = _bracket(g - 1, tuple(sorted(rest + (r, s))), t)
-        acc[e + 1] = acc.get(e + 1, 0) + num
-        # reducible: ordered splits; the left factor's genus is forced
-        # by its dimension, other genera contribute 0
-        for left, right, count in splits:
-            gl, rem = divmod(r + sum(left) - len(left) + 2, 3)
-            if rem or gl < 0 or gl > g:
-                continue
-            ln, le = _bracket(gl, tuple(sorted((r,) + left)), t)
-            if ln:
-                rn, re = _bracket(g - gl, tuple(sorted((s,) + right)), t)
-                if rn:
-                    e = le + re + 1
-                    acc[e] = acc.get(e, 0) + count * ln * rn
+        num, e = _bracket(g - 1, tuple(sorted(rest + (r, k - 1 - r))), t)
+        e += 2 * r == k - 1
+        acc[e] = acc.get(e, 0) + num
+    # reducible: the left genus (r + c)/3 is forced by its dimension, so r
+    # runs over one residue class mod 3; c > 0 as every exponent of rest is
+    # >= 2, so that genus is >= 1 (and so is the right one, likewise)
+    for left, right, count in submultiset_splits(rest):
+        if left <= right:
+            c = sum(left) - len(left) + 2
+            for r in range(-c % 3, min((k - 1) // 2 if left == right else k - 1, 3 * g - c) + 1, 3):
+                gl = (r + c) // 3
+                ln, le = _bracket(gl, tuple(sorted((r,) + left)), t)
+                rn, re = _bracket(g - gl, tuple(sorted((k - 1 - r,) + right)), t)
+                e = le + re + (2 * r == k - 1 and left == right)
+                acc[e] = acc.get(e, 0) + count * ln * rn
 
     return dyadic_sum(acc)
 
@@ -411,10 +421,10 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     a file without it, or with entries after it, is rejected, and so are a
     second line with the key of an earlier one and a value whose sigma
     form (see the module docstring) is not dyadic.  A key the engine never
-    stores (a negative genus or exponent, an unstable (g, n), or exponents
-    not summing to 3g-3+n) is rejected before its weight is computed, and
-    the weights are computed in a memo local to the load, so a hostile file
-    cannot fill the process-wide factorial caches.
+    stores (see _storable), and a one-point key whose value is not
+    1/(24^g g!), are rejected before a weight is computed, and the weights
+    are computed in a memo local to the load, so a hostile file cannot fill
+    the process-wide factorial caches.
     With verify=True every entry is recomputed from scratch (through a
     private empty table) and compared; any disagreement aborts the load.
     """
@@ -465,14 +475,14 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
             num, den = parse_ratio(parts[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise CacheError(f"line {lineno}: malformed entry {line!r}: {exc}") from None
-        if tuple(sorted(exps)) != exps:
-            raise CacheError(f"line {lineno}: exponents not ascending in {line!r}")
-        n = len(exps)
-        if g < 0 or (exps and exps[0] < 0) or 2 * g - 2 + n <= 0 or sum(exps) != 3 * g - 3 + n:
+        if not _storable(g, exps):
             raise CacheError(f"line {lineno}: no bracket has the key of {line!r}")
         first = first_line.setdefault((g, exps), lineno)
         if first != lineno:
             raise CacheError(f"line {lineno}: the key of {line!r} was already read on line {first}")
+        # 1/(24^g g!) has over 4g bits of denominator: check that first
+        if len(exps) == 1 and (den.bit_length() <= 4 * g or Fraction(num, den) != one_point(g)):
+            raise CacheError(f"line {lineno}: stored value {parts[2]} is not 1/(24^g g!)")
         if verify:
             recomputed = bracket(g, exps, scratch)
             if recomputed != Fraction(num, den):

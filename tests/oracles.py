@@ -14,7 +14,11 @@ merged series back into alternating pair sums for the same comparison.
 term over every channel, against the package's Horner evaluation.
 `divide_by_varsum` and `delta_terms` are the n-point engine's division by
 x_0 + .. + x_{n-1} and its Delta polynomial over every monomial, the
-oracles of its sorted-key kernels.
+oracles of its sorted-key kernels.  `dvv_ordered` is the bracket engine's
+DVV descent in Fractions with its boundary 1/2-sum taken over ordered
+pairs, the reference for the engine's mirror-paired sum; it reads the
+ordered splits from `combinat.submultiset_splits`, which the combinatorics
+tests check against labelled subsets.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from taucalc.combinat import submultiset_splits
 from taucalc.npoint import DivisionRemainderError
 
 
@@ -97,6 +102,69 @@ def ch_insertion_mumford(genus, k, exponents, bracket, kappa_to_psi, table=None)
     return bernoulli_tangent(2 * k) / factorial(2 * k) * combo
 
 
+def _odd_df(k: int) -> int:
+    """(2k+1)!!"""
+    return prod(range(1, 2 * k + 2, 2))
+
+
+def dvv_ordered(g: int, d: tuple[int, ...], memo: dict) -> Fraction:
+    """S_g(d) = prod (2d_j+1)!! <prod tau_{d_j}>_g as a Fraction, by the DVV
+    descent with its boundary 1/2-sum taken term by term over ordered pairs:
+    every r in 0..k-1, every ordered split of the other exponents, the left
+    genus found by divmod and 1/2 on every boundary term.
+
+    Sub-keys go the engine's way (closed one- and two-point forms, string
+    and dilaton equations, descent on the largest exponent), so memo ends
+    up holding every key of genus >= 1 visited other than S_1(1), the keys
+    the engine stores; d is ascending.
+    """
+    n = len(d)
+    if g < 0 or 2 * g - 2 + n <= 0 or (d and d[0] < 0) or sum(d) != 3 * g - 3 + n:
+        return Fraction(0)
+    if g == 0:
+        return genus0_string(d) * prod(map(_odd_df, d))
+    if g == 1 and d == (1,):
+        return Fraction(1, 8)
+    key = (g, d)
+    if key in memo:
+        return memo[key]
+    if n == 1:
+        value = Fraction(_odd_df(d[0]), 24**g * factorial(g))
+    elif n == 2:
+        num, whole = two_point_numerators_by_channel(g)
+        value = Fraction(num[d[0]] * _odd_df(d[0]) * _odd_df(d[1]), whole)
+    elif d[0] == 0:
+        rest = d[1:]
+        value = sum(
+            (2 * x + 1) * dvv_ordered(g, tuple(sorted(rest[:j] + (x - 1,) + rest[j + 1 :])), memo)
+            for j, x in enumerate(rest)
+            if x >= 1
+        )
+    elif d[0] == 1:
+        value = 3 * (2 * g - 3 + n) * dvv_ordered(g, d[1:], memo)
+    else:
+        k, rest = d[-1] - 1, d[:-1]
+        value = sum(
+            (2 * x + 1) * dvv_ordered(g, tuple(sorted(rest[:j] + (x + k,) + rest[j + 1 :])), memo)
+            for j, x in enumerate(rest)
+        )
+        half = Fraction(1, 2)
+        splits = submultiset_splits(rest)
+        for r in range(k):
+            s = k - 1 - r
+            value += half * dvv_ordered(g - 1, tuple(sorted(rest + (r, s))), memo)
+            for left, right, count in splits:
+                gl, rem = divmod(r + sum(left) - len(left) + 2, 3)
+                if rem or gl < 0 or gl > g:
+                    continue
+                lv = dvv_ordered(gl, tuple(sorted((r,) + left)), memo)
+                if lv:
+                    rv = dvv_ordered(g - gl, tuple(sorted((s,) + right)), memo)
+                    value += half * count * lv * rv
+    memo[key] = Fraction(value)
+    return memo[key]
+
+
 def warm_table_from_series(series, table) -> int:
     """Seed a bracket table with every coefficient of the series' F part.
 
@@ -153,16 +221,12 @@ def two_point_numerators_by_channel(g: int) -> tuple[list[int], int]:
     whole/(24^g g!) C(g-1, a//3) to x^a, negated for a = 1 mod 3.  A triple
     loop, O(g^3) products per row.
     """
-
-    def odd_df(k: int) -> int:
-        return prod(range(1, 2 * k + 2, 2))
-
     half = (3 * g - 1) // 2
-    whole = 4**g * odd_df(g) * 24**g * factorial(g)
+    whole = 4**g * _odd_df(g) * 24**g * factorial(g)
     num = [0] * (half + 1)
     for s in range(1, g + 1):
         k = g - s
-        base = whole // (4**s * odd_df(s) * 24**k * factorial(k))
+        base = whole // (4**s * _odd_df(s) * 24**k * factorial(k))
         row = [base * comb(k, u) for u in range(k + 1)]
         for i in range(s):
             ci = comb(s - 1, i)

@@ -27,6 +27,7 @@ from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
 from oracles import (
     REFERENCE_BRACKETS,
+    dvv_ordered,
     genus0_string,
     three_point_with_tau0,
     two_point_numerators_by_channel,
@@ -167,11 +168,28 @@ def test_descent_agrees_with_series():
     cases = [(2, (1, 1, 3)), (3, (2, 3, 4)), (4, (9, 1)), (2, (0, 1, 2, 4)), (5, (13,))]
     # canonical keys (n >= 3, all exponents >= 2, not all equal) reach the
     # DVV descent directly; n <= 2 keys are closed, and the rest are
-    # stripped by the string and dilaton equations
-    canonical = [(4, (2, 3, 4, 4)), (5, (2, 2, 5, 7)), (6, (2, 3, 4, 5, 6))]
+    # stripped by the string and dilaton equations; (4, (3, 3, 6)) has a
+    # self-mirror term in both boundary sums (r = s = 2, and I = J = {3})
+    canonical = [(4, (2, 3, 4, 4)), (5, (2, 2, 5, 7)), (6, (2, 3, 4, 5, 6)), (4, (3, 3, 6))]
     for g, d in cases + canonical:
         assert bracket(g, d, BracketTable()) == npoint_series(len(d), g).bracket(d), (g, d)
     assert all(bracket(g, d) != 0 for g, d in canonical)
+
+
+def test_mirror_paired_descent_matches_ordered_oracle():
+    # every stratum with g >= 1, n <= 8 and 3g-3+n <= 22 (52 strata) on one
+    # cold table: the engine sums each mirror pair of boundary terms once,
+    # the oracle every ordered term; equal memos mean the same keys visited,
+    # so cache files stay byte-identical
+    table, memo = BracketTable(), {}
+    strata = [(g, n) for g in range(1, 9) for n in range(1, 9) if 3 * g - 3 + n <= 22]
+    assert len(strata) == 52
+    for g, n in strata:
+        for d in multisets_with_sum(n, 3 * g - 3 + n):
+            num, e = br.sigma_bracket(g, d, table)
+            assert Fraction(num) / Fraction(2) ** e == dvv_ordered(g, d, memo), (g, d)
+    cold = {key: Fraction(num) / Fraction(2) ** e for key, (num, e) in table._data.items()}
+    assert cold == memo and len(memo) == 3738
 
 
 def test_closed_base_case_memo_counts():
@@ -317,9 +335,10 @@ def test_cache_rejects_a_key_read_twice():
 
 
 def test_cache_rejects_value_whose_sigma_form_is_not_dyadic():
-    # the trailer is valid, but 3 * 1/72 = 1/24 is no dyadic rational
-    with pytest.raises(CacheError, match="line 2: value 1/72 is not dyadic"):
-        cache_load(io.StringIO(_sealed("1|1|1/72")))
+    # the trailer is valid, but 9 * 1/27 = 1/3 is no dyadic rational (a
+    # one-point key would fail the closed-form check first)
+    with pytest.raises(CacheError, match="line 2: value 1/27 is not dyadic"):
+        cache_load(io.StringIO(_sealed("1|1,1|1/27")))
     with pytest.raises(ValueError, match="not dyadic"):
         BracketTable().put((1, (1,)), Fraction(1, 72))
 
@@ -329,15 +348,32 @@ def test_cache_rejects_value_whose_sigma_form_is_not_dyadic():
     "-1|0,0,0,0,0,0,1|1",  # negative genus, though 2g-2+n > 0 and the sum fits
     "0|0,0|1",  # unstable (g, n)
     "1|50000|1",  # exponents do not sum to 3g-3+n
+    "2|3,1|1/384",  # exponents not ascending
     "16667|50000|1/3",  # one too many: 3g-3+n = 49999
 ])
 def test_cache_rejects_keys_the_engine_never_stores(entry):
     # the weight prod (2d_j+1)!! of such a key would be computed before
-    # any other check; the key is rejected first and no weight is cached
+    # any other check; the key is rejected first and no weight is cached.
+    # put shares the check: a memo hit is answered without a range check
     before = odd_double_factorial.cache_info(), double_factorial.cache_info()
     with pytest.raises(CacheError, match="line 3: no bracket has the key"):
         cache_load(io.StringIO(_sealed("1|1|1/24", entry)))
+    g, exps, value = entry.split("|")
+    key = (int(g), tuple(int(x) for x in exps.split(",")))
+    with pytest.raises(ValueError, match="no bracket has the key"):
+        BracketTable().put(key, Fraction(value))
     assert (odd_double_factorial.cache_info(), double_factorial.cache_info()) == before
+
+
+@pytest.mark.parametrize("entry", [
+    "2|4|1",  # <tau_4>_2 = 1/1152: bracket would read 1 from the memo
+    "16667|49999|1",  # checked before the weight (99997)!! is computed
+    "2|4|1/1151",
+])
+def test_cache_rejects_one_point_value_other_than_the_closed_form(entry):
+    with pytest.raises(CacheError, match="line 2: stored value .* is not 1/\\(24\\^g g!\\)"):
+        cache_load(io.StringIO(_sealed(entry)))
+    assert bracket(2, (4,), cache_load(io.StringIO(_sealed("2|4|1/1152")))) == Fraction(1, 1152)
 
 
 def test_cache_load_leaves_the_factorial_caches_alone():
@@ -392,7 +428,7 @@ def test_cache_from_series_verifies_through_engine():
 
 def test_cache_verify_rejects_wrong_value():
     with pytest.raises(CacheError, match="contradicts"):
-        cache_load(io.StringIO("TAUCACHE v1\n1|1|1/25\n"), verify=True)
+        cache_load(io.StringIO("TAUCACHE v1\n1|1,1|1/25\n"), verify=True)
 
 
 def test_cache_rejects_malformed_and_version_mismatch():

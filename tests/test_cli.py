@@ -261,15 +261,15 @@ def test_cache_round_trip(tmp_path, capsys):
 
 def test_cache_import_rejects_corruption(tmp_path, capsys):
     bad = tmp_path / "bad.cache"
-    bad.write_text("TAUCACHE v1\n1|1|1/25\n")
+    bad.write_text("TAUCACHE v1\n1|1,1|1/25\n")
     code, _, err = run(capsys, "cache", "--import", str(bad), "--verify-cache")
     assert code == 2 and "contradicts" in err
 
 
 def test_cache_import_rejects_non_dyadic_value(tmp_path, capsys):
-    # a sealed file whose one value, times (2*1+1)!! = 3, has an odd
+    # a sealed file whose one value, times (2*1+1)!!^2 = 9, has an odd
     # denominator: no bracket has that form, so the load fails on line 2
-    entry = "1|1|1/72"
+    entry = "1|1,1|1/27"
     digest = hashlib.sha256(entry.encode()).hexdigest()
     bad = tmp_path / "bad.cache"
     bad.write_text(f"TAUCACHE v1\n{entry}\n#sha256={digest}\n")
