@@ -114,8 +114,8 @@ def _sigma_form(weight: int, num: int, den: int) -> tuple[int, int]:
 def _storable(g: int, d: tuple[int, ...]) -> bool:
     """Whether the engine could store the key (g, d); computes no weight."""
     n = len(d)
-    stable = g >= 0 and 2 * g - 2 + n > 0 and sum(d) == 3 * g - 3 + n
-    return stable and list(d) == sorted(d) and min(d, default=0) >= 0
+    return (g >= 0 and 2 * g - 2 + n > 0 and sum(d) == 3 * g - 3 + n
+            and list(d) == sorted(d) and (not d or d[0] >= 0))
 
 
 class BracketTable:
@@ -425,8 +425,8 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     1/(24^g g!), are rejected before a weight is computed, and the weights
     are computed in a memo local to the load, so a hostile file cannot fill
     the process-wide factorial caches.
-    With verify=True every entry is recomputed from scratch (through a
-    private empty table) and compared; any disagreement aborts the load.
+    With verify=True every entry is recomputed on a private empty table and a
+    mismatch aborts the load.  A line is split once, its ints read by `map`.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -456,7 +456,7 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     weight = lru_cache(maxsize=None)(lambda d: prod(range(2 * d + 1, 0, -2)))
     sealed = False
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         if sealed:
             raise CacheError(f"line {lineno}: entry after the checksum trailer")
@@ -471,7 +471,7 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
             raise CacheError(f"line {lineno}: malformed entry {line!r}")
         try:
             g = int(parts[0])
-            exps = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
+            exps = tuple(map(int, parts[1].split(","))) if parts[1] else ()
             num, den = parse_ratio(parts[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise CacheError(f"line {lineno}: malformed entry {line!r}: {exc}") from None

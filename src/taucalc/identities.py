@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from math import factorial, lcm
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from . import denominators as dn
@@ -55,7 +56,7 @@ from .brackets import (
 )
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
-from .report import Report, sort_key, timed_report
+from .report import Report, timed_report
 
 __all__ = [
     "ParameterError",
@@ -154,14 +155,8 @@ def _convolution(
     return dyadic_sum(acc)
 
 
-def split_sum(
-    K: int,
-    left_extras: Iterable[int],
-    right_extras: Iterable[int],
-    genus: int,
-    d: Iterable[int],
-    table: BracketTable | None = None,
-) -> Fraction:
+def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], genus: int,
+              d: Iterable[int], table: BracketTable | None = None) -> Fraction:
     """sum over ordered pairs I ⊔ J of {1..n}, genus splittings and j of
 
         (-1)^j <tau_j prod(left_extras) prod_I tau_d>_{g'}
@@ -185,7 +180,7 @@ def split_sum(
     table keeps per sorted E (`t._rows[E]`), filled on first use.  The
     sigma weights of d and the extras are the same for every split, and
     `_pair_scale` puts those of tau_j and tau_{K-j} over one denominator,
-    so terms add as integers per e into one Fraction.
+    so terms add as integers into one numerator; a zero sum returns 0 at once.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -197,21 +192,23 @@ def split_sum(
     t = table if table is not None else default_table()
     conv = t._conv[K]
     flip = -1 if K % 2 else 1
-    acc: dict[int, int] = {}
+    total = top = 0  # the sum so far is total/2^top
     for (_, _, count), A, B in zip(_splits(d), _sides(left, d, 0), _sides(right, d, 1)):
         if B < A:
             A, B = B, A
             count *= flip
-        pair = (A, B)
-        c = conv.get(pair)
+        c = conv.get((A, B))
         if c is None:
-            c = conv[pair] = _convolution(t, K, A, B, genus)
+            c = conv[A, B] = _convolution(t, K, A, B, genus)
         num, e = c
         if num:
-            acc[e] = acc.get(e, 0) + count * num
-    top = max(acc, default=0)
-    num = sum(v << (top - e) for e, v in acc.items())
-    return Fraction(*dyadic_ratio((num, top), _pair_scale(K)[0] * sigma_weight(left + right + d)))
+            if e > top:
+                total <<= e - top
+                top = e
+            total += (count * num) << (top - e)
+    if not total:
+        return _ZERO
+    return Fraction(*dyadic_ratio((total, top), _pair_scale(K)[0] * sigma_weight(left + right + d)))
 
 
 def _dfact_prod(d: Iterable[int]) -> int:
@@ -627,7 +624,7 @@ def verify(
 def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict]:
     """Admissible parameter dictionaries for one identity on the grid: the
     spec's loops, then n = 0..n_max and every d with the solved sum, kept
-    when they meet the spec's constraints."""
+    when they meet the spec's constraints: one base dict per loop assignment, plus d."""
     spec = _spec(identity)
     lim = limits or SweepLimits()
     # every assignment of the loop parameters, outermost loop first
@@ -635,10 +632,10 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
     for name, choices in spec.loops:
         grid = [{**outer, name: v} for outer in grid for v in choices(lim, **outer)]
     for outer in grid:
+        base = {k: outer[k] for k in spec.keys}
         for n in range(lim.n_max + 1):
             for d in _multisets(n, spec.d_sum(n=n, **outer), spec.min_part):
-                params = {k: outer[k] for k in spec.keys}
-                params["d"] = d
+                params = {**base, "d": d}
                 # sum(d) holds by construction; the checks decide the rest
                 for _, ok in spec.checks:
                     if not ok(params):
@@ -649,17 +646,21 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
 
 def _sweep(identity: str, limits: SweepLimits | None, table: BracketTable | None) -> Iterator[Report]:
     """The reports of one identity over the grid in canonical order, each
-    evaluated when it is pulled.  `instances` has checked every tuple, so
-    each is evaluated without a second check."""
-    grid = sorted(instances(identity, limits), key=lambda p: sort_key(identity, p))
-    return (verify(identity, table, checked=True, **p) for p in grid)
+    evaluated when it is pulled.  The grid is held as tuples of values in
+    sorted-name order (`Report.sort_key`'s order within an id); a pulled one
+    becomes params in spec order for `verify`, unchecked: `instances` checked it."""
+    keys = _spec(identity).keys + ("d",)
+    names = sorted(keys)
+    grid = sorted(map(itemgetter(*names), instances(identity, limits)))
+    in_spec_order = itemgetter(*map(names.index, keys))
+    return (verify(identity, table, checked=True, **dict(zip(keys, in_spec_order(v)))) for v in grid)
 
 
 def run_sweep(
     identity: str, limits: SweepLimits | None = None, table: BracketTable | None = None
 ) -> list[Report]:
     """All reports for one identity over the grid, in canonical order (the
-    order of report.sort_key, not of the grid's loops): the list of the
+    order of Report.sort_key, not of the grid's loops): the list of the
     lazy sweep that `tau verify` streams."""
     return list(_sweep(identity, limits, table))
 

@@ -5,7 +5,7 @@ Sweep-style checks (monotonicity, witness searches) encode themselves in
 the same shape by putting the number of comparisons run on the lhs and
 the number satisfied on the rhs.
 
-Reports have one canonical order, `sort_key`.  Every `tau verify` token
+Reports have one canonical order, `Report.sort_key`.  Every `tau verify` token
 yields its reports in that order, each evaluated when it is pulled, so
 `json_chunks` writes them as they come and no token's whole list is held;
 the CLI counts its "PASS k/N" summary as they go out.
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-__all__ = ["Report", "json_chunks", "reports_to_json", "sort_key", "timed_report"]
+__all__ = ["Report", "json_chunks", "reports_to_json", "timed_report"]
 
 
 def _fraction_text(value: Any) -> str:
@@ -30,17 +30,11 @@ def _fraction_text(value: Any) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-# tuples encode as lists, and a Fraction at any depth as "num/den"
-_ENCODER = json.JSONEncoder(default=_fraction_text)
+# tuples encode as lists, a Fraction at any depth as "num/den"; reports are trees
+_ENCODER = json.JSONEncoder(default=_fraction_text, check_circular=False)
 
 # encoded reports per piece of json_chunks
 _CHUNK = 256
-
-
-def sort_key(id: str, params: dict[str, Any]) -> tuple:
-    """The canonical order of reports: by id, then numerically by params,
-    whose values in sorted-name order line up within an id (ints, tuples)."""
-    return (id, *[params[k] for k in sorted(params)])
 
 
 @dataclass
@@ -75,7 +69,9 @@ class Report:
         return out
 
     def sort_key(self) -> tuple:
-        return sort_key(self.id, self.params)
+        """The canonical order of reports: by id, then numerically by params,
+        whose values in sorted-name order line up within an id (ints, tuples)."""
+        return (self.id, *[self.params[k] for k in sorted(self.params)])
 
 
 def timed_report(
@@ -91,15 +87,14 @@ def timed_report(
 
 def json_chunks(reports: Iterable[Report], timing: bool = True) -> Iterator[str]:
     """The reports as one JSON array in pieces, in the order they come: "[",
-    then `_CHUNK` encoded reports per piece, then "]".  A piece pulls its
-    reports only when it is asked for, so a writer of the pieces holds at
-    most one piece's reports and text, never a large sweep's whole list.
-    """
+    then per piece one encode of `_CHUNK` reports' dicts as a list, its
+    brackets cut (the separator is ", "), then "]".  A piece pulls its reports
+    when asked for, so a writer holds one piece's reports, never a sweep's."""
     pending = iter(reports)
     yield "["
     sep = ""
     while chunk := list(islice(pending, _CHUNK)):
-        yield sep + ", ".join(_ENCODER.encode(r.to_dict(timing=timing)) for r in chunk)
+        yield sep + _ENCODER.encode([r.to_dict(timing=timing) for r in chunk])[1:-1]
         sep = ", "
     yield "]"
 

@@ -397,3 +397,37 @@ def test_instance_enumeration_is_pinned(ident, g_max, n_max, k_span, default_dig
     for lim, digest in grids:
         got = hashlib.sha256(repr(list(instances(ident, lim))).encode()).hexdigest()
         assert got == digest, (ident, lim.__dict__)
+
+
+@pytest.mark.parametrize("ident", IDENTITY_IDS)
+def test_sweep_reports_match_fresh_verify(ident):
+    # the sweep rebuilds each params dict from its held tuple: keys in spec
+    # order (that of the JSON), reports in canonical order, and every report
+    # equal to a fresh, checked verify of its params
+    keys = [*identities._IDENTITIES[ident].keys, "d"]
+    reports = run_sweep(ident, SweepLimits(g_max=3, n_max=3, k_span=2, rs_max=1))
+    assert reports
+    assert [r.sort_key() for r in reports] == sorted(r.sort_key() for r in reports)
+    for r in reports:
+        assert list(r.params) == keys
+        fresh = verify(ident, **r.params)
+        assert list(fresh.params) == keys and fresh.params == r.params
+        assert (fresh.lhs, fresh.rhs, fresh.extra, fresh.passed) == (r.lhs, r.rhs, r.extra, r.passed)
+
+
+def test_split_sum_mirror_sign_on_c35_tuples():
+    # C_K(B, A) = (-1)^K C_K(A, B), the rule behind the split loop's A <= B
+    # orientation, on every c35a tuple (whose sums vanish) and every c35b
+    # tuple (whose sums do not), each side on its own fresh table
+    lim = SweepLimits(4, 3, k_span=2)
+    tuples = [(p["K"], p["r"], p["s"], p["g"], p["d"]) for p in instances("c35a", lim)]
+    tuples += [(identities._k_c35(p["g"], p["m"], p["l"]) - 1, p["r"], p["s"], p["g"], p["d"])
+               for p in instances("c35b", lim)]
+    assert len(tuples) == 2557 + 844
+    forward, backward = BracketTable(), BracketTable()
+    nonzero = 0
+    for K, r, s, g, d in tuples:
+        value = split_sum(K, r, s, g, d, forward)
+        assert split_sum(K, s, r, g, d, backward) == (-1) ** K * value, (K, r, s, g, d)
+        nonzero += value != 0
+    assert nonzero == 844

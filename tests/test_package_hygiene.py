@@ -37,3 +37,34 @@ def test_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name the module reads: in code, in annotations (string ones
+    included) and in the strings of __all__."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _names_used(ast.parse(ann.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _names_used(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []
