@@ -424,13 +424,19 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     stores (see _storable), and a one-point key whose value is not
     1/(24^g g!), are rejected before a weight is computed, and the weights
     are computed in a memo local to the load, so a hostile file cannot fill
-    the process-wide factorial caches.
+    the process-wide factorial caches.  A file that is not UTF-8 is rejected
+    with the line of its first bad byte.
     With verify=True every entry is recomputed on a private empty table and a
     mismatch aborts the load.  A line is split once, its ints read by `map`.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = raw.count(b"\n", 0, exc.start) + 1
+            raise CacheError(f"line {lineno}: not UTF-8: byte {raw[exc.start]:#04x} ({exc.reason})") from None
     else:
         text = source.read()
 

@@ -6,12 +6,14 @@ reports exact rational equality.  Conjectural identities are *reported*,
 never assumed: a failing tuple comes back with both values for triage.
 
 Each identity is written once, as an `_Identity` spec in `_IDENTITIES`:
-its free parameters with their sweep ranges, the solved sum of d, its
-constraints and its two sides.  `instances` enumerates the grid from the
-spec and keeps the tuples that meet the constraints, `verify` checks one
-tuple against the same constraints and evaluates it, and `VERIFY_TOKENS`
-gives every `tau verify` token its default grid and a runner that yields
-its reports in canonical order, each evaluated when it is pulled.
+its free parameters, each with its sweep range and the lower bound that
+range keeps, the solved sum of d, the constraints no range states and its
+two sides.  `instances` enumerates the grid from the spec, where the bounds
+and the sum hold by construction, and keeps the tuples that meet the other
+constraints; `verify` checks one tuple against the bounds, the constraints
+and the sum, then evaluates it; and `VERIFY_TOKENS` gives every `tau
+verify` token its default grid and a runner that yields its reports in
+canonical order, each evaluated when it is pulled.
 
 The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
 insertion combinations all go through `split_sum`, one convolution of two
@@ -301,10 +303,6 @@ def _k_c35(g: int, m: int, l: int) -> int:
 
 _GENUS_NOTE = "per-factor genus inferred from its own dimension constraint"
 
-# the largest spectator counts m (c33-c35) and l (c35) on every sweep grid
-_M_MAX = 3
-_L_MAX = 3
-
 
 # ---------------------------------------------------------------------------
 # per-identity sides: (table, **params) -> (lhs, rhs, extra)
@@ -389,22 +387,23 @@ class SweepLimits:
 class _Identity:
     """One identity, written once.
 
-    loops     the free parameters other than d, outermost first, each with
-              its values as a function of the limits and the outer values
+    loops     the free parameters other than d, outermost first, each as
+              (name, values, bound): its values as a function of the limits
+              and the outer values, and the lower bound they all keep
     d_sum     sum(d) solved from the dimension constraint, given n = len(d)
-    sum_text  how the constraint on sum(d) reads in its ParameterError
-    checks    (message, predicate) pairs, checked in order before d_sum
+    checks    the constraints no loop states: n >= 1, the bound on each d_j
+              and rules of single identities
     sides     (table, **params) -> (lhs, rhs, extra)
 
-    A predicate takes the params dict; d_sum takes the parameters and n as
-    keywords and reads neither d nor sum(d).  The sweep
-    enumerates d with parts >= 1 when the checks require d_j >= 1.  Reports
-    list g and K first, then the other loop parameters in order, then d.
+    A bound or check is a (message, predicate) pair; a predicate takes the
+    params dict, and a bound may read the outer loops' values.  d_sum takes
+    the parameters and n as keywords and reads neither d nor sum(d).  The
+    sweep enumerates d with parts >= 1 when the checks require d_j >= 1.
+    Reports list g and K first, then the other loop parameters, then d.
     """
 
-    loops: tuple[tuple[str, Callable[..., Iterable]], ...]
+    loops: tuple[tuple[str, Callable[..., Iterable], tuple[str, Callable[..., bool]]], ...]
     d_sum: Callable[..., int]
-    sum_text: str
     checks: tuple[tuple[str, Callable[..., bool]], ...]
     sides: Callable[..., tuple[Fraction, Fraction, dict]]
     keys: tuple[str, ...] = field(init=False)
@@ -412,95 +411,100 @@ class _Identity:
 
     def __post_init__(self):
         self.min_part = 1 if _D1 in self.checks else 0
-        names = [name for name, _ in self.loops]
+        names = [name for name, *_ in self.loops]
         first = [k for k in ("g", "K") if k in names]
         self.keys = tuple(first + [k for k in names if k not in first])
 
     def violation(self, params: dict) -> str | None:
-        """The message of the first constraint params breaks, or None."""
-        for message, ok in self.checks:
+        """The message of the first constraint params breaks, or None: the
+        loops' bounds, outermost first, then the checks, then the sum of d."""
+        for message, ok in chain(map(itemgetter(2), self.loops), self.checks):
             if not ok(params):
                 return message
-        if sum(params["d"]) != self.d_sum(n=len(params["d"]), **params):
-            return f"needs {self.sum_text}"
+        want = self.d_sum(n=len(params["d"]), **params)
+        if sum(params["d"]) != want:
+            return f"needs sum d = {want}"
         return None
 
 
-def _genus(lo: int):
-    return "g", lambda L, **_: range(lo, L.g_max + 1)
+def _loop(name: str, values: Callable[..., Iterable], least: int = 0):
+    """name over values(limits, **outer), each of them >= least."""
+    return name, values, (f"needs {name} >= {least}", lambda p: p[name] >= least)
 
 
-def _window(name: str, least: Callable[..., int], extra: int = 0):
-    """name runs over k_span values (k_span + extra for c32a) from least(...)."""
-    return name, lambda L, **p: range(least(**p), least(**p) + L.k_span + extra)
+def _genus(start: int):
+    # the start is a grid choice: g >= 0 is the only bound
+    return _loop("g", lambda L, **_: range(start, L.g_max + 1))
+
+
+def _window(name: str, least: Callable[..., int], text: str, extra: int = 0):
+    """name over k_span values (k_span + extra for c32a) from least(...),
+    the bound that text states."""
+    return (name, lambda L, **p: range(least(**p), least(**p) + L.k_span + extra),
+            (f"needs {text}", lambda p: p[name] >= least(**p)))
 
 
 def _multiset(name: str, size: str):
-    return name, lambda L, **p: combinations_with_replacement(range(L.rs_max + 1), p[size])
+    """name over the sorted tuples of p[size] parts in 0..rs_max."""
+    return (name, lambda L, **p: combinations_with_replacement(range(L.rs_max + 1), p[size]),
+            (f"needs len({name}) = {size}, {name}_p >= 0",
+             lambda p: len(p[name]) == p[size] and all(x >= 0 for x in p[name])))
 
 
-_M = ("m", lambda L, **_: range(2, _M_MAX + 1))
-_L = ("l", lambda L, **_: range(2, _L_MAX + 1))
-_R_INT = ("r", lambda L, **_: range(L.rs_max + 1))
-_S_UPTO_R = ("s", lambda L, r, **_: range(r + 1))  # symmetric in (r, s)
-_S_INT = ("s", lambda L, **_: range(L.rs_max + 1))
+# the spectator counts m (c33-c35) and l (c35) run over 2..3 on every sweep grid
+_M = _loop("m", lambda L, **_: range(2, 4), 2)
+_L = _loop("l", lambda L, **_: range(2, 4), 2)
+_R_INT = _loop("r", lambda L, **_: range(L.rs_max + 1))
+_S_UPTO_R = _loop("s", lambda L, r, **_: range(r + 1))  # a grid cut only: symmetric in (r, s)
+_S_INT = _loop("s", lambda L, **_: range(L.rs_max + 1))
 
 _N1 = ("needs n >= 1", lambda p: len(p["d"]) >= 1)
 _D0 = ("needs d_j >= 0", lambda p: all(x >= 0 for x in p["d"]))
 _D1 = ("needs d_j >= 1", lambda p: all(x >= 1 for x in p["d"]))
-_M2 = ("needs m >= 2", lambda p: p["m"] >= 2)
-_LEN_R = ("needs len(r) = m", lambda p: len(p["r"]) == p["m"])
 _G1 = ("needs g >= 1", lambda p: p["g"] >= 1)
 _G2 = ("needs g >= 2", lambda p: p["g"] >= 2)
-_K_ABOVE_G = ("needs K > g", lambda p: p["K"] > p["g"])
-_RS0 = ("needs r, s >= 0", lambda p: p["r"] >= 0 and p["s"] >= 0)
-_ML2 = ("needs m, l >= 2", lambda p: p["m"] >= 2 and p["l"] >= 2)
-_LEN_RS = ("needs len(r) = m, len(s) = l", lambda p: len(p["r"]) == p["m"] and len(p["s"]) == p["l"])
 
 _IDENTITIES: dict[str, _Identity] = {
     "eq3": _Identity(
         loops=(_genus(2),),
-        d_sum=lambda g, n, **_: g - 2 + n, sum_text="sum(d_j - 1) = g - 2",
+        d_sum=lambda g, n, **_: g - 2 + n,
         checks=(_G2, _N1, _D1),
         sides=_eq3,
     ),
     "eq4": _Identity(
         loops=(_genus(1),),
-        d_sum=lambda g, n, **_: g - 1 + n, sum_text="sum(d_j - 1) = g - 1",
+        d_sum=lambda g, n, **_: g - 1 + n,
         checks=(_N1, _D1),
         sides=lambda table, g, d: (alt_pair_sum(g, g, d, table), _eq4_constant(g, d), {}),
     ),
     "eq5": _Identity(
         loops=(_genus(1),),
-        d_sum=lambda g, n, **_: g + n - 2, sum_text="sum d = g + n - 2",
+        d_sum=lambda g, n, **_: g + n - 2,
         checks=(_G1, _N1, _D0),
         sides=lambda table, g, d: (_insertion_combo(g, g, d, table), _ZERO, {}),
     ),
     "eq6": _Identity(
-        loops=(_genus(0), _window("K", lambda g, **_: g + 1)),
+        loops=(_genus(0), _window("K", lambda g, **_: g + 1, "K > g")),
         d_sum=lambda g, K, n, **_: 3 * g + n - 2 * K - 1,
-        sum_text="sum d = 3g + n - 2K - 1",
-        checks=(_N1, _K_ABOVE_G, _D0),
+        checks=(_N1, _D0),
         sides=lambda table, g, K, d: (alt_pair_sum(K, g, d, table), _ZERO, {}),
     ),
     "eq7": _Identity(
-        loops=(_genus(0), _window("K", lambda g, **_: g + 1)),
+        loops=(_genus(0), _window("K", lambda g, **_: g + 1, "K > g")),
         d_sum=lambda g, K, n, **_: 3 * g + n - 2 * K - 2,
-        sum_text="sum d = 3g + n - 2K - 2",
-        checks=(_N1, _K_ABOVE_G, _D0),
+        checks=(_N1, _D0),
         sides=lambda table, g, K, d: (_insertion_combo(g, K, d, table), _ZERO, {}),
     ),
     "eq8": _Identity(
         loops=(_genus(2),),
-        d_sum=lambda g, n, **_: g + n, sum_text="sum(d_j - 1) = g",
+        d_sum=lambda g, n, **_: g + n,
         checks=(_G2, _N1, _D1),
         sides=_eq8,
     ),
     "c32a": _Identity(
-        loops=(_genus(0), _window("K", lambda g, **_: g, extra=1), _R_INT, _S_UPTO_R),
+        loops=(_genus(0), _window("K", lambda g, **_: g, "K >= g", extra=1), _R_INT, _S_UPTO_R),
         d_sum=lambda g, K, r, s, n, **_: 3 * g + n - 2 * K - r - s - 2,
-        sum_text="sum d = 3g + n - 2K - r - s - 2",
-        checks=(("needs K >= g", lambda p: p["K"] >= p["g"]), _RS0, _D0),
+        checks=(_D0,),
         sides=lambda table, g, K, r, s, d: (
             bracket(g, (2 * K + r + 1, s) + d, table) + bracket(g, (2 * K + s + 1, r) + d, table),
             split_sum(2 * K, (r,), (s,), g, d, table), {}),
@@ -508,28 +512,20 @@ _IDENTITIES: dict[str, _Identity] = {
     "c32b": _Identity(
         loops=(_genus(1), _R_INT, _S_UPTO_R),
         d_sum=lambda g, r, s, n, **_: g + n - r - s,
-        sum_text="sum d = g + n - r - s",
-        checks=(_G1, _RS0, _D1),
+        checks=(_G1, _D1),
         sides=_c32b,
     ),
     "c33a": _Identity(
-        loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c33(g, m)), _multiset("r", "m")),
+        loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c33(g, m), "K >= g + floor(m/2) - 1"),
+               _multiset("r", "m")),
         d_sum=lambda g, K, m, r, n, **_: 3 * g + n - 2 * K - sum(r) + m - 4,
-        sum_text="sum d = 3g + n - 2K - sum r + m - 4",
-        checks=(
-            _M2, _LEN_R,
-            ("needs K >= g + floor(m/2) - 1", lambda p: p["K"] >= _k_c33(p["g"], p["m"])),
-            ("needs r_p >= 0", lambda p: all(x >= 0 for x in p["r"])),
-            _D0,
-        ),
+        checks=(_D0,),
         sides=_c33a,
     ),
     "c33b": _Identity(
         loops=(_genus(1), _M, _multiset("r", "m")),
         d_sum=lambda g, m, r, n, **_: g + n - sum(r) + m - 2 * (m // 2),
-        sum_text="sum d = g + n - sum r + m - 2 floor(m/2)",
         checks=(
-            _M2, _LEN_R,
             ("is vacuous here: K = g + floor(m/2) - 2 < 0", lambda p: _k_c33(p["g"], p["m"]) >= 1),
             _D1,
             ("with odd m needs r_p >= 1", lambda p: p["m"] % 2 == 0 or all(x >= 1 for x in p["r"])),
@@ -537,24 +533,17 @@ _IDENTITIES: dict[str, _Identity] = {
         sides=_c33b,
     ),
     "c34a": _Identity(
-        loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c34(g, m)), _S_INT, _multiset("r", "m")),
+        loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c34(g, m), "K >= g + floor((m-1)/2)"),
+               _S_INT, _multiset("r", "m")),
         d_sum=lambda g, K, m, s, r, n, **_: 3 * g + n - 2 * K - s - sum(r) + m - 3,
-        sum_text="sum d = 3g + n - 2K - s - sum r + m - 3",
-        checks=(
-            _M2, _LEN_R,
-            ("needs K >= g + floor((m-1)/2)", lambda p: p["K"] >= _k_c34(p["g"], p["m"])),
-            ("needs s, r_p >= 0", lambda p: p["s"] >= 0 and all(x >= 0 for x in p["r"])),
-            _D0,
-        ),
+        checks=(_D0,),
         sides=lambda table, g, K, m, s, r, d: (
             bracket(g, (2 * K + s + 1,) + r + d, table), split_sum(2 * K, r, (s,), g, d, table), {}),
     ),
     "c34b": _Identity(
         loops=(_genus(1), _M, _S_INT, _multiset("r", "m")),
         d_sum=lambda g, m, s, r, n, **_: g + n - s - sum(r) + m - 2 * ((m - 1) // 2) - 1,
-        sum_text="sum d = g + n - s - sum r + m - 2 floor((m-1)/2) - 1",
         checks=(
-            _M2, _LEN_R,
             ("is vacuous here: K = g + floor((m-1)/2) - 1 < 0", lambda p: _k_c34(p["g"], p["m"]) >= 1),
             _D1,
             ("with even m needs s >= 1", lambda p: p["m"] % 2 == 1 or p["s"] >= 1),
@@ -563,26 +552,17 @@ _IDENTITIES: dict[str, _Identity] = {
         sides=_c34b,
     ),
     "c35a": _Identity(
-        loops=(_genus(0), _M, _L, _window("K", lambda g, m, l, **_: _k_c35(g, m, l)),
+        loops=(_genus(0), _M, _L, _window("K", lambda g, m, l, **_: _k_c35(g, m, l), "K > 2g + m + l - 4"),
                _multiset("r", "m"), _multiset("s", "l")),
         d_sum=lambda g, K, m, l, r, s, n, **_: 3 * g + n + m + l - K - sum(r) - sum(s) - 4,
-        sum_text="sum d = 3g + n + m + l - K - sum r - sum s - 4",
-        checks=(
-            _ML2, _LEN_RS,
-            ("needs K > 2g + m + l - 4", lambda p: p["K"] >= _k_c35(p["g"], p["m"], p["l"])),
-            ("needs nonnegative indices", lambda p: all(x >= 0 for x in p["r"] + p["s"] + p["d"])),
-        ),
+        checks=(_D0,),
         sides=lambda table, g, K, m, l, r, s, d: (
             split_sum(K, r, s, g, d, table), _ZERO, {"genus_convention": _GENUS_NOTE}),
     ),
     "c35b": _Identity(
         loops=(_genus(0), _M, _L, _multiset("r", "m"), _multiset("s", "l")),
         d_sum=lambda g, r, s, n, **_: g + n - sum(r) - sum(s),
-        sum_text="sum d = g + n - sum r - sum s",
-        checks=(
-            _ML2, _LEN_RS, _D1,
-            ("needs r_p, s_p >= 0", lambda p: all(x >= 0 for x in p["r"] + p["s"])),
-        ),
+        checks=(_D1,),
         sides=_c35b,
     ),
 }
@@ -604,8 +584,9 @@ def verify(
 ) -> Report:
     """Evaluate both sides of one identity instance exactly.
 
-    The parameters are checked against the identity's constraints first;
-    checked=True skips that for tuples that `instances` has already kept.
+    The parameters are checked first against the identity's loop bounds,
+    its checks and the sum of d; checked=True skips that for tuples that
+    `instances` has already kept.
     """
     spec = _spec(identity)
     if not checked:
@@ -624,19 +605,19 @@ def verify(
 def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict]:
     """Admissible parameter dictionaries for one identity on the grid: the
     spec's loops, then n = 0..n_max and every d with the solved sum, kept
-    when they meet the spec's constraints: one base dict per loop assignment, plus d."""
+    when they meet the spec's checks: one base dict per loop assignment, plus d."""
     spec = _spec(identity)
     lim = limits or SweepLimits()
     # every assignment of the loop parameters, outermost loop first
     grid = [{}]
-    for name, choices in spec.loops:
+    for name, choices, _ in spec.loops:
         grid = [{**outer, name: v} for outer in grid for v in choices(lim, **outer)]
     for outer in grid:
         base = {k: outer[k] for k in spec.keys}
         for n in range(lim.n_max + 1):
             for d in _multisets(n, spec.d_sum(n=n, **outer), spec.min_part):
                 params = {**base, "d": d}
-                # sum(d) holds by construction; the checks decide the rest
+                # the bounds and sum(d) hold by construction; the checks decide the rest
                 for _, ok in spec.checks:
                     if not ok(params):
                         break

@@ -277,6 +277,20 @@ def test_cache_import_rejects_non_dyadic_value(tmp_path, capsys):
     assert code == 2 and out == "" and "line 2" in err and "not dyadic" in err
 
 
+def test_cache_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    # a stray byte on line 3 stops both the import and a verb's --cache,
+    # with the line named, and the file is left as it was
+    damaged = b"TAUCACHE v1\n1|1|1/24\n2|4|1/1152\xff\n#sha256=0\n"
+    cache = tmp_path / "binary.cache"
+    cache.write_bytes(damaged)
+    with pytest.raises(br.CacheError, match="line 3: not UTF-8: byte 0xff"):
+        br.cache_load(str(cache))
+    for argv in (["cache", "--import", str(cache)], ["compute", "--g", "1", "--d", "1", "--cache", str(cache)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: line 3: not UTF-8"), argv
+    assert cache.read_bytes() == damaged
+
+
 def test_truncated_cache_is_rejected_and_not_saved_again(tmp_path, capsys):
     cache = tmp_path / "t.cache"
     code, out, _ = run(capsys, "compute", "--g", "4", "--d", "2,2,2,4,4", "--cache", str(cache))

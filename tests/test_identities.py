@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -191,6 +191,10 @@ def test_verify_spec_examples():
     assert r.passed and r.lhs == 0
     r = verify("eq6", g=0, K=1, d=(0, 0, 0))
     assert r.passed and r.lhs == 0
+    # c33b's and c34b's grids start at g = 1, but that start is no bound:
+    # these g = 0 tuples are admissible
+    assert verify("c34b", g=0, m=3, s=0, r=(0, 0, 0), d=(1,)).passed
+    assert verify("c33b", g=0, m=4, r=(0, 0, 0, 0), d=(1,)).passed
 
 
 def test_verify_rejects_bad_parameters():
@@ -202,6 +206,18 @@ def test_verify_rejects_bad_parameters():
         verify("zzz", g=1, d=(1,))
     with pytest.raises(ParameterError, match="d_j >= 1"):
         verify("eq8", g=2, d=(0, 4))
+    # a negative genus or spectator is off every domain, whatever the sum
+    off_domain = [
+        ("c33b", dict(g=1, m=2, r=(-1, 0), d=(1, 1, 3)), "r_p >= 0"),
+        ("c34b", dict(g=1, m=3, s=-1, r=(0, 0, 0), d=(1, 1, 3)), "s >= 0"),
+        ("eq6", dict(g=-1, K=0, d=(0, 0, 0, 0)), "g >= 0"),
+        ("c33a", dict(g=-1, K=0, m=2, r=(0, 0), d=(0,) * 5), "g >= 0"),
+        ("c34a", dict(g=-1, K=0, m=2, s=0, r=(0, 0), d=(0,) * 4), "g >= 0"),
+        ("c35a", dict(g=-1, K=0, m=2, l=2, r=(0, 0), s=(0, 0), d=(0,) * 3), "g >= 0"),
+    ]
+    for ident, params, message in off_domain:
+        with pytest.raises(ParameterError, match=message):
+            verify(ident, **params)
 
 
 def test_theorem_sweeps_small():
@@ -397,6 +413,46 @@ def test_instance_enumeration_is_pinned(ident, g_max, n_max, k_span, default_dig
     for lim, digest in grids:
         got = hashlib.sha256(repr(list(instances(ident, lim))).encode()).hexdigest()
         assert got == digest, (ident, lim.__dict__)
+
+
+def _box(ident):
+    """Every tuple of a box around the grid, most of them off the domain,
+    with g and the spectators >= 0: g in 0..2, K in 0..4, m and l in 1..3,
+    int spectators in 0..2, tuple spectators of 2 or 3 parts in 0..1, and
+    every sorted d of up to 3 parts in 0..2."""
+    keys = identities._IDENTITIES[ident].keys
+    sample = next(instances(ident, SweepLimits(2, 2, k_span=1, rs_max=1)))
+    ranges = {"g": range(3), "K": range(5), "m": range(1, 4), "l": range(1, 4)}
+    spectators = [t for n in (2, 3) for t in combinations_with_replacement(range(2), n)]
+    values = [spectators if isinstance(sample[k], tuple) else ranges.get(k, range(3)) for k in keys]
+    values.append([d for n in range(4) for d in combinations_with_replacement(range(3), n)])
+    return (dict(zip(keys + ("d",), t)) for t in product(*values))
+
+
+# the count and the sha256 of repr(list) of the tuples of `_box(id)` that
+# verify accepts, captured before each loop carried its own bound
+@pytest.mark.parametrize("ident, count, digest", [
+    ("eq3", 3, "79c95a40d54768d21844edb32a963387872f9f6920283696f2800f3c8cef37c0"),
+    ("eq4", 6, "0c035e9ffb8492990d15cf16bd2a1d5aabdf89bec76eb99540a9c2c30ed0e86f"),
+    ("eq5", 9, "81a653c5c5e5c4c6bfdab9b525c199cd101f861fc6b9ec712edba3e43872e636"),
+    ("eq6", 8, "58e285bf54a29ef71f7a630433887356f3d37acfc76276a4a13f56fdf474191e"),
+    ("eq7", 3, "2e5c390289ee9b90ed9897c33a6cfa1b4b696af5a1054fb40617d337d6194fc5"),
+    ("eq8", 2, "fd4924893536be0357cb2c8a893433d25f78dc3340bf0a89111eb48a8174093b"),
+    ("c32a", 42, "61a578dfc94f2b7d33476b15a4757ea7f6200238830e49a2fa4a638371b67828"),
+    ("c32b", 31, "b2658b70b89ba9b9d9a1503d100a6fc69d30645973540782ad01cbbf3d5c8f77"),
+    ("c33a", 74, "378ef0fbab94a6ced66bc96a3594e5ac27fc4abfee4b7c017aa29e4ef4f207b1"),
+    ("c33b", 20, "de043dd14deb6669d0c06924cec65d8a5502a033fcd22133c5cca132f371e179"),
+    ("c34a", 126, "cc1e38b30ee99e5080a9aa86ea0b8eda30b3026dde0fdc56f4b243da79d493cd"),
+    ("c34b", 39, "0c81e4692ebedce6503de902b8e32959ab75e35fcb519c0dd027e96a338726d0"),
+    ("c35a", 142, "de87d0bbecd606ae9032cd83972b83573b83c33d45178dd0b587453de4a341db"),
+    ("c35b", 140, "d825d0ff9c03d7f48d8e818b29d3ebc179f8b38809ddcc09c58154b4645cfceb"),
+    ("decomp", 3, "79c95a40d54768d21844edb32a963387872f9f6920283696f2800f3c8cef37c0"),
+])
+def test_verify_accepted_set_is_pinned(ident, count, digest):
+    spec = identities._IDENTITIES[ident]
+    kept = [p for p in _box(ident) if spec.violation(p) is None]
+    assert len(kept) == count
+    assert hashlib.sha256(repr(kept).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("ident", IDENTITY_IDS)

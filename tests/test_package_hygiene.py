@@ -68,3 +68,36 @@ def test_no_unused_module_imports():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each private name the module binds at top level."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        found += [(name, node.lineno) for name in targets
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def test_no_dead_private_helpers():
+    # every private name bound at module level is read somewhere in the
+    # package, as a name or as an attribute (`module._name`, `obj._name`)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(_SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [(f"{name}:{line}", n) for name, tree in trees.items() for n, line in _private_definitions(tree)]
+    assert len(defined) > 100
+    assert [where for where, n in defined if n not in read] == []
