@@ -19,11 +19,9 @@ from .identities import (
     SweepLimits,
     alt_pair_sum,
     ch_insertion,
-    decomposition_check,
     lambda_gg1_bracket,
-    n1_proof_sums,
-    run_sweep,
     split_sum,
+    sweep,
     verify,
 )
 from .npoint import (
@@ -54,7 +52,6 @@ __all__ = [
     "cache_load",
     "cache_save",
     "ch_insertion",
-    "decomposition_check",
     "default_table",
     "double_factorial",
     "faber_closed_form",
@@ -63,11 +60,10 @@ __all__ = [
     "lambda_gg1_bracket",
     "lcm_of_denominators",
     "merged_series",
-    "n1_proof_sums",
     "npoint_series",
     "one_point",
     "ord_at_prime",
-    "run_sweep",
     "split_sum",
+    "sweep",
     "verify",
 ]

@@ -216,7 +216,7 @@ def sigma_bracket(
 
 def bracket(genus: int, exponents: Iterable[int], table: BracketTable | None = None) -> Fraction:
     """Exact value of <prod tau_{d_j}>_genus; 0 outside the stable range."""
-    d = tuple(sorted(exponents))
+    d = tuple(exponents)
     v = sigma_bracket(genus, d, table)
     return Fraction(*dyadic_ratio(v, sigma_weight(d))) if v[0] else _ZERO
 
@@ -429,16 +429,17 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
     With verify=True every entry is recomputed on a private empty table and a
     mismatch aborts the load.  A line is split once, its ints read by `map`.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = raw.count(b"\n", 0, exc.start) + 1
-            raise CacheError(f"line {lineno}: not UTF-8: byte {raw[exc.start]:#04x} ({exc.reason})") from None
-    else:
-        text = source.read()
+    try:
+        if isinstance(source, str):
+            with open(source, "rb") as fh:
+                text = fh.read().decode("utf-8")
+        else:
+            text = source.read()
+    except UnicodeDecodeError as exc:
+        # a fresh text stream's decoder raises with all of its bytes
+        raw = exc.object
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise CacheError(f"line {lineno}: not UTF-8: byte {raw[exc.start]:#04x} ({exc.reason})") from None
 
     lines = text.splitlines()
     if not lines:

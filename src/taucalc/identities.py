@@ -7,13 +7,15 @@ never assumed: a failing tuple comes back with both values for triage.
 
 Each identity is written once, as an `_Identity` spec in `_IDENTITIES`:
 its free parameters, each with its sweep range and the lower bound that
-range keeps, the solved sum of d, the constraints no range states and its
-two sides.  `instances` enumerates the grid from the spec, where the bounds
-and the sum hold by construction, and keeps the tuples that meet the other
-constraints; `verify` checks one tuple against the bounds, the constraints
-and the sum, then evaluates it; and `VERIFY_TOKENS` gives every `tau
+range keeps, the solved sum of d and the bound on its parts, the
+constraints no bound states and its two sides.  `instances` enumerates the
+grid from the spec, where the bounds and the sum hold by construction, and
+keeps the tuples that meet the other constraints; `verify` checks one
+tuple against the bounds, the constraints and the sum, then evaluates it;
+`sweep` yields one identity's reports over the grid in canonical order,
+each evaluated when it is pulled; and `VERIFY_TOKENS` gives every `tau
 verify` token its default grid and a runner that yields its reports in
-canonical order, each evaluated when it is pulled.
+that order.
 
 The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
 insertion combinations all go through `split_sum`, one convolution of two
@@ -71,9 +73,7 @@ __all__ = [
     "lambda_gg1_bracket",
     "verify",
     "instances",
-    "run_sweep",
-    "decomposition_check",
-    "n1_proof_sums",
+    "sweep",
     "n1_sum_reports",
 ]
 
@@ -389,36 +389,38 @@ class _Identity:
 
     loops     the free parameters other than d, outermost first, each as
               (name, values, bound): its values as a function of the limits
-              and the outer values, and the lower bound they all keep
+              and the outer values, and the type and lower bound they all keep
     d_sum     sum(d) solved from the dimension constraint, given n = len(d)
-    checks    the constraints no loop states: n >= 1, the bound on each d_j
-              and rules of single identities
+    d_least   the bound on d: a list or tuple of ints, each >= d_least
+    checks    the constraints no bound states: n >= 1 and rules of single
+              identities
     sides     (table, **params) -> (lhs, rhs, extra)
 
     A bound or check is a (message, predicate) pair; a predicate takes the
     params dict, and a bound may read the outer loops' values.  d_sum takes
     the parameters and n as keywords and reads neither d nor sum(d).  The
-    sweep enumerates d with parts >= 1 when the checks require d_j >= 1.
+    sweep enumerates d with parts >= d_least, so d's bound, like the
+    loops', holds on the grid by construction.
     Reports list g and K first, then the other loop parameters, then d.
     """
 
     loops: tuple[tuple[str, Callable[..., Iterable], tuple[str, Callable[..., bool]]], ...]
     d_sum: Callable[..., int]
-    checks: tuple[tuple[str, Callable[..., bool]], ...]
     sides: Callable[..., tuple[Fraction, Fraction, dict]]
+    d_least: int = 0
+    checks: tuple[tuple[str, Callable[..., bool]], ...] = ()
     keys: tuple[str, ...] = field(init=False)
-    min_part: int = field(init=False)
 
     def __post_init__(self):
-        self.min_part = 1 if _D1 in self.checks else 0
         names = [name for name, *_ in self.loops]
         first = [k for k in ("g", "K") if k in names]
         self.keys = tuple(first + [k for k in names if k not in first])
 
     def violation(self, params: dict) -> str | None:
         """The message of the first constraint params breaks, or None: the
-        loops' bounds, outermost first, then the checks, then the sum of d."""
-        for message, ok in chain(map(itemgetter(2), self.loops), self.checks):
+        loops' bounds, outermost first, then d's, the checks and the sum of d."""
+        d_bound = (f"needs d_j >= {self.d_least}", lambda p: _ints(p["d"], self.d_least))
+        for message, ok in chain(map(itemgetter(2), self.loops), (d_bound,), self.checks):
             if not ok(params):
                 return message
         want = self.d_sum(n=len(params["d"]), **params)
@@ -427,9 +429,15 @@ class _Identity:
         return None
 
 
+def _ints(v: Any, least: int) -> bool:
+    """Whether v is a list or tuple of ints, each >= least."""
+    return isinstance(v, (list, tuple)) and all(isinstance(x, int) and x >= least for x in v)
+
+
 def _loop(name: str, values: Callable[..., Iterable], least: int = 0):
-    """name over values(limits, **outer), each of them >= least."""
-    return name, values, (f"needs {name} >= {least}", lambda p: p[name] >= least)
+    """name over values(limits, **outer), each of them an int >= least."""
+    return name, values, (f"needs {name} >= {least}",
+                          lambda p: isinstance(p[name], int) and p[name] >= least)
 
 
 def _genus(start: int):
@@ -441,14 +449,14 @@ def _window(name: str, least: Callable[..., int], text: str, extra: int = 0):
     """name over k_span values (k_span + extra for c32a) from least(...),
     the bound that text states."""
     return (name, lambda L, **p: range(least(**p), least(**p) + L.k_span + extra),
-            (f"needs {text}", lambda p: p[name] >= least(**p)))
+            (f"needs {text}", lambda p: isinstance(p[name], int) and p[name] >= least(**p)))
 
 
 def _multiset(name: str, size: str):
     """name over the sorted tuples of p[size] parts in 0..rs_max."""
     return (name, lambda L, **p: combinations_with_replacement(range(L.rs_max + 1), p[size]),
             (f"needs len({name}) = {size}, {name}_p >= 0",
-             lambda p: len(p[name]) == p[size] and all(x >= 0 for x in p[name])))
+             lambda p: _ints(p[name], 0) and len(p[name]) == p[size]))
 
 
 # the spectator counts m (c33-c35) and l (c35) run over 2..3 on every sweep grid
@@ -459,8 +467,6 @@ _S_UPTO_R = _loop("s", lambda L, r, **_: range(r + 1))  # a grid cut only: symme
 _S_INT = _loop("s", lambda L, **_: range(L.rs_max + 1))
 
 _N1 = ("needs n >= 1", lambda p: len(p["d"]) >= 1)
-_D0 = ("needs d_j >= 0", lambda p: all(x >= 0 for x in p["d"]))
-_D1 = ("needs d_j >= 1", lambda p: all(x >= 1 for x in p["d"]))
 _G1 = ("needs g >= 1", lambda p: p["g"] >= 1)
 _G2 = ("needs g >= 2", lambda p: p["g"] >= 2)
 
@@ -468,43 +474,45 @@ _IDENTITIES: dict[str, _Identity] = {
     "eq3": _Identity(
         loops=(_genus(2),),
         d_sum=lambda g, n, **_: g - 2 + n,
-        checks=(_G2, _N1, _D1),
+        d_least=1,
+        checks=(_G2, _N1),
         sides=_eq3,
     ),
     "eq4": _Identity(
         loops=(_genus(1),),
         d_sum=lambda g, n, **_: g - 1 + n,
-        checks=(_N1, _D1),
+        d_least=1,
+        checks=(_N1,),
         sides=lambda table, g, d: (alt_pair_sum(g, g, d, table), _eq4_constant(g, d), {}),
     ),
     "eq5": _Identity(
         loops=(_genus(1),),
         d_sum=lambda g, n, **_: g + n - 2,
-        checks=(_G1, _N1, _D0),
+        checks=(_G1, _N1),
         sides=lambda table, g, d: (_insertion_combo(g, g, d, table), _ZERO, {}),
     ),
     "eq6": _Identity(
         loops=(_genus(0), _window("K", lambda g, **_: g + 1, "K > g")),
         d_sum=lambda g, K, n, **_: 3 * g + n - 2 * K - 1,
-        checks=(_N1, _D0),
+        checks=(_N1,),
         sides=lambda table, g, K, d: (alt_pair_sum(K, g, d, table), _ZERO, {}),
     ),
     "eq7": _Identity(
         loops=(_genus(0), _window("K", lambda g, **_: g + 1, "K > g")),
         d_sum=lambda g, K, n, **_: 3 * g + n - 2 * K - 2,
-        checks=(_N1, _D0),
+        checks=(_N1,),
         sides=lambda table, g, K, d: (_insertion_combo(g, K, d, table), _ZERO, {}),
     ),
     "eq8": _Identity(
         loops=(_genus(2),),
         d_sum=lambda g, n, **_: g + n,
-        checks=(_G2, _N1, _D1),
+        d_least=1,
+        checks=(_G2, _N1),
         sides=_eq8,
     ),
     "c32a": _Identity(
         loops=(_genus(0), _window("K", lambda g, **_: g, "K >= g", extra=1), _R_INT, _S_UPTO_R),
         d_sum=lambda g, K, r, s, n, **_: 3 * g + n - 2 * K - r - s - 2,
-        checks=(_D0,),
         sides=lambda table, g, K, r, s, d: (
             bracket(g, (2 * K + r + 1, s) + d, table) + bracket(g, (2 * K + s + 1, r) + d, table),
             split_sum(2 * K, (r,), (s,), g, d, table), {}),
@@ -512,22 +520,22 @@ _IDENTITIES: dict[str, _Identity] = {
     "c32b": _Identity(
         loops=(_genus(1), _R_INT, _S_UPTO_R),
         d_sum=lambda g, r, s, n, **_: g + n - r - s,
-        checks=(_G1, _D1),
+        d_least=1,
+        checks=(_G1,),
         sides=_c32b,
     ),
     "c33a": _Identity(
         loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c33(g, m), "K >= g + floor(m/2) - 1"),
                _multiset("r", "m")),
         d_sum=lambda g, K, m, r, n, **_: 3 * g + n - 2 * K - sum(r) + m - 4,
-        checks=(_D0,),
         sides=_c33a,
     ),
     "c33b": _Identity(
         loops=(_genus(1), _M, _multiset("r", "m")),
         d_sum=lambda g, m, r, n, **_: g + n - sum(r) + m - 2 * (m // 2),
+        d_least=1,
         checks=(
             ("is vacuous here: K = g + floor(m/2) - 2 < 0", lambda p: _k_c33(p["g"], p["m"]) >= 1),
-            _D1,
             ("with odd m needs r_p >= 1", lambda p: p["m"] % 2 == 0 or all(x >= 1 for x in p["r"])),
         ),
         sides=_c33b,
@@ -536,16 +544,15 @@ _IDENTITIES: dict[str, _Identity] = {
         loops=(_genus(0), _M, _window("K", lambda g, m, **_: _k_c34(g, m), "K >= g + floor((m-1)/2)"),
                _S_INT, _multiset("r", "m")),
         d_sum=lambda g, K, m, s, r, n, **_: 3 * g + n - 2 * K - s - sum(r) + m - 3,
-        checks=(_D0,),
         sides=lambda table, g, K, m, s, r, d: (
             bracket(g, (2 * K + s + 1,) + r + d, table), split_sum(2 * K, r, (s,), g, d, table), {}),
     ),
     "c34b": _Identity(
         loops=(_genus(1), _M, _S_INT, _multiset("r", "m")),
         d_sum=lambda g, m, s, r, n, **_: g + n - s - sum(r) + m - 2 * ((m - 1) // 2) - 1,
+        d_least=1,
         checks=(
             ("is vacuous here: K = g + floor((m-1)/2) - 1 < 0", lambda p: _k_c34(p["g"], p["m"]) >= 1),
-            _D1,
             ("with even m needs s >= 1", lambda p: p["m"] % 2 == 1 or p["s"] >= 1),
             ("with even m needs r_p >= 1", lambda p: p["m"] % 2 == 1 or all(x >= 1 for x in p["r"])),
         ),
@@ -555,14 +562,13 @@ _IDENTITIES: dict[str, _Identity] = {
         loops=(_genus(0), _M, _L, _window("K", lambda g, m, l, **_: _k_c35(g, m, l), "K > 2g + m + l - 4"),
                _multiset("r", "m"), _multiset("s", "l")),
         d_sum=lambda g, K, m, l, r, s, n, **_: 3 * g + n + m + l - K - sum(r) - sum(s) - 4,
-        checks=(_D0,),
         sides=lambda table, g, K, m, l, r, s, d: (
             split_sum(K, r, s, g, d, table), _ZERO, {"genus_convention": _GENUS_NOTE}),
     ),
     "c35b": _Identity(
         loops=(_genus(0), _M, _L, _multiset("r", "m"), _multiset("s", "l")),
         d_sum=lambda g, r, s, n, **_: g + n - sum(r) - sum(s),
-        checks=(_D1,),
+        d_least=1,
         sides=_c35b,
     ),
 }
@@ -585,22 +591,23 @@ def verify(
     """Evaluate both sides of one identity instance exactly.
 
     The parameters are checked first against the identity's loop bounds,
-    its checks and the sum of d; checked=True skips that for tuples that
-    `instances` has already kept.
+    d's bound, its checks and the sum of d; checked=True skips that for
+    tuples that `instances` has already kept.
     """
     spec = _spec(identity)
     if not checked:
-        params = {k: (tuple(sorted(v)) if isinstance(v, (list, tuple)) else v) for k, v in params.items()}
         if params.keys() != {*spec.keys, "d"}:
             raise ParameterError(f"{identity} takes the parameters {', '.join(spec.keys + ('d',))}")
         problem = spec.violation(params)
         if problem is not None:
             raise ParameterError(f"{identity} {problem}")
+        # sorted once the checks, which read no order, have passed every part
+        params = {k: (tuple(sorted(v)) if isinstance(v, (list, tuple)) else v) for k, v in params.items()}
     return timed_report(identity, params, lambda: spec.sides(table, **params))
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# sweeps, the one-point sums and the `tau verify` tokens
 
 def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict]:
     """Admissible parameter dictionaries for one identity on the grid: the
@@ -615,7 +622,7 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
     for outer in grid:
         base = {k: outer[k] for k in spec.keys}
         for n in range(lim.n_max + 1):
-            for d in _multisets(n, spec.d_sum(n=n, **outer), spec.min_part):
+            for d in _multisets(n, spec.d_sum(n=n, **outer), spec.d_least):
                 params = {**base, "d": d}
                 # the bounds and sum(d) hold by construction; the checks decide the rest
                 for _, ok in spec.checks:
@@ -625,7 +632,8 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
                     yield params
 
 
-def _sweep(identity: str, limits: SweepLimits | None, table: BracketTable | None) -> Iterator[Report]:
+def sweep(identity: str, limits: SweepLimits | None = None,
+          table: BracketTable | None = None) -> Iterator[Report]:
     """The reports of one identity over the grid in canonical order, each
     evaluated when it is pulled.  The grid is held as tuples of values in
     sorted-name order (`Report.sort_key`'s order within an id); a pulled one
@@ -635,23 +643,6 @@ def _sweep(identity: str, limits: SweepLimits | None, table: BracketTable | None
     grid = sorted(map(itemgetter(*names), instances(identity, limits)))
     in_spec_order = itemgetter(*map(names.index, keys))
     return (verify(identity, table, checked=True, **dict(zip(keys, in_spec_order(v)))) for v in grid)
-
-
-def run_sweep(
-    identity: str, limits: SweepLimits | None = None, table: BracketTable | None = None
-) -> list[Report]:
-    """All reports for one identity over the grid, in canonical order (the
-    order of Report.sort_key, not of the grid's loops): the list of the
-    lazy sweep that `tau verify` streams."""
-    return list(_sweep(identity, limits, table))
-
-
-# ---------------------------------------------------------------------------
-# the eq3 = eq5 + eq4@(g-1) decomposition and the one-point proof sums
-
-def decomposition_check(genus: int, d: Iterable[int], table: BracketTable | None = None) -> Report:
-    """The `decomp` report of one eq3 tuple (see `_decomp`)."""
-    return verify("decomp", table, g=genus, d=tuple(d))
 
 
 def _n1_sum(g: int, part: int, table: BracketTable | None) -> Fraction:
@@ -664,22 +655,17 @@ def _n1_sum(g: int, part: int, table: BracketTable | None) -> Fraction:
     return total
 
 
-def n1_proof_sums(genus: int, table: BracketTable | None = None) -> tuple[Fraction, Fraction, Fraction]:
-    """The three auxiliary sums in the one-point case:
-
-      S1 = sum_h (-1)^{g-h}/(24^{g-h}(g-h)!) <tau_0 tau_{3h-g-1} tau_{g+1}>_h
-      S2 = same with <tau_0 tau_{3h-g} tau_g>_h
-      S3 = same with <tau_{3h-g} tau_{g-1}>_h
-    """
-    return _n1_sum(genus, 0, table), _n1_sum(genus, 1, table), _n1_sum(genus, 2, table)
-
-
 def n1_expected(genus: int) -> tuple[Fraction, Fraction, Fraction]:
     base = Fraction(factorial(genus), factorial(2 * genus + 1))
     return base * Fraction(genus, 2**genus), base * Fraction(1, 2**genus), one_point(genus)
 
 
 def n1_sum_reports(genus: int, table: BracketTable | None = None) -> list[Report]:
+    """The one-point sums, parts 1-3, each against `n1_expected`:
+      S1 = sum_h (-1)^{g-h}/(24^{g-h}(g-h)!) <tau_0 tau_{3h-g-1} tau_{g+1}>_h
+      S2 = same with <tau_0 tau_{3h-g} tau_g>_h
+      S3 = same with <tau_{3h-g} tau_{g-1}>_h
+    """
     want = n1_expected(genus)
     return [
         timed_report("n1sums", {"g": genus, "part": i + 1},
@@ -688,14 +674,11 @@ def n1_sum_reports(genus: int, table: BracketTable | None = None) -> list[Report
     ]
 
 
-# ---------------------------------------------------------------------------
-# the `tau verify` tokens
-
 def _sweeps(k_span: int, *idents: str) -> Callable[[int, int], Iterator[Report]]:
     # idents come in id order, which leads the canonical key
     def run(g_max: int, n_max: int) -> Iterator[Report]:
         lim = SweepLimits(g_max=g_max, n_max=n_max, k_span=k_span)
-        return chain.from_iterable(_sweep(ident, lim, None) for ident in idents)
+        return chain.from_iterable(sweep(ident, lim) for ident in idents)
     return run
 
 
@@ -730,13 +713,13 @@ VERIFY_TOKENS: dict[str, tuple[int, int, Callable[[int, int], Iterator[Report]]]
     "n1sums": (10, 1, lambda g_max, n_max: (
         r for g in range(1, g_max + 1) for r in n1_sum_reports(g))),
     "c41": (3, 1, _c41),
-    "c51": (6, 4, lambda g_max, n_max: chain(
+    "c51": (6, 4, lambda g_max, n_max: mono.comparing(chain(
         (mono.psi_swap_check(g, n) for g, n in mono.stable_strata(0, g_max, 1, n_max)),
-        (mono.lambda_g_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max)))),
-    "c52": (3, 2, lambda g_max, n_max: (
+        (mono.lambda_g_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max))))),
+    "c52": (3, 2, lambda g_max, n_max: mono.comparing(
         mono.kappa_swap_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max, min_dim=2))),
-    "c53": (3, 2, lambda g_max, n_max: (
+    "c53": (3, 2, lambda g_max, n_max: mono.comparing(
         mono.bounds_check(g, n) for g, n in mono.stable_strata(1, g_max, 0, n_max))),
-    "c54": (4, 4, lambda g_max, n_max: (
+    "c54": (4, 4, lambda g_max, n_max: mono.comparing(
         mono.psi_floor_check(g, n) for g, n in mono.stable_strata(1, g_max, 1, n_max))),
 }

@@ -12,7 +12,8 @@ verbatim.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .brackets import BracketTable, _two_point_numerators, bracket, one_point
 from .combinat import multinomial, multisets_with_sum, partitions
@@ -20,6 +21,7 @@ from .reduction import kappa_to_psi
 from .report import Report, timed_report
 
 __all__ = [
+    "comparing",
     "psi_swap_check",
     "psi_swap_deep",
     "two_point_row",
@@ -77,6 +79,18 @@ def _tally(outcomes: Iterable[dict | None]) -> tuple[Fraction, Fraction, dict]:
             violations.append(v)
     extra = {"violations": violations} if violations else {}
     return Fraction(checked), Fraction(checked - len(violations)), extra
+
+
+def comparing(reports: Iterable[Report]) -> Iterator[Report]:
+    """The reports if one of them compares something (a nonzero lhs, see
+    `_tally`), else none, so that a run comparing nothing is an empty grid."""
+    reports = iter(reports)
+    held = []
+    for r in reports:
+        held.append(r)
+        if r.lhs:
+            yield from chain(held, reports)
+            return
 
 
 def _swap_sweep(

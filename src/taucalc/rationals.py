@@ -4,7 +4,7 @@ p-adic valuations and denominator lcm's.
 All values in the package are `fractions.Fraction` (arbitrary precision,
 always reduced, positive denominator); nothing here ever touches floats.
 Rationals serialize as "num/den" with "/den" omitted when the denominator
-is 1 -- that is exactly `str(Fraction)`, and `parse_rational` inverts it.
+is 1 -- that is exactly `str(Fraction)`, and `parse_ratio` inverts it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "lcm_of_denominators",
     "factorize",
     "format_rational",
-    "parse_rational",
     "parse_ratio",
 ]
 
@@ -131,13 +130,9 @@ def format_rational(r: Fraction) -> str:
     return str(Fraction(r))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; rejects anything but "num" or "num/den"."""
-    return Fraction(*parse_ratio(text))
-
-
 def parse_ratio(text: str) -> tuple[int, int]:
-    """parse_rational as an integer pair (num, den) with den > 0, not reduced."""
+    """Inverse of format_rational as an integer pair (num, den) with den > 0,
+    not reduced; rejects anything but "num" or "num/den"."""
     num, sep, den = text.strip().partition("/")
     num, den = int(num), int(den) if sep else 1
     if not den:

@@ -22,8 +22,8 @@ from taucalc.identities import (
     SweepLimits,
     lambda_gg1_bracket,
     n1_expected,
-    n1_proof_sums,
-    run_sweep,
+    n1_sum_reports,
+    sweep,
     verify,
 )
 from taucalc.monotone import (
@@ -60,20 +60,20 @@ def test_criterion_01_base_values():
 
 
 def test_criterion_02_eq4_sweep():
-    reports = run_sweep("eq4", SweepLimits(g_max=6, n_max=4))
+    reports = list(sweep("eq4", SweepLimits(g_max=6, n_max=4)))
     ok = bool(reports) and all(r.passed for r in reports)
     _verdict(2, ok, f"eq4 exact on all {len(reports)} admissible (g, d), g <= 6, n <= 4")
 
 
 def test_criterion_03_eq6_vanishing():
-    reports = run_sweep("eq6", SweepLimits(g_max=5, n_max=4, k_span=4))
+    reports = list(sweep("eq6", SweepLimits(g_max=5, n_max=4, k_span=4)))
     ok = bool(reports) and all(r.passed for r in reports)
     _verdict(3, ok, f"eq6 alternating sums vanish on {len(reports)} tuples, g <= 5, K <= g+4, n <= 4")
 
 
 def test_criterion_04_eq5_eq8_with_deep_slice():
     lim = SweepLimits(g_max=6, n_max=4)
-    shallow = run_sweep("eq5", lim) + run_sweep("eq8", lim)
+    shallow = list(sweep("eq5", lim)) + list(sweep("eq8", lim))
     deep_table = BracketTable()
     for n, g_hi in ((1, 13), (2, 13), (3, 12)):
         warm_table_from_series(npoint_series(n, g_hi), deep_table)
@@ -97,7 +97,7 @@ def test_criterion_04_eq5_eq8_with_deep_slice():
 
 
 def test_criterion_05_eq7_sweep():
-    reports = run_sweep("eq7", SweepLimits(g_max=4, n_max=3, k_span=3))
+    reports = list(sweep("eq7", SweepLimits(g_max=4, n_max=3, k_span=3)))
     ok = bool(reports) and all(r.passed for r in reports)
     _verdict(5, ok, f"eq7 exact on {len(reports)} tuples, g <= 4, K <= g+3, n <= 3")
 
@@ -106,7 +106,7 @@ def test_criterion_06_one_point_proof_sums():
     start = time.perf_counter()
     ok = True
     for g in range(1, 11):
-        ok = ok and n1_proof_sums(g, TABLE) == n1_expected(g)
+        ok = ok and tuple(r.lhs for r in n1_sum_reports(g, TABLE)) == n1_expected(g)
     elapsed = time.perf_counter() - start
     _verdict(6, ok, f"one-point proof sums match their formulas for g <= 10 ({elapsed:.1f}s)")
 
@@ -173,7 +173,7 @@ def test_criterion_10_section3_conjectures():
     ok = True
     total = 0
     for ident in ("c32a", "c32b", "c33a", "c33b", "c34a", "c34b", "c35a", "c35b"):
-        reports = run_sweep(ident, lim)
+        reports = list(sweep(ident, lim))
         ok = ok and bool(reports) and all(r.passed for r in reports)
         total += len(reports)
     _verdict(10, ok, f"c32-c35 pass on the gated grid ({total} instances)")
@@ -229,9 +229,9 @@ def test_criterion_13_infrastructure():
     # table, then on the shared one
     lim = SweepLimits(g_max=2, n_max=2)
     fresh = BracketTable()
-    one = reports_to_json(run_sweep("eq4", lim, table=fresh), timing=False)
-    two = reports_to_json(run_sweep("eq4", lim, table=fresh), timing=False)
-    three = reports_to_json(run_sweep("eq4", lim, table=TABLE), timing=False)
+    one = reports_to_json(list(sweep("eq4", lim, table=fresh)), timing=False)
+    two = reports_to_json(list(sweep("eq4", lim, table=fresh)), timing=False)
+    three = reports_to_json(list(sweep("eq4", lim, table=TABLE)), timing=False)
     ok = ok and one == two == three
     _verdict(13, ok, "cache round trip lossless, cold == warm, sweeps deterministic across runs")
 

@@ -22,7 +22,7 @@ from taucalc.brackets import (
 )
 from taucalc.combinat import multisets_with_sum
 from taucalc.denominators import compute_script_D
-from taucalc.identities import SweepLimits, run_sweep
+from taucalc.identities import SweepLimits, sweep
 from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
 from oracles import (
@@ -233,7 +233,7 @@ def test_derived_memos_hold_dyadic_normal_form():
     # by the same dyadic_sum as the memo, so they share its normal form
     table = BracketTable()
     compute_script_D(5, table)
-    run_sweep("c35a", SweepLimits(4, 3, k_span=2), table)
+    list(sweep("c35a", SweepLimits(4, 3, k_span=2), table))
     assert table._kappa and table._rows and table._conv
     values = list(table._kappa.values())
     for store in (table._rows, table._conv):
@@ -246,7 +246,7 @@ def test_derived_memos_hold_dyadic_normal_form():
 def test_clear_empties_every_store():
     table = BracketTable()
     assert bracket(2, (2, 3), table) == Fraction(29, 5760)  # a two-point key
-    run_sweep("c35a", SweepLimits(3, 3, k_span=2), table)
+    list(sweep("c35a", SweepLimits(3, 3, k_span=2), table))
     compute_script_D(3, table)
     stores = {name: v for name, v in vars(table).items() if isinstance(v, dict)}
     assert {"_data", "_rows", "_pairs", "_conv", "_kappa"} <= set(stores)

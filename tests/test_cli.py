@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+from itertools import product
 
 import pytest
 
@@ -279,12 +280,14 @@ def test_cache_import_rejects_non_dyadic_value(tmp_path, capsys):
 
 def test_cache_that_is_not_utf8_names_its_line(tmp_path, capsys):
     # a stray byte on line 3 stops both the import and a verb's --cache,
-    # with the line named, and the file is left as it was
+    # with the line named, and the file is left as it was; a text stream
+    # of the same bytes is rejected with the same message
     damaged = b"TAUCACHE v1\n1|1|1/24\n2|4|1/1152\xff\n#sha256=0\n"
     cache = tmp_path / "binary.cache"
     cache.write_bytes(damaged)
-    with pytest.raises(br.CacheError, match="line 3: not UTF-8: byte 0xff"):
-        br.cache_load(str(cache))
+    for source in (str(cache), io.TextIOWrapper(io.BytesIO(damaged), encoding="utf-8")):
+        with pytest.raises(br.CacheError, match="line 3: not UTF-8: byte 0xff"):
+            br.cache_load(source)
     for argv in (["cache", "--import", str(cache)], ["compute", "--g", "1", "--d", "1", "--cache", str(cache)]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: line 3: not UTF-8"), argv
@@ -468,6 +471,19 @@ def test_verify_tokens_yield_canonical_order(capsys, token):
     assert code == 0 and out.splitlines()[-1] == f"PASS {passed}/{len(reports)}"
 
 
+def test_no_verify_run_passes_having_checked_nothing():
+    # a run yields nothing (an empty grid, exit 2) or checks something: an
+    # identity report checks its one instance, and a c5x report counts its
+    # comparisons on the lhs
+    from taucalc.identities import VERIFY_TOKENS
+
+    for token, (_, _, runner) in VERIFY_TOKENS.items():
+        for g_max, n_max in product(range(4), repeat=2):
+            reports = list(runner(g_max, n_max))
+            checked = sum(r.lhs if r.id.startswith("c5") else 1 for r in reports)
+            assert not reports or checked, (token, g_max, n_max)
+
+
 def test_monotone_lambda_top(capsys):
     code, out, _ = run(capsys, "monotone", "--lambda", "top", "--n", "2",
                        "--gmax", "4", "--no-timing")
@@ -502,6 +518,10 @@ def test_negative_grid_bound_is_a_usage_error(capsys, argv):
     # two-point rows are empty and (0, 0, 0) has no single-unit move
     ("monotone", "--n", "2", "--gmax", "0"),
     ("monotone", "--n", "3", "--gmax", "0"),
+    # one report per stratum, none with a move: no genus-0 stratum has one
+    # with spectators >= 2, and a one-point stratum has no swap
+    ("verify", "c51", "--gmax", "0"),
+    ("verify", "c51", "--gmax", "6", "--nmax", "1"),
 ])
 def test_empty_grid_is_a_usage_error(capsys, argv):
     # bounds that are valid but leave no instance would print "PASS 0/0",

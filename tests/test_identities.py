@@ -14,13 +14,11 @@ from taucalc.identities import (
     ParameterError,
     SweepLimits,
     alt_pair_sum,
-    decomposition_check,
     instances,
     n1_expected,
-    n1_proof_sums,
     n1_sum_reports,
-    run_sweep,
     split_sum,
+    sweep,
     verify,
 )
 from taucalc.report import Report, reports_to_json
@@ -214,6 +212,14 @@ def test_verify_rejects_bad_parameters():
         ("c33a", dict(g=-1, K=0, m=2, r=(0, 0), d=(0,) * 5), "g >= 0"),
         ("c34a", dict(g=-1, K=0, m=2, s=0, r=(0, 0), d=(0,) * 4), "g >= 0"),
         ("c35a", dict(g=-1, K=0, m=2, l=2, r=(0, 0), s=(0, 0), d=(0,) * 3), "g >= 0"),
+        # so is a value of the wrong type, whose bound states its type
+        ("c32a", dict(g=1, K=1, r=[0], s=0, d=(0,)), "r >= 0"),
+        ("c33a", dict(g=1, K=1, m=2, r=0, d=(0,)), "r_p >= 0"),
+        ("c35b", dict(g=0, m=2, l=2, r=(0, 0), s=(0, "0"), d=(1,)), "s_p >= 0"),
+        ("eq4", dict(g=1.0, d=(1,)), "g >= 0"),
+        ("eq6", dict(g=1, K="2", d=(0,)), "K > g"),
+        ("eq4", dict(g=1, d=1), "d_j >= 1"),
+        ("eq4", dict(g=1, d=(1, "1")), "d_j >= 1"),
     ]
     for ident, params, message in off_domain:
         with pytest.raises(ParameterError, match=message):
@@ -223,7 +229,7 @@ def test_verify_rejects_bad_parameters():
 def test_theorem_sweeps_small():
     lim = SweepLimits(g_max=3, n_max=3)
     for ident in ("eq4", "eq6"):
-        reports = run_sweep(ident, lim)
+        reports = list(sweep(ident, lim))
         assert reports and all(r.passed for r in reports)
 
 
@@ -231,7 +237,7 @@ def test_conjecture_sweeps_small():
     lim = SweepLimits(g_max=2, n_max=2, k_span=2, rs_max=1)
     for ident in ("eq5", "eq7", "eq8", "eq3", "c32a", "c32b", "c33a", "c33b",
                   "c34a", "c34b", "c35a", "c35b"):
-        reports = run_sweep(ident, lim)
+        reports = list(sweep(ident, lim))
         assert reports, ident
         bad = [r for r in reports if not r.passed]
         assert not bad, (ident, bad[:2])
@@ -275,18 +281,16 @@ def test_c32a_lambda1_reduction():
 
 def test_decomposition_check():
     for g, d in [(2, (1,)), (3, (2,)), (3, (1, 2))]:
-        r = decomposition_check(g, d)
+        r = verify("decomp", g=g, d=d)
         assert r.passed and r.extra["constants_match"], (g, d)
     with pytest.raises(ParameterError):
-        decomposition_check(3, (1, 1))
+        verify("decomp", g=3, d=(1, 1))
 
 
 def test_decomp_is_an_identity_on_the_eq3_grid():
     # decomp takes eq3's tuples, and verify evaluates it like any identity
     r = verify("decomp", g=3, d=(1, 2))
-    want = decomposition_check(3, (1, 2))
     assert (r.id, r.params) == ("decomp", {"g": 3, "d": (1, 2)})
-    assert (r.lhs, r.rhs, r.extra) == (want.lhs, want.rhs, want.extra)
     # its two terms add up to eq3's bracket side, and its constant is eq3's
     eq3 = verify("eq3", g=3, d=(1, 2))
     assert r.extra["eq5_residual"] + r.extra["half_alt_pair_sum"] == r.lhs == eq3.lhs
@@ -298,7 +302,7 @@ def test_decomp_is_an_identity_on_the_eq3_grid():
 
 
 def test_n1_sums():
-    assert n1_proof_sums(1) == (Fraction(1, 12), Fraction(1, 12), Fraction(1, 24))
+    assert tuple(r.lhs for r in n1_sum_reports(1)) == (Fraction(1, 12), Fraction(1, 12), Fraction(1, 24))
     assert n1_expected(2) == (Fraction(1, 120), Fraction(1, 240), Fraction(1, 1152))
     assert n1_expected(3) == (Fraction(1, 2240), Fraction(1, 6720), Fraction(1, 82944))
     for g in range(1, 7):
@@ -309,8 +313,8 @@ def test_sweep_is_deterministic_across_runs():
     # cold and warm on a fresh table, then on the process-wide one
     lim = SweepLimits(g_max=2, n_max=2)
     table = BracketTable()
-    runs = [run_sweep("eq5", lim, table=table), run_sweep("eq5", lim, table=table),
-            run_sweep("eq5", lim)]
+    runs = [list(sweep("eq5", lim, table=table)), list(sweep("eq5", lim, table=table)),
+            list(sweep("eq5", lim))]
     first = reports_to_json(runs[0], timing=False)
     assert all(reports_to_json(r, timing=False) == first for r in runs[1:])
 
@@ -461,7 +465,7 @@ def test_sweep_reports_match_fresh_verify(ident):
     # order (that of the JSON), reports in canonical order, and every report
     # equal to a fresh, checked verify of its params
     keys = [*identities._IDENTITIES[ident].keys, "d"]
-    reports = run_sweep(ident, SweepLimits(g_max=3, n_max=3, k_span=2, rs_max=1))
+    reports = list(sweep(ident, SweepLimits(g_max=3, n_max=3, k_span=2, rs_max=1)))
     assert reports
     assert [r.sort_key() for r in reports] == sorted(r.sort_key() for r in reports)
     for r in reports:
