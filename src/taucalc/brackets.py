@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import os
 from collections import defaultdict
 from fractions import Fraction
@@ -126,9 +125,8 @@ class BracketTable:
     num odd or zero; `put` and `items` convert to and from Fraction
     <tau_d>_g, and `put` raises ValueError for a value whose S is not dyadic.
 
-    Insertions are idempotent (recomputation always yields the same exact
-    value), so concurrent fills are safe under the interpreter's atomic
-    dict operations.
+    Insertions are idempotent: recomputation always yields the same exact
+    value.
 
     The table also owns derived data, in plain dicts that their callers
     index and fill directly, every value in the same (num, e) normal form:
@@ -507,9 +505,3 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
             f"line {len(lines) + 1}: missing {_TRAILER} trailer (truncated file?)"
         )
     return table
-
-
-def cache_dumps(table: BracketTable) -> str:
-    buf = io.StringIO()
-    cache_save(table, buf)
-    return buf.getvalue()

@@ -55,15 +55,6 @@ def _grid_bound(text: str) -> int:
     return value
 
 
-def _swap_points(text: str) -> int:
-    """A monotone --n value: a stratum with fewer than two points has no
-    swap to compare, so its sweep would pass without checking anything."""
-    value = _grid_bound(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"a swap needs at least two points, got {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tau", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -116,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monotone", help="long-running monotonicity modes")
     p.set_defaults(run=_run_monotone)
     p.add_argument("--lambda", dest="lam", choices=("none", "top"), default="none")
-    p.add_argument("--n", type=_swap_points, default=2)
+    p.add_argument("--n", type=_grid_bound, default=2)
     p.add_argument("--gmax", type=_grid_bound, required=True)
     common(p)
 

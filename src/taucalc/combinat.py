@@ -9,7 +9,6 @@ uses them; the tests sum the kappa reduction over them as its oracle).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby, product
 from math import comb
 from typing import Iterator, Sequence
@@ -46,11 +45,6 @@ def partitions(total: int) -> Iterator[tuple[int, ...]]:
         yield from multisets_with_sum(n, total, min_part=1)
 
 
-@lru_cache(maxsize=None)
-def _grouped(exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((v, len(list(run))) for v, run in groupby(exps))
-
-
 def submultiset_splits(exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """All splits of a multiset into an ordered pair (left, right).
 
@@ -62,7 +56,7 @@ def submultiset_splits(exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tup
     # per value v of multiplicity c: k copies go left, c - k right, in C(c, k) ways
     choices = [
         [((v,) * k, (v,) * (c - k), comb(c, k)) for k in range(c + 1)]
-        for v, c in _grouped(tuple(exps))
+        for v, c in ((v, len(list(run))) for v, run in groupby(exps))
     ]
     out = []
     for take in product(*choices):

@@ -146,8 +146,6 @@ def _convolution(
         if lv is None:
             lv = lrow[j] = sigma_bracket((j - lo) // 3, (j,) + A, t)
         ln, le = lv
-        if not ln:
-            continue
         rv = rrow.get(K - j)
         if rv is None:
             rv = rrow[K - j] = sigma_bracket(genus - (j - lo) // 3, (K - j,) + B, t)
@@ -646,8 +644,6 @@ def sweep(identity: str, limits: SweepLimits | None = None,
 
 
 def _n1_sum(g: int, part: int, table: BracketTable | None) -> Fraction:
-    if g < 1:
-        raise ParameterError("the one-point sums need g >= 1")
     total = _ZERO
     for h in range(1, g + 1):
         d = ((0, 3 * h - g - 1, g + 1), (0, 3 * h - g, g), (3 * h - g, g - 1))[part]
@@ -666,6 +662,8 @@ def n1_sum_reports(genus: int, table: BracketTable | None = None) -> list[Report
       S2 = same with <tau_0 tau_{3h-g} tau_g>_h
       S3 = same with <tau_{3h-g} tau_{g-1}>_h
     """
+    if genus < 1:
+        raise ParameterError("the one-point sums need g >= 1")
     want = n1_expected(genus)
     return [
         timed_report("n1sums", {"g": genus, "part": i + 1},

@@ -108,13 +108,6 @@ def _lowerings(n: int, degree: int, k: int) -> tuple[tuple[Mono, tuple[tuple[Mon
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _peel_order(n: int, degree: int) -> tuple:
-    # the keys whose largest part is unique, largest maximum first
-    return tuple(sorted((r for r in _lowerings(n, degree, 1) if r[1] and r[1][-1][1] == 1),
-                        key=lambda r: -r[0][-1]))
-
-
 def _times_power_sum(a: IntTerms, n: int, degree: int, k: int) -> IntTerms:
     """p_k * a at every sorted key of the degree (a is read at degree - k)."""
     get = a.get
@@ -150,13 +143,15 @@ def _divide_by_e1(p: IntTerms, n: int, degree: int) -> IntTerms:
     """
     get = p.get
     q: IntTerms = {}
-    for m, row in _peel_order(n, degree):
+    table = _lowerings(n, degree, 1)
+    # the keys whose largest part is unique, largest maximum first
+    for m, row in sorted((r for r in table if r[1] and r[1][-1][1] == 1), key=lambda r: -r[0][-1]):
         c = get(m, 0)
         for low, mult in row[:-1]:
             c -= mult * q.get(low, 0)
         if c:
             q[row[-1][0]] = c
-    for m, row in _lowerings(n, degree, 1):
+    for m, row in table:
         if sum(mult * q.get(low, 0) for low, mult in row) != get(m, 0):
             raise DivisionRemainderError(
                 f"remainder at monomial {m}: component not divisible by the variable sum"
@@ -225,7 +220,6 @@ def _delta_power_sum(first: int, top: int, extra: int) -> IntSeries:
     return _reduced(terms, den)
 
 
-@lru_cache(maxsize=None)
 def _c_factor(k: int, cap: int) -> IntSeries:
     """(sum_I x)^2 G(x_I) for |I| = k as a polynomial, unstable parts folded in."""
     if k == 1:
@@ -381,7 +375,6 @@ def _graded_lines(groups) -> list[str]:
     return [f"{','.join(map(str, mono))}{text}" for _, mono, text in rows]
 
 
-@lru_cache(maxsize=None)
 def npoint_series(n: int, g_max: int) -> NPointSeries:
     """Build the n-point series through genus g_max (degree 3*g_max + n - 3)."""
     if n < 1 or g_max < 0:

@@ -6,10 +6,12 @@ genus-0 oracle walks the string equation, the three-point oracle expands
 an explicit closed series, the Mumford oracle sums the Chern character
 expansion term by term over labelled splits from bracket and kappa
 functions passed in, and the reference table freezes values published by
-an unrelated implementation.  `warm_table_from_series` seeds a bracket
-table from an n-point series, so that the tests can check the recursion
-against tables filled by the other engine, and `merged_alt_sums` turns a
-merged series back into alternating pair sums for the same comparison.
+an unrelated implementation.  `cache_dumps` is a table's cache file as a
+string, so that the tests can compare two tables' contents.
+`warm_table_from_series` seeds a bracket table from an n-point series, so
+that the tests can check the recursion against tables filled by the other
+engine, and `merged_alt_sums` turns a merged series back into alternating
+pair sums for the same comparison.
 `two_point_numerators_by_channel` sums the closed two-point rows term by
 term over every channel, against the package's Horner evaluation.
 `divide_by_varsum` and `delta_terms` are the n-point engine's division by
@@ -23,9 +25,11 @@ tests check against labelled subsets.
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from taucalc.brackets import BracketTable, cache_save
 from taucalc.combinat import submultiset_splits
 from taucalc.npoint import DivisionRemainderError
 
@@ -163,6 +167,12 @@ def dvv_ordered(g: int, d: tuple[int, ...], memo: dict) -> Fraction:
                     value += half * count * lv * rv
     memo[key] = Fraction(value)
     return memo[key]
+
+
+def cache_dumps(table: BracketTable) -> str:
+    buf = io.StringIO()
+    cache_save(table, buf)
+    return buf.getvalue()
 
 
 def warm_table_from_series(series, table) -> int:

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from taucalc.brackets import BracketTable, bracket, cache_dumps, cache_load, one_point
+from taucalc.brackets import BracketTable, bracket, cache_load, one_point
 from taucalc.combinat import multisets_with_sum
 from taucalc.denominators import (
     compute_D,
@@ -37,7 +37,7 @@ from taucalc.npoint import merged_series, npoint_series
 from taucalc.rationals import odd_double_factorial
 from taucalc.reduction import faber_closed_form, faber_kappa_value
 from taucalc.report import reports_to_json
-from oracles import warm_table_from_series
+from oracles import cache_dumps, warm_table_from_series
 
 TABLE = BracketTable()
 

@@ -14,7 +14,6 @@ from taucalc.brackets import (
     CacheError,
     bracket,
     bracket_any_genus,
-    cache_dumps,
     cache_load,
     cache_save,
     one_point,
@@ -27,6 +26,7 @@ from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
 from oracles import (
     REFERENCE_BRACKETS,
+    cache_dumps,
     dvv_ordered,
     genus0_string,
     three_point_with_tau0,

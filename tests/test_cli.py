@@ -522,25 +522,17 @@ def test_negative_grid_bound_is_a_usage_error(capsys, argv):
     # with spectators >= 2, and a one-point stratum has no swap
     ("verify", "c51", "--gmax", "0"),
     ("verify", "c51", "--gmax", "6", "--nmax", "1"),
+    # with fewer than two points there is no swap
+    ("monotone", "--n", "0", "--gmax", "3"),
+    ("monotone", "--n", "1", "--gmax", "3"),
+    ("monotone", "--lambda", "top", "--n", "0", "--gmax", "3"),
+    ("monotone", "--lambda", "top", "--n", "1", "--gmax", "3"),
 ])
 def test_empty_grid_is_a_usage_error(capsys, argv):
     # bounds that are valid but leave no instance would print "PASS 0/0",
     # or "PASS k/k" with lhs = rhs = 0
     code, out, err = run(capsys, *argv, "--no-timing")
     assert code == 2 and out == "" and "no instance" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("monotone", "--n", "0", "--gmax", "3"),
-    ("monotone", "--n", "1", "--gmax", "3"),
-    ("monotone", "--lambda", "top", "--n", "0", "--gmax", "3"),
-    ("monotone", "--lambda", "top", "--n", "1", "--gmax", "3"),
-])
-def test_monotone_needs_two_points(capsys, argv):
-    # with fewer than two points there is no swap, and the sweep would
-    # print "PASS" with lhs = rhs = 0
-    code, out, err = run(capsys, *argv, "--no-timing")
-    assert code == 2 and out == "" and "argument --n" in err
 
 
 # the smallest command line of each verb

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taucalc import brackets, identities
-from taucalc.brackets import BracketTable, bracket, cache_dumps
+from taucalc.brackets import BracketTable, bracket
 from taucalc.identities import (
     IDENTITY_IDS,
     ParameterError,
@@ -22,6 +22,7 @@ from taucalc.identities import (
     verify,
 )
 from taucalc.report import Report, reports_to_json
+from oracles import cache_dumps
 
 
 def test_alt_pair_sum_examples():
@@ -307,6 +308,12 @@ def test_n1_sums():
     assert n1_expected(3) == (Fraction(1, 2240), Fraction(1, 6720), Fraction(1, 82944))
     for g in range(1, 7):
         assert all(r.passed for r in n1_sum_reports(g)), g
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_n1_sums_reject_a_genus_below_one(g):
+    with pytest.raises(ParameterError, match="the one-point sums need g >= 1"):
+        n1_sum_reports(g)
 
 
 def test_sweep_is_deterministic_across_runs():

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from taucalc import npoint
 from taucalc.brackets import BracketTable, bracket
 from taucalc.combinat import multisets_with_sum
 from taucalc.npoint import (
@@ -301,18 +302,27 @@ def test_merged_alt_sums_match_engine():
                     assert alt_sums.get((2 * K, d), 0) == want, (n, g, K, d)
 
 
-def test_merged_rejects_odd_power_injection():
-    # poison the cached base series with a term that is odd in the pair
+def test_merged_rejects_odd_power_injection(monkeypatch):
+    # hand the merged series a base with a term that is odd in the pair
     # slots and cannot cancel; construction must abort
     poly = npoint_series(3, 2)
-    saved = dict(poly.g)
-    try:
-        poly.g[(1, 0, 2)] = poly.g.get((1, 0, 2), Fraction(0)) + 1
-        with pytest.raises(OddPowerError):
-            MergedSeries(1, 2)
-    finally:
-        poly.g.clear()
-        poly.g.update(saved)
+    poly.g[(1, 0, 2)] = poly.g.get((1, 0, 2), Fraction(0)) + 1
+    monkeypatch.setattr(npoint, "npoint_series", lambda n, g_max: poly)
+    with pytest.raises(OddPowerError):
+        MergedSeries(1, 2)
+
+
+def test_each_series_belongs_to_its_caller():
+    # emptying one caller's series leaves every later build whole
+    want = npoint_series(3, 2).dump_lines()
+    want_merged = merged_series(1, 2).dump_lines()
+    poly = npoint_series(3, 2)
+    poly.f.clear()
+    poly.g.clear()
+    again = npoint_series(3, 2)
+    assert again.bracket((1, 1, 1)) == Fraction(1, 12)
+    assert again.dump_lines() == want
+    assert merged_series(1, 2).dump_lines() == want_merged != []
 
 
 def test_dump_format():

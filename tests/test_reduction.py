@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucalc.brackets import BracketTable, bracket, cache_dumps
+from taucalc.brackets import BracketTable, bracket
 from taucalc.combinat import multisets_with_sum, partitions, set_partitions
 from taucalc.identities import ch_insertion, lambda_gg1_bracket
 from taucalc.reduction import (
@@ -14,7 +14,7 @@ from taucalc.reduction import (
     kappa_to_psi,
     lambda_g_bracket,
 )
-from oracles import ch_insertion_mumford
+from oracles import cache_dumps, ch_insertion_mumford
 
 
 def test_mixed_key():
