@@ -45,7 +45,7 @@ def _parse_int_list(text: str | None) -> tuple[int, ...]:
 
 def _grid_bound(text: str) -> int:
     """A --gmax, --nmax or --n value; a negative one would sweep nothing
-    and pass, or recurse without end."""
+    and pass, recurse without end, or count points below zero."""
     try:
         value = int(text)
     except ValueError:
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute-kappa", help="one mixed integral <tau_d kappa_a>_{g,n}")
     p.set_defaults(run=_run_compute_kappa)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_grid_bound, required=True)
     p.add_argument("--a", type=_parse_int_list, required=True)
     p.add_argument("--d", type=_parse_int_list, default=None)
     common(p)

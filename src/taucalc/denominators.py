@@ -14,9 +14,11 @@ evaluates the nested-floor lower bounds for the automorphism lcm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from math import prod
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .brackets import BracketTable, bracket
 from .combinat import multisets_with_sum, partitions
@@ -43,12 +45,12 @@ __all__ = [
 SCRIPT_D_SMALL = {0: 1, 1: 24}
 
 
-@dataclass
-class DenominatorProfile:
+class DenominatorProfile(NamedTuple):
     genus: int
     value: int
     n: int | None = None
-    factors: dict[int, int] = field(default_factory=dict)
+    # prime -> exponent; the default is read-only, since every profile shares it
+    factors: Mapping[int, int] = MappingProxyType({})
 
     def rendered(self) -> str:
         if not self.factors:

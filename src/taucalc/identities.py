@@ -44,13 +44,12 @@ Identity ids:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from math import factorial, lcm
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import denominators as dn
 from . import monotone as mono
@@ -371,8 +370,7 @@ def _c35b(table, g, m, l, r, s, d):
     return lhs, rhs, {"K": K, "genus_convention": _GENUS_NOTE}
 
 
-@dataclass
-class SweepLimits:
+class SweepLimits(NamedTuple):
     """Parameter ranges for a verification sweep; ranges are configuration."""
 
     g_max: int = 6
@@ -381,8 +379,7 @@ class SweepLimits:
     rs_max: int = 2
 
 
-@dataclass
-class _Identity:
+class _Identity(NamedTuple):
     """One identity, written once.
 
     loops     the free parameters other than d, outermost first, each as
@@ -407,12 +404,12 @@ class _Identity:
     sides: Callable[..., tuple[Fraction, Fraction, dict]]
     d_least: int = 0
     checks: tuple[tuple[str, Callable[..., bool]], ...] = ()
-    keys: tuple[str, ...] = field(init=False)
 
-    def __post_init__(self):
+    @property
+    def keys(self) -> tuple[str, ...]:
         names = [name for name, *_ in self.loops]
         first = [k for k in ("g", "K") if k in names]
-        self.keys = tuple(first + [k for k in names if k not in first])
+        return tuple(first + [k for k in names if k not in first])
 
     def violation(self, params: dict) -> str | None:
         """The message of the first constraint params breaks, or None: the
@@ -571,7 +568,7 @@ _IDENTITIES: dict[str, _Identity] = {
     ),
 }
 # decomp takes the tuples eq3 takes: only its sides differ
-_IDENTITIES["decomp"] = replace(_IDENTITIES["eq3"], sides=_decomp)
+_IDENTITIES["decomp"] = _IDENTITIES["eq3"]._replace(sides=_decomp)
 
 IDENTITY_IDS = tuple(_IDENTITIES)
 
@@ -612,13 +609,13 @@ def instances(identity: str, limits: SweepLimits | None = None) -> Iterator[dict
     spec's loops, then n = 0..n_max and every d with the solved sum, kept
     when they meet the spec's checks: one base dict per loop assignment, plus d."""
     spec = _spec(identity)
-    lim = limits or SweepLimits()
+    keys, lim = spec.keys, limits or SweepLimits()
     # every assignment of the loop parameters, outermost loop first
     grid = [{}]
     for name, choices, _ in spec.loops:
         grid = [{**outer, name: v} for outer in grid for v in choices(lim, **outer)]
     for outer in grid:
-        base = {k: outer[k] for k in spec.keys}
+        base = {k: outer[k] for k in keys}
         for n in range(lim.n_max + 1):
             for d in _multisets(n, spec.d_sum(n=n, **outer), spec.d_least):
                 params = {**base, "d": d}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
@@ -37,23 +36,23 @@ _ENCODER = json.JSONEncoder(default=_fraction_text, check_circular=False)
 _CHUNK = 256
 
 
-@dataclass
 class Report:
-    id: str
-    params: dict[str, Any]
-    lhs: Fraction
-    rhs: Fraction
-    ms: float = 0.0
-    extra: dict[str, Any] = field(default_factory=dict)
-    # lhs == rhs, compared once when the report is built: its JSON, the
-    # summary line and the exit code all read the flag
-    passed: bool = field(init=False, repr=False, compare=False)
+    def __init__(self, id: str, params: dict[str, Any], lhs: Fraction, rhs: Fraction,
+                 ms: float = 0.0, extra: dict[str, Any] | None = None) -> None:
+        self.id, self.params, self.lhs, self.rhs, self.ms = id, params, lhs, rhs, ms
+        self.extra = {} if extra is None else extra
+        # lhs == rhs, compared once when the report is built: its JSON, the
+        # summary line and the exit code all read the flag
+        self.passed = lhs == rhs
 
-    def __post_init__(self) -> None:
-        self.passed = self.lhs == self.rhs
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Report and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"Report({self.id!r}, {self.params!r}, lhs={self.lhs}, rhs={self.rhs})"
 
     def to_dict(self, timing: bool = True) -> dict[str, Any]:
-        """The fields reports_to_json encodes; params and extra are handed
+        """The fields json_chunks encodes; params and extra are handed
         over as they are, tuples and Fractions included."""
         out = {
             "id": self.id,

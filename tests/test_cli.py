@@ -499,6 +499,8 @@ def test_monotone_lambda_top(capsys):
     ("monotone", "--n", "-3", "--gmax", "2"),
     ("monotone", "--lambda", "top", "--n", "-1", "--gmax", "2"),
     ("denom", "--g", "2", "--n", "-1"),
+    # a point count below zero, not a --d length to mismatch
+    ("compute-kappa", "--g", "1", "--n", "-1", "--a", "1"),
 ])
 def test_negative_grid_bound_is_a_usage_error(capsys, argv):
     # an empty grid would print "PASS 0/0" and exit 0 without checking anything

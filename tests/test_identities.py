@@ -423,7 +423,7 @@ def test_instance_enumeration_is_pinned(ident, g_max, n_max, k_span, default_dig
     )
     for lim, digest in grids:
         got = hashlib.sha256(repr(list(instances(ident, lim))).encode()).hexdigest()
-        assert got == digest, (ident, lim.__dict__)
+        assert got == digest, (ident, lim)
 
 
 def _box(ident):

@@ -1,10 +1,13 @@
-"""Guards on the package surface: every exported name resolves, and no
+"""Guards on the package surface: every exported name resolves, no
 function imports (all imports sit at module level, where start-up pays
-for them once and a reader finds them)."""
+for them once and a reader finds them), and start-up loads no module
+that no verb needs."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,18 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
     assert missing == [], (name, missing)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds of
+    # every run's start-up.  Only what the import itself loads counts, so
+    # site cannot fail this.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules)\n"
+            "import taucalc.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_no_function_local_imports():
