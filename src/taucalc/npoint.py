@@ -11,43 +11,31 @@ satisfies a closed recursion:
     P_r   = [ sum_{I ⊔ J = {1..n}, both nonempty}
                 (sum_I x)^2 (sum_J x)^2 G(x_I) G(x_J) ]_{3r+n-2} / (2 sum x_j)
 
-The convolution's one- and two-point inputs carry their unstable parts:
-the normalized one-point function collapses to exactly x^-2, and the
-two-point one is sum_{s>=0} Delta(x,y)^s / (4^s (2s+1)!! (x+y)) whose s=0
-term is 1/(x+y).  Packaged as "weighted factors" C_I = (sum_I x)^2 G(x_I)
-every ingredient is a genuine polynomial:
-
-    C_{|I|=1} = 1
-    C_{|I|=2} = sum_s Delta(x,y)^s (x+y) / (4^s (2s+1)!!)
-    C_{|I|=k} = (sum_I x)^2 G(x_I)           (k >= 3, all stable)
+The one- and two-point inputs carry their unstable parts (x^-2, and
+sum_{s>=0} Delta(x,y)^s / (4^s (2s+1)!! (x+y))), so the engine convolves
+the polynomial "weighted factors" C_I = (sum_I x)^2 G(x_I):
+C_{|I|=1} = 1, C_{|I|=2} = sum_s Delta(x,y)^s (x+y) / (4^s (2s+1)!!).
 
 Sorted keys: G and F are symmetric, because brackets are, so every
 internal series is a dict keyed by ascending exponent tuples of length n,
-zeros included (the key form of `multisets_with_sum`); a key's value is
-the coefficient of each of its orderings.  Only sorted targets are
-computed, by lookups in per-(n, degree) tables of lowered keys
-(`_lowerings`).  Multiplying by p_k = sum x_j^k sums the lowered keys
-times their multiplicities, so Delta = (p_1^3 - p_3) / 3 (divided
-exactly) and C_k = p_1^2 G_k; the split numerator sums over the
-`submultiset_splits` of a key, only at the degrees 3t+n-2 that get
-divided; division by e_1 = p_1 peels from the largest maximum down and
-checks every key of the degree (`_divide_by_e1`); F = sum_j p_3^j G /
-(24^j j!), plus for n = 2 the polynomial part of the unstable 1/(x+y).
+zeros included; a key's value is the coefficient of each of its
+orderings.  Only sorted targets are computed, by lookups in per-(n,
+degree) tables of lowered keys (`_lowerings`, raised from the keys a
+degree down).  Multiplying by p_k = sum x_j^k sums the lowered keys
+times their multiplicities, so Delta = (p_1^3 - p_3) / 3 and
+C_k = p_1^2 G_k; the split numerator sums one split of each mirror pair
+(`_splitters`); division by e_1 = p_1 peels from the largest maximum down
+(`_divide_by_e1`); F = sum_j p_3^j G / (24^j j!), plus for n = 2 the
+polynomial part of the unstable 1/(x+y).
 
-Arithmetic: every internal builder returns a pair (int numerators, den),
-one common denominator per series, reduced once by the gcd of den and all
-numerators.  With t = r + s the scalar is
-c(r,s) = (2r+n-3)!! 4^r / (4^t (2t+n-1)!!), so the degree-(3t+n-3) part
-of G is Q_t / (4^t (2t+n-1)!!) with
-
-    Q_t = Delta Q_{t-1} + (2t+n-3)!! 4^t P_t,
-
-one product by Delta per degree, all of it over the denominator
-4^g (2g+n-1)!! of the series' top genus g.  A remainder in a division by
-e_1 aborts, since it can only mean an implementation bug.  `Fraction`
-appears only at the boundary: the {monomial: Fraction} dicts of nonzero
-coefficients `NPointSeries.g`/`.f`, laid out from the sorted keys with one
-shared Fraction per key, and those of `MergedSeries`, read off `.g`.
+Arithmetic: every internal builder returns a pair (int numerators, den)
+reduced by the gcd of den and all numerators.  With t = r + s the
+degree-(3t+n-3) part of G is Q_t / (4^t (2t+n-1)!!), where
+Q_t = Delta Q_{t-1} + (2t+n-3)!! 4^t P_t.  A remainder in a division by
+e_1 aborts: it can only mean an implementation bug.  F is read a genus at
+a time as integers over one denominator (`NPointSeries.stratum`, which
+`bracket` and the dump read); the `Fraction` dicts `NPointSeries.g` and
+`.f` are built on first access only, and `MergedSeries` reads `.g`.
 """
 
 from __future__ import annotations
@@ -55,12 +43,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial, gcd, lcm
+from itertools import groupby, product
+from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter, lt
 from typing import Iterable
 
-from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import double_factorial, odd_double_factorial
 
 __all__ = [
@@ -78,6 +65,8 @@ IntTerms = dict[Mono, int]
 # an exact symmetric series as (numerators at sorted keys, common
 # denominator): the value of each ordering of a key is its numerator over den
 IntSeries = tuple[IntTerms, int]
+# one genus of F: (ascending sorted keys, their int numerators, den > 0)
+Stratum = tuple[tuple[Mono, ...], tuple[int, ...], int]
 
 _ZERO = Fraction(0)
 
@@ -92,20 +81,24 @@ class OddPowerError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def _lowerings(n: int, degree: int, k: int) -> tuple[tuple[Mono, tuple[tuple[Mono, int], ...]], ...]:
-    """Each sorted key of the degree with its row of lowered keys: for every
-    distinct part v >= k, the key with one v lowered to v - k (re-sorted)
-    and the multiplicity of v.  Parts go in ascending order, so the largest
-    part's entry comes last."""
-    table = []
+    """Each sorted key of the degree, ascending, with its row of lowered
+    keys: for every distinct part v >= k, the key with one v lowered to
+    v - k (re-sorted) and the multiplicity of v.  Parts go in ascending
+    order, so the largest part's entry comes last."""
+    if degree <= 0:
+        return (((0,) * n, ()),) if degree == 0 else ()
+    # each key q of degree - k, raised by k at the last part of each run and
+    # re-sorted (k = 1 keeps it sorted), is a key m with q in its row; q
+    # ascends, and so do the lowered parts of m's row
+    rows: dict[Mono, list[tuple[Mono, int]]] = {}
+    for q, _ in _lowerings(n, degree - k, 1):
+        for i, v in enumerate(q, 1):
+            if i == n or q[i] != v:
+                j = bisect_left(q, v + k, i) if k > 1 else i
+                rows.setdefault(q[: i - 1] + q[i:j] + (v + k,) + q[j:], []).append((q, q.count(v + k) + 1))
     # every k shares the key list of the p_1 table
-    for m in multisets_with_sum(n, degree) if k == 1 else (m for m, _ in _lowerings(n, degree, 1)):
-        row = []
-        for i, v in enumerate(m):
-            if v >= k and (not i or m[i - 1] != v):
-                j = bisect_left(m, v - k, 0, i)
-                row.append((m[:j] + (v - k,) + m[j:i] + m[i + 1 :], m.count(v)))
-        table.append((m, tuple(row)))
-    return tuple(table)
+    keys = sorted(rows) if k == 1 else (m for m, _ in _lowerings(n, degree, 1))
+    return tuple((m, tuple(rows.get(m, ()))) for m in keys)
 
 
 def _times_power_sum(a: IntTerms, n: int, degree: int, k: int) -> IntTerms:
@@ -166,34 +159,21 @@ def _reduced(terms: IntTerms, den: int) -> IntSeries:
     return {m: c // g for m, c in terms.items()}, den // g
 
 
-@lru_cache(maxsize=None)
-def _arrangers(steps: tuple[bool, ...]) -> tuple[itemgetter, ...]:
-    """Getters laying a sorted key out in each of its distinct orderings, in
-    lex order; steps[i] says whether part i + 1 exceeds part i."""
-    ranks = (0, *accumulate(steps))
-    first = [ranks.index(r) for r in range(ranks[-1] + 1)]
-
-    def arrangements(rest: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if len(rest) < 2:
-            return [rest]
-        return [(r,) + tail for i, r in enumerate(rest) if not i or rest[i - 1] != r
-                for tail in arrangements(rest[:i] + rest[i + 1 :])]
-
-    return tuple(itemgetter(*[first[r] for r in a]) for a in arrangements(ranks))
+def _monomials(n: int, degree: int) -> list[tuple[Mono, str]]:
+    """Every monomial of the degree in n variables, in lex order, with its
+    text "e1,..,en"."""
+    heads = [f"{v}," for v in range(degree + 1)]
+    level = [((), "", degree)]
+    for _ in range(n - 1):
+        level = [(parts + (v,), head + heads[v], rest - v) for parts, head, rest in level for v in range(rest + 1)]
+    return [(parts + (rest,), f"{head}{rest}") for parts, head, rest in level]
 
 
-def _orderings(key: Mono) -> list[Mono]:
-    """The distinct monomials whose exponents sort to key, in lex order."""
-    if len(key) < 2:
-        return [key]
-    return [get(key) for get in _arrangers(tuple(map(lt, key, key[1:])))]
-
-
-def _expanded(series: IntSeries) -> tuple[Terms, Terms]:
-    """(sorted-key Fractions, every ordering sharing its key's Fraction)."""
-    terms, den = series
-    by_key = {m: Fraction(c, den) for m, c in terms.items()}
-    return by_key, {mono: c for m, c in by_key.items() for mono in _orderings(m)}
+def _expanded(n: int, values: dict[Mono, Fraction]) -> Terms:
+    """Every monomial whose sorted exponents are a key of values, with that
+    key's value, by degree then lex order."""
+    return {mono: c for d in sorted({sum(m) for m in values}) for mono, _ in _monomials(n, d)
+            if (c := values.get(tuple(sorted(mono)))) is not None}
 
 
 def _one_point_stable(cap: int) -> IntSeries:
@@ -234,20 +214,41 @@ def _c_factor(k: int, cap: int) -> IntSeries:
     return _reduced(out, den)
 
 
+@lru_cache(maxsize=None)
+def _splitters(steps: tuple[bool, ...]) -> tuple[tuple[itemgetter, itemgetter, int, int], ...]:
+    """The splits into nonempty (lo, hi) of a sorted key whose part i + 1
+    exceeds part i where steps[i], one of each mirror pair: getters of lo
+    and hi, len(lo), and the number of labelled ways to realize the split,
+    doubled unless lo = hi.  lo takes the first k_v parts of each run v."""
+    n = len(steps) + 1
+    cuts = [0, *(i for i, up in enumerate(steps, 1) if up), n]
+    runs = [b - a for a, b in zip(cuts, cuts[1:])]
+    # lex order on (k_v) puts each mirror (c_v - k_v) at the reflected index
+    choices = list(product(*(range(c + 1) for c in runs)))
+    out = []
+    for i, ks in enumerate(choices[: (len(choices) + 1) // 2]):
+        lo = [p for a, k in zip(cuts, ks) for p in range(a, a + k)]
+        if 0 < len(lo) < n:
+            ways = prod(map(comb, runs, ks)) * (1 if 2 * i + 1 == len(choices) else 2)
+            # a slice keeps a single part a tuple
+            get = [itemgetter(*ps) if ps[1:] else itemgetter(slice(ps[0], ps[0] + 1))
+                   for ps in (lo, [p for p in range(n) if p not in lo])]
+            out.append((*get, len(lo), ways))
+    return tuple(out)
+
+
 def _split_numerator(left: dict, right: dict, n: int, degree: int) -> IntTerms:
-    # sum over I ⊔ J of C_I C_J at the degree's sorted keys; left[k] holds
-    # C_k scaled to the common denominator of the size-k products
+    # sum over I ⊔ J of C_I C_J at the degree's sorted keys, over num_den:
+    # left[k] and left[n - k] share one scale, so mirror splits add up equal
     out: IntTerms = {}
     for m, _ in _lowerings(n, degree, 1):
         c = 0
-        for lo, hi, count in submultiset_splits(m):
-            k = len(lo)
-            if 0 < k < n:
-                a = left[k].get(lo)
-                if a:
-                    b = right[n - k].get(hi)
-                    if b:
-                        c += count * a * b
+        for lo, hi, k, ways in _splitters(tuple(map(lt, m, m[1:]))):
+            a = left[k].get(lo(m))
+            if a:
+                b = right[n - k].get(hi(m))
+                if b:
+                    c += ways * a * b
         if c:
             out[m] = c
     return out
@@ -313,45 +314,63 @@ def _times_exp_cubes(a: IntTerms, n: int, low: int, cap: int) -> tuple[IntTerms,
     return out, den
 
 
-def _two_point_correction(cap: int) -> IntSeries:
-    # the unstable 1/(x+y) contributes (exp(..)-1)/(x+y) to the polynomial
-    # part; degree by degree the division is exact.  Division drops one
-    # degree, so feed it one degree more; the constant term is never divided.
-    e, den = _times_exp_cubes({(0, 0): 1}, 2, 0, cap + 1)
-    out: IntTerms = {}
-    for d in range(3, cap + 2, 3):
-        out.update(_divide_by_e1(e, 2, d))
-    return _reduced(out, den)
-
-
 class NPointSeries:
-    """Normalized n-point series plus exact extraction back to brackets."""
+    """Normalized n-point series plus exact extraction back to brackets.
+
+    It keeps reduced integer terms at sorted keys: G's, and F's by genus
+    (`stratum`, read by `bracket` and `dump_lines`).  The Fraction dicts
+    `.g` and `.f` over every monomial are built on first access only and
+    belong to this series."""
 
     def __init__(self, n: int, degree_cap: int):
         self.n = n
         self.degree_cap = degree_cap
-        self._stable = _stable_terms(n, degree_cap)
-        _, self.g = _expanded(self._stable)
-        self._f_keys: Terms = {}
+        self._g_terms = _stable_terms(n, degree_cap)
+        self._strata: dict[int, Stratum] | None = None
+        self._g: Terms | None = None
         self._f: Terms | None = None
+
+    @property
+    def g(self) -> Terms:
+        """The normalized series G."""
+        if self._g is None:
+            terms, den = self._g_terms
+            self._g = _expanded(self.n, {m: Fraction(c, den) for m, c in terms.items()})
+        return self._g
 
     @property
     def f(self) -> Terms:
         """Polynomial part of exp(sum x^3/24) * G, whose coefficients are brackets."""
         if self._f is None:
-            cap = self.degree_cap
-            g_terms, g_den = self._stable
-            out, e_den = _times_exp_cubes(g_terms, self.n, self.n % 3, cap)
-            den = g_den * e_den
-            if self.n == 2:
-                c_terms, c_den = _two_point_correction(cap)
-                common = lcm(den, c_den)
-                out = {m: common // den * c for m, c in out.items()}
-                for mono, c in c_terms.items():
-                    out[mono] = out.get(mono, 0) + common // c_den * c
-                den = common
-            self._f_keys, self._f = _expanded(_reduced(out, den))
+            strata = map(self.stratum, range((self.degree_cap - self.n) // 3 + 2))
+            self._f = _expanded(self.n, {
+                m: Fraction(c, den) for keys, nums, den in strata for m, c in zip(keys, nums)})
         return self._f
+
+    def stratum(self, g: int) -> Stratum:
+        """F at genus g as (ascending sorted keys, int numerators, one positive
+        denominator): the bracket of each ordering of a key is its numerator
+        over the denominator.  Empty, over 1, where no stable bracket is."""
+        if 3 * g - 3 + self.n > self.degree_cap:
+            raise ValueError(f"genus {g} exceeds tracked degree {self.degree_cap}")
+        if self._strata is None:
+            (terms, den), n, low, cap = self._g_terms, self.n, self.n % 3, self.degree_cap
+            if n == 2:
+                # G's unstable part 1/(x+y) adds the polynomial (exp(p_3/24) - 1)/(x+y)
+                # to F, so (x+y) F = exp(p_3/24) ((x+y) G + 1) - 1, one degree up
+                terms = {m: c for d in range(3, cap + 2, 3) for m, c in _times_power_sum(terms, 2, d, 1).items()}
+                terms[(0, 0)] = den
+                low, cap = 0, cap + 1
+            out, e_den = _times_exp_cubes(terms, n, low, cap)
+            den *= e_den
+            if n == 2:
+                out = {m: c for d in range(3, cap + 1, 3) for m, c in _divide_by_e1(out, 2, d).items()}
+            self._strata = {}
+            for degree, group in groupby(sorted((sum(m), m) for m, c in out.items() if c), itemgetter(0)):
+                keys = tuple(m for _, m in group)
+                q = gcd(den, *(out[m] for m in keys))
+                self._strata[(degree - self.n + 3) // 3] = (keys, tuple(out[m] // q for m in keys), den // q)
+        return self._strata.get(g, ((), (), 1))
 
     def bracket(self, exponents: Iterable[int]) -> Fraction:
         """Coefficient of prod x^{d_j} in F; equals bracket(g, d) at the fitting genus."""
@@ -360,19 +379,21 @@ class NPointSeries:
             raise ValueError(f"expected {self.n} exponents, got {len(mono)}")
         if sum(mono) > self.degree_cap:
             raise ValueError(f"degree {sum(mono)} exceeds tracked degree {self.degree_cap}")
-        return self.f.get(mono, _ZERO)
+        g, off_grade = divmod(sum(mono) - self.n + 3, 3)
+        keys, nums, den = self.stratum(g)
+        key = tuple(sorted(mono))
+        i = bisect_left(keys, key)
+        return _ZERO if off_grade or keys[i : i + 1] != (key,) else Fraction(nums[i], den)
 
     def dump_lines(self) -> list[str]:
         """F coefficients as "d1,..,dn -> num/den", graded then lex order."""
-        self.f  # extraction fills the sorted keys
-        return _graded_lines((sum(m), _orderings(m), f" -> {c}") for m, c in self._f_keys.items())
-
-
-def _graded_lines(groups) -> list[str]:
-    # groups of (degree, monomials, text shared by them): one line per
-    # monomial, "e1,..,ek" + text, by degree then lex order
-    rows = sorted((degree, mono, text) for degree, monos, text in groups for mono in monos)
-    return [f"{','.join(map(str, mono))}{text}" for _, mono, text in rows]
+        lines = []
+        for g in range((self.degree_cap - self.n) // 3 + 2):
+            keys, nums, den = self.stratum(g)
+            text = {m: f" -> {Fraction(c, den)}" for m, c in zip(keys, nums)}
+            lines += [head + tail for mono, head in _monomials(self.n, 3 * g - 3 + self.n)
+                      if (tail := text.get(tuple(sorted(mono))))]
+        return lines
 
 
 def npoint_series(n: int, g_max: int) -> NPointSeries:
@@ -421,11 +442,9 @@ class MergedSeries:
         return self.gterms.get((2 * K, d), _ZERO)
 
     def dump_lines(self) -> list[str]:
-        # the series is symmetric in the x side: one text per sorted key
-        return _graded_lines(
-            (ypow + sum(xs), [(ypow,) + o for o in _orderings(xs)], f" -> {c}")
-            for (ypow, xs), c in self.gterms.items() if list(xs) == sorted(xs)
-        )
+        # one line per monomial "yexp,d1,..,dn -> c", by degree then lex order
+        rows = sorted((ypow + sum(xs), ypow, xs, c) for (ypow, xs), c in self.gterms.items())
+        return [f"{','.join(map(str, (ypow, *xs)))} -> {c}" for _, ypow, xs, c in rows]
 
 
 def merged_series(n: int, g_max: int) -> MergedSeries:

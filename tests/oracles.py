@@ -16,21 +16,23 @@ pair sums for the same comparison.
 term over every channel, against the package's Horner evaluation.
 `divide_by_varsum` and `delta_terms` are the n-point engine's division by
 x_0 + .. + x_{n-1} and its Delta polynomial over every monomial, the
-oracles of its sorted-key kernels.  `dvv_ordered` is the bracket engine's
-DVV descent in Fractions with its boundary 1/2-sum taken over ordered
-pairs, the reference for the engine's mirror-paired sum; it reads the
-ordered splits from `combinat.submultiset_splits`, which the combinatorics
-tests check against labelled subsets.
+oracles of its sorted-key kernels, and `lowerings` builds its tables of
+lowered keys one key at a time from `multisets_with_sum`.  `dvv_ordered`
+is the bracket engine's DVV descent in Fractions with its boundary 1/2-sum
+taken over ordered pairs, the reference for the engine's mirror-paired
+sum; it reads the ordered splits from `combinat.submultiset_splits`, which
+the combinatorics tests check against labelled subsets.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, prod
 
 from taucalc.brackets import BracketTable, cache_save
-from taucalc.combinat import submultiset_splits
+from taucalc.combinat import multisets_with_sum, submultiset_splits
 from taucalc.npoint import DivisionRemainderError
 
 
@@ -351,3 +353,19 @@ REFERENCE_BRACKETS: dict[tuple[int, tuple[int, ...]], Fraction] = {
     (3, (3, 5)): Fraction(503, 1451520),
     (3, (4, 4)): Fraction(607, 1451520),
 }
+
+
+def lowerings(n: int, degree: int, k: int) -> tuple:
+    """The n-point engine's table of lowered keys, built key by key from
+    `multisets_with_sum`: each sorted key of the degree with, for every
+    distinct part v >= k, the key with one v lowered to v - k (re-sorted)
+    and the multiplicity of v, parts in ascending order."""
+    table = []
+    for m in multisets_with_sum(n, degree):
+        row = []
+        for i, v in enumerate(m):
+            if v >= k and (not i or m[i - 1] != v):
+                j = bisect_left(m, v - k, 0, i)
+                row.append((m[:j] + (v - k,) + m[j:i] + m[i + 1 :], m.count(v)))
+        table.append((m, tuple(row)))
+    return tuple(table)

@@ -93,6 +93,12 @@ def test_npoint_special_dump(capsys):
      "098ce4d02d75fb620727283c5366ab9ef617b3498b1e4cd326b335194eb88f0d"),
     ("npoint --n 6 --gmax 3",
      "57cd466af2d6cd64b0e48579b6f742464a7eaf8f8855280753086004bb1dc3bf"),
+    # pinned from the dump that read every ordering off .f: the one-point
+    # dump, and the two-point one with its unstable 1/(x+y) correction
+    ("npoint --n 1 --gmax 6",
+     "1a7c683412a7ecbde48c263dc382eea527f5db73e849a15543c162f1f6b9157e"),
+    ("npoint --n 2 --gmax 8",
+     "0c675c04ffbac5c9a5f7273ccfc0e53c74244f5eee895eaa95301ca3b0e0c7bd"),
 ])
 def test_npoint_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

@@ -41,6 +41,7 @@ _STABILITY = "needs g >= 1 and stability, got g=0, n=3"
     (lambda: psi_floor_check(0, 3), ValueError, _STABILITY),
     (lambda: npoint_series(0, 2), ValueError, "need n >= 1 and g_max >= 0"),
     (lambda: npoint_series(2, -1), ValueError, "need n >= 1 and g_max >= 0"),
+    (lambda: npoint_series(2, 3).stratum(4), ValueError, "genus 4 exceeds tracked degree 8"),
     (lambda: merged_series(0, 2), ValueError, "need at least one spectator variable"),
     (lambda: merged_series(1, 2).coefficient(9, (0,)), ValueError,
      "requested coefficient beyond the tracked degree"),

@@ -13,12 +13,13 @@ from taucalc.npoint import (
     NPointSeries,
     OddPowerError,
     _divide_by_e1,
+    _lowerings,
     _times_delta,
     merged_series,
     npoint_series,
 )
 from taucalc.identities import alt_pair_sum
-from oracles import delta_terms as _delta, divide_by_varsum as _divide_by_varsum, merged_alt_sums
+from oracles import delta_terms as _delta, divide_by_varsum as _divide_by_varsum, lowerings, merged_alt_sums
 from taucalc.rationals import odd_double_factorial
 from math import factorial, gcd
 
@@ -313,16 +314,73 @@ def test_merged_rejects_odd_power_injection(monkeypatch):
 
 
 def test_each_series_belongs_to_its_caller():
-    # emptying one caller's series leaves every later build whole
+    # emptying one caller's series leaves every later build whole, and that
+    # series' own integer strata and dump too
     want = npoint_series(3, 2).dump_lines()
     want_merged = merged_series(1, 2).dump_lines()
     poly = npoint_series(3, 2)
+    want_strata = [poly.stratum(g) for g in range(3)]
     poly.f.clear()
     poly.g.clear()
+    assert [poly.stratum(g) for g in range(3)] == want_strata
+    assert poly.dump_lines() == want
     again = npoint_series(3, 2)
     assert again.bracket((1, 1, 1)) == Fraction(1, 12)
     assert again.dump_lines() == want
     assert merged_series(1, 2).dump_lines() == want_merged != []
+
+
+def test_lowering_tables_match_the_key_by_key_oracle():
+    # each table is raised from the keys k degrees down; the oracle builds
+    # it from multisets_with_sum with a bisect per part
+    for n in range(1, 7):
+        for degree in range(3 * 5 + n + 1):
+            for k in (1, 3):
+                assert _lowerings(n, degree, k) == lowerings(n, degree, k), (n, degree, k)
+
+
+def test_strata_read_f_as_integers():
+    for n, g_hi in ((1, 8), (2, 8), (3, 5), (4, 4), (5, 3)):
+        series = npoint_series(n, g_hi)
+        f = series.f
+        seen = 0
+        for g in range(g_hi + 1):
+            keys, nums, den = series.stratum(g)
+            assert type(keys) is tuple and type(nums) is tuple and type(den) is int and den > 0
+            assert list(keys) == sorted(set(keys)) and all(list(m) == sorted(m) for m in keys)
+            assert all(type(c) is int and c for c in nums)
+            for m, c in zip(keys, nums):
+                assert sum(m) == 3 * g - 3 + n
+                for mono in set(permutations(m)):
+                    assert f[mono] == Fraction(c, den), (n, g, mono)
+                    seen += 1
+        assert seen == len(f), n
+        assert series.stratum(-1) == ((), (), 1)
+    assert npoint_series(2, 3).stratum(0) == ((), (), 1)
+    # the keys of the two-engine check below, read off the strata
+    table = BracketTable()
+    for n, g_hi in ((3, 10), (4, 7)):
+        series = npoint_series(n, g_hi)
+        for g in range(g_hi + 1):
+            keys, nums, den = series.stratum(g)
+            assert keys == tuple(multisets_with_sum(n, 3 * g - 3 + n)), (n, g)
+            for m, c in zip(keys, nums):
+                assert Fraction(c, den) == bracket(g, m, table), (n, g, m)
+
+
+def test_dump_and_bracket_build_no_expanded_dict(monkeypatch):
+    # the dump and bracket() read the integer strata; the Fraction dicts
+    # over every monomial are built only when .g or .f is read
+    built = []
+    expand = npoint._expanded
+    monkeypatch.setattr(npoint, "_expanded", lambda *args: built.append(args) or expand(*args))
+    series = npoint_series(4, 7)
+    assert len(series.dump_lines()) == 5814
+    assert series.bracket((6, 0, 6, 4)) == bracket(5, (0, 4, 6, 6), BracketTable()) != 0
+    assert built == []
+    assert series.f[(6, 0, 6, 4)] == series.bracket((6, 0, 6, 4))
+    series.g
+    assert [n for n, _ in built] == [4, 4]
 
 
 def test_dump_format():
