@@ -133,8 +133,7 @@ def _run_compute_kappa(args) -> int:
 
 def _run_npoint(args) -> int:
     series = (merged_series if args.special else npoint_series)(args.n, args.gmax)
-    for line in series.dump_lines():
-        print(line)
+    sys.stdout.writelines(f"{line}\n" for line in series.dump_lines())
     return 0
 
 

@@ -686,8 +686,8 @@ def _c41(g_max: int, n_max: int) -> Iterator[Report]:
     yield from map(dn.threshold_check, genera)
     for g in range(g_max + 1):
         for h in range(g, g_max - g + 1):
-            yield Report(id="c43", params={"g": g, "h": h}, lhs=Fraction(1),
-                         rhs=Fraction(int(dn.divisibility_check(g, h))))
+            yield timed_report("c43", {"g": g, "h": h}, lambda: (
+                Fraction(1), Fraction(int(dn.divisibility_check(g, h))), {}))
     yield from map(dn.compare_D_S, genera)
 
 

@@ -34,8 +34,9 @@ degree-(3t+n-3) part of G is Q_t / (4^t (2t+n-1)!!), where
 Q_t = Delta Q_{t-1} + (2t+n-3)!! 4^t P_t.  A remainder in a division by
 e_1 aborts: it can only mean an implementation bug.  F is read a genus at
 a time as integers over one denominator (`NPointSeries.stratum`, which
-`bracket` and the dump read); the `Fraction` dicts `NPointSeries.g` and
-`.f` are built on first access only, and `MergedSeries` reads `.g`.
+`bracket` and the dump read), and `MergedSeries` folds G's integer terms;
+the `Fraction` dicts `NPointSeries.g` and `.f` are built on first access
+only, and nothing in the package reads them.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "NPointSeries",
     "MergedSeries",
     "DivisionRemainderError",
-    "OddPowerError",
     "npoint_series",
     "merged_series",
 ]
@@ -73,10 +73,6 @@ _ZERO = Fraction(0)
 
 class DivisionRemainderError(ArithmeticError):
     """Division by sum(x_j) left a remainder where a theorem promises none."""
-
-
-class OddPowerError(ArithmeticError):
-    """An odd power of the merged variable survived antisymmetrization."""
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +163,14 @@ def _monomials(n: int, degree: int) -> list[tuple[Mono, str]]:
     for _ in range(n - 1):
         level = [(parts + (v,), head + heads[v], rest - v) for parts, head, rest in level for v in range(rest + 1)]
     return [(parts + (rest,), f"{head}{rest}") for parts, head, rest in level]
+
+
+def _dump(n: int, degrees: Iterable[int], text: dict[Mono, str], fixed: int = 0) -> list[str]:
+    """The lines "e1,..,en -> value" of the monomials of the degrees, each in
+    lex order, whose key (the first `fixed` exponents, the rest sorted) text
+    maps to " -> value"."""
+    return [head + tail for degree in degrees for mono, head in _monomials(n, degree)
+            if (tail := text.get(mono[:fixed] + tuple(sorted(mono[fixed:]))))]
 
 
 def _expanded(n: int, values: dict[Mono, Fraction]) -> Terms:
@@ -387,13 +391,9 @@ class NPointSeries:
 
     def dump_lines(self) -> list[str]:
         """F coefficients as "d1,..,dn -> num/den", graded then lex order."""
-        lines = []
-        for g in range((self.degree_cap - self.n) // 3 + 2):
-            keys, nums, den = self.stratum(g)
-            text = {m: f" -> {Fraction(c, den)}" for m, c in zip(keys, nums)}
-            lines += [head + tail for mono, head in _monomials(self.n, 3 * g - 3 + self.n)
-                      if (tail := text.get(tuple(sorted(mono))))]
-        return lines
+        strata = map(self.stratum, range((self.degree_cap - self.n) // 3 + 2))
+        return _dump(self.n, range(self.n - 3, self.degree_cap + 1, 3), {
+            m: f" -> {Fraction(c, den)}" for keys, nums, den in strata for m, c in zip(keys, nums)})
 
 
 def npoint_series(n: int, g_max: int) -> NPointSeries:
@@ -408,8 +408,11 @@ class MergedSeries:
     """G(y, -y, x_1..x_n): the antisymmetrized pair substituted into the
     (n+2)-point series, with the x-side normalization kept.
 
-    Keys are (y-exponent, x-exponent tuple); odd y-powers must cancel
-    identically and construction aborts if one survives.
+    Folded from G's integer terms at sorted keys: the coefficient of
+    y^{2K} prod x^{d_j} is sum_{a=0}^{2K} (-1)^a G[sorted((a, 2K-a) + d)],
+    kept as a numerator at (2K, *sorted d) over G's denominator.  At an odd
+    power p the terms at a and p - a read one key with opposite signs and
+    cancel, whatever G is, so no odd power is kept.
     """
 
     def __init__(self, n: int, g_max: int):
@@ -417,20 +420,15 @@ class MergedSeries:
         self.g_max = g_max
         base = npoint_series(n + 2, g_max)
         self.degree_cap = base.degree_cap
-        gterms: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        for mono, c in base.g.items():
-            key = (mono[0] + mono[1], mono[2:])
-            if mono[1] % 2:
-                c = -c
-            prev = gterms.get(key)
-            gterms[key] = c if prev is None else prev + c
-        gterms = {key: c for key, c in gterms.items() if c}
-        for (ypow, xs) in gterms:
-            if ypow % 2:
-                raise OddPowerError(
-                    f"odd power y^{ypow} x^{xs} survived the (y,-y) substitution"
-                )
-        self.gterms = gterms
+        terms, self._den = base._g_terms
+        self._terms: IntTerms = {}
+        # G lives at the degrees 3t + n - 1
+        for degree in range(n - 1, self.degree_cap + 1, 3):
+            for p in range(0, degree + 1, 2):
+                for d, _ in _lowerings(n, degree - p, 1):
+                    c = sum((-1) ** a * terms.get(tuple(sorted((a, p - a) + d)), 0) for a in range(p + 1))
+                    if c:
+                        self._terms[(p, *d)] = c
 
     def coefficient(self, K: int, exponents: Iterable[int]) -> Fraction:
         """Coefficient of y^{2K} prod x^{d_j} in the normalized merged series."""
@@ -439,12 +437,12 @@ class MergedSeries:
             raise ValueError(f"expected {self.n} exponents, got {len(d)}")
         if 2 * K + sum(d) > self.degree_cap:
             raise ValueError("requested coefficient beyond the tracked degree")
-        return self.gterms.get((2 * K, d), _ZERO)
+        return Fraction(self._terms.get((2 * K, *sorted(d)), 0), self._den)
 
     def dump_lines(self) -> list[str]:
-        # one line per monomial "yexp,d1,..,dn -> c", by degree then lex order
-        rows = sorted((ypow + sum(xs), ypow, xs, c) for (ypow, xs), c in self.gterms.items())
-        return [f"{','.join(map(str, (ypow, *xs)))} -> {c}" for _, ypow, xs, c in rows]
+        """Coefficients as "yexp,d1,..,dn -> c", by degree then lex order."""
+        return _dump(self.n + 1, range(self.n - 1, self.degree_cap + 1, 3),
+                     {m: f" -> {Fraction(c, self._den)}" for m, c in self._terms.items()}, 1)
 
 
 def merged_series(n: int, g_max: int) -> MergedSeries:

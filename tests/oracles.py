@@ -11,7 +11,9 @@ string, so that the tests can compare two tables' contents.
 `warm_table_from_series` seeds a bracket table from an n-point series, so
 that the tests can check the recursion against tables filled by the other
 engine, and `merged_alt_sums` turns a merged series back into alternating
-pair sums for the same comparison.
+pair sums for the same comparison.  `merged_by_orderings` is the merged
+series folded from G over every ordering, with its odd-power check, the
+reference for the package's fold on sorted keys.
 `two_point_numerators_by_channel` sums the closed two-point rows term by
 term over every channel, against the package's Horner evaluation.
 `divide_by_varsum` and `delta_terms` are the n-point engine's division by
@@ -29,6 +31,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
 
 from taucalc.brackets import BracketTable, cache_save
@@ -195,6 +198,22 @@ def warm_table_from_series(series, table) -> int:
     return count
 
 
+def merged_by_orderings(g: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """G(y, -y, x) from G's Fraction dict over every ordering (an (n+2)-point
+    series' `.g`): each monomial y^a (-y)^b x^d adds (-1)^b G[a, b, d] at
+    (a + b, d).  The nonzero sums, keyed (y-power, x-exponents); raises
+    ArithmeticError if an odd power of y survives."""
+    out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    for mono, c in g.items():
+        key = (mono[0] + mono[1], mono[2:])
+        out[key] = out.get(key, Fraction(0)) + (-c if mono[1] % 2 else c)
+    out = {key: c for key, c in out.items() if c}
+    odd = [key for key in out if key[0] % 2]
+    if odd:
+        raise ArithmeticError(f"odd powers survived the (y, -y) substitution: {odd[:3]}")
+    return out
+
+
 def merged_alt_sums(merged) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     """The merged series G(y, -y, x) with its x-side normalization removed,
     i.e. multiplied by exp(sum_j x_j^3 / 24) through the tracked degree.
@@ -213,7 +232,10 @@ def merged_alt_sums(merged) -> dict[tuple[int, tuple[int, ...]], Fraction]:
                 grown[key] = c * Fraction(1, 24**k * factorial(k))
         exp_terms = grown
     out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for (ypow, xs), c in merged.gterms.items():
+    for K, xs in product(range(cap // 2 + 1), product(range(cap + 1), repeat=merged.n)):
+        ypow = 2 * K
+        if ypow + sum(xs) > cap or not (c := merged.coefficient(K, xs)):
+            continue
         for mono, e in exp_terms.items():
             if ypow + sum(xs) + sum(mono) > cap:
                 continue

@@ -99,6 +99,13 @@ def test_npoint_special_dump(capsys):
      "1a7c683412a7ecbde48c263dc382eea527f5db73e849a15543c162f1f6b9157e"),
     ("npoint --n 2 --gmax 8",
      "0c675c04ffbac5c9a5f7273ccfc0e53c74244f5eee895eaa95301ca3b0e0c7bd"),
+    # pinned from the merged dump that folded G over every ordering
+    ("npoint --n 1 --gmax 6 --special",
+     "3165d66060121abab59bb89c4203ba437fcafdfdb59722e1113b26b3aeee8bde"),
+    ("npoint --n 3 --gmax 4 --special",
+     "893bb9431718d6eb07be7f6cf0c4697fb848b422dd64935954ec6e824278d986"),
+    ("npoint --n 4 --gmax 3 --special",
+     "3480d89fedda26331121672c95dbfc0d1ef11013643cdd28fae61f32528ac236"),
 ])
 def test_npoint_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -9,9 +9,7 @@ from taucalc.brackets import BracketTable, bracket
 from taucalc.combinat import multisets_with_sum
 from taucalc.npoint import (
     DivisionRemainderError,
-    MergedSeries,
     NPointSeries,
-    OddPowerError,
     _divide_by_e1,
     _lowerings,
     _times_delta,
@@ -19,7 +17,7 @@ from taucalc.npoint import (
     npoint_series,
 )
 from taucalc.identities import alt_pair_sum
-from oracles import delta_terms as _delta, divide_by_varsum as _divide_by_varsum, lowerings, merged_alt_sums
+from oracles import delta_terms as _delta, divide_by_varsum as _divide_by_varsum, lowerings, merged_alt_sums, merged_by_orderings
 from taucalc.rationals import odd_double_factorial
 from math import factorial, gcd
 
@@ -303,14 +301,35 @@ def test_merged_alt_sums_match_engine():
                     assert alt_sums.get((2 * K, d), 0) == want, (n, g, K, d)
 
 
-def test_merged_rejects_odd_power_injection(monkeypatch):
-    # hand the merged series a base with a term that is odd in the pair
-    # slots and cannot cancel; construction must abort
-    poly = npoint_series(3, 2)
-    poly.g[(1, 0, 2)] = poly.g.get((1, 0, 2), Fraction(0)) + 1
-    monkeypatch.setattr(npoint, "npoint_series", lambda n, g_max: poly)
-    with pytest.raises(OddPowerError):
-        MergedSeries(1, 2)
+def test_merged_odd_powers_vanish_over_every_ordering():
+    # every odd y-power of G(y, -y, x), folded from .g over every ordering,
+    # vanishes: the oracle's check passes on the engine's G ...
+    for n in (1, 2, 3):
+        for g in range(5):
+            fold = merged_by_orderings(npoint_series(n + 2, g).g)
+            assert fold and all(ypow % 2 == 0 for ypow, _ in fold), (n, g)
+    # ... and fires on a G with a term odd in the pair slots
+    g = dict(npoint_series(3, 2).g)
+    g[(1, 0, 2)] = g.get((1, 0, 2), Fraction(0)) + 1
+    with pytest.raises(ArithmeticError, match="odd powers"):
+        merged_by_orderings(g)
+
+
+def test_merged_coefficients_match_the_fold_over_every_ordering():
+    # the fold on sorted keys against the oracle's over every ordering of
+    # G, at every K and every ordered d through the tracked degree
+    for n in (1, 2, 3):
+        for g in range(5):
+            m = merged_series(n, g)
+            fold = merged_by_orderings(npoint_series(n + 2, g).g)
+            nonzero = 0
+            for d in product(range(m.degree_cap + 1), repeat=n):
+                for K in range((m.degree_cap - sum(d)) // 2 + 1):
+                    c = m.coefficient(K, d)
+                    assert c == fold.get((2 * K, d), 0), (n, g, K, d)
+                    nonzero += c != 0
+            # so no key of the fold lies outside the walk
+            assert nonzero == len(fold) > 0, (n, g)
 
 
 def test_each_series_belongs_to_its_caller():
@@ -369,14 +388,18 @@ def test_strata_read_f_as_integers():
 
 
 def test_dump_and_bracket_build_no_expanded_dict(monkeypatch):
-    # the dump and bracket() read the integer strata; the Fraction dicts
-    # over every monomial are built only when .g or .f is read
+    # the dumps, bracket() and the merged coefficients read integer terms;
+    # the Fraction dicts over every monomial are built only when .g or .f
+    # is read
     built = []
     expand = npoint._expanded
     monkeypatch.setattr(npoint, "_expanded", lambda *args: built.append(args) or expand(*args))
     series = npoint_series(4, 7)
     assert len(series.dump_lines()) == 5814
     assert series.bracket((6, 0, 6, 4)) == bracket(5, (0, 4, 6, 6), BracketTable()) != 0
+    merged = merged_series(2, 5)
+    assert len(merged.dump_lines()) == 138
+    assert merged.coefficient(1, (2, 0)) == merged.coefficient(1, (0, 2)) != 0
     assert built == []
     assert series.f[(6, 0, 6, 4)] == series.bracket((6, 0, 6, 4))
     series.g

@@ -1,7 +1,7 @@
 """Guards on the package surface: every exported name resolves, no
 function imports (all imports sit at module level, where start-up pays
-for them once and a reader finds them), and start-up loads no module
-that no verb needs."""
+for them once and a reader finds them), start-up loads no module that
+no verb needs, and the package stays within its line budget."""
 
 import ast
 import importlib
@@ -116,3 +116,9 @@ def test_no_dead_private_helpers():
     defined = [(f"{name}:{line}", n) for name, tree in trees.items() for n, line in _private_definitions(tree)]
     assert len(defined) > 100
     assert [where for where, n in defined if n not in read] == []
+
+
+def test_package_stays_within_line_budget():
+    # the budget of the package's source, every module together
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in _SRC.glob("*.py"))
+    assert lines <= 3000, lines
