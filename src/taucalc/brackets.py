@@ -5,8 +5,9 @@ the bracket of sigma_d = (2d+1)!! tau_d.  Three families are closed:
 
   genus 0:    <tau_d>_0 = (n-3)!/prod(d_j!)
   one point:  <tau_{3g-2}>_g = 1/(24^g g!)
-  two points: <tau_a tau_{3g-1-a}>_g, one row per genus summed on integers
-              from the two-point function (see _two_point_numerators)
+  two points: <tau_a tau_{3g-1-a}>_g, one row per genus from the seed
+              <tau_0 tau_{3g-1}>_g by an order-5 recurrence on integers
+              (see _two_point_numerators)
 
 The two-point row is kept on the table, one per genus, and never saved.
 For n >= 3 in higher genus every key is first brought to canonical form,
@@ -273,43 +274,36 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
 
 
 def _two_point_numerators(g: int) -> tuple[list[int], int]:
-    """<tau_d tau_{3g-1-d}>_g for d = 0 .. (3g-1)//2 (g >= 1), as integer
+    """<tau_a tau_{3g-1-a}>_g for a = 0 .. (3g-1)//2 (g >= 1), as integer
     numerators over whole = 4^g (2g+1)!! 24^g g!, and whole.
 
-    The two-point family has one stable channel per s = 1..g plus the
-    unstable channel exp((x^3+y^3)/24)/(x+y), whose degree-(3g-1) slice is
-    (x^3+y^3)^(g-1) (x^2-xy+y^2)/(24^g g!).  Every contribution divides
-    whole, so the accumulation runs on integers.
-
-    With y set to 1, the stable channels sum to sum_s x^s (1+x)^(s-1) P_s(x^3)
-    = x sum_s (x+x^2)^(s-1) P_s(x^3), with P_s(z) = sum_u base_s C(g-s, u)
-    z^u.  Horner in x + x^2 from s = g down to 1 evaluates it with shifted
-    additions and products by small ints, O(g^2) of them per row.
+    At y = 1 the genus-g slice of Dijkgraaf's two-point function is
+    sum_a v_a x^a = (1+x)^(g-1) (1-x+x^2)^g 2F1(-g, 1; 3/2; z) / (24^g g!)
+    with z = -3x/(1-x+x^2), v_a = <tau_a tau_{3g-1-a}>_g.  Gauss's equation
+    pulled back along z(x) is a second-order ODE with polynomial
+    coefficients, whose x^a coefficient gives, for a >= -4 and v_b = 0 at
+    b < 0, sum_{i=0..5} q_i(a) v_{a+i} = 0 with
+      q_0 = -(a-3g+1)(2a-6g+1),    q_1 = -3(2ag-2a-6g^2+8g-3),
+      q_2 = 2a^2-6ag+9a-3g+10,     q_3 = -2a^2+6ag-15a+12g-28,
+      q_4 = -3(2ag-2a+10g-9),      q_5 = (a+5)(2a+11) != 0.
+    The half row follows from the seed v_0 = 1/(24^g g!), numerator
+    4^g (2g+1)!!, in O(g) integer steps, each dividing exactly by q_5: a
+    remainder would mean a wrong recurrence, and raises.
     """
-    half = (3 * g - 1) // 2
-    whole = 4**g * odd_double_factorial(g) * 24**g * factorial(g)
-    # base_s = whole / (4^s (2s+1)!! 24^k k!), k = g - s, is an integer
-    # (4^k (2g+1)!!/(2s+1)!! 24^s g!, which k! divides); it and base_s C(k, u)
-    # step by exact division: base_{s-1} = base_s 4 (2s+1) / (24 (k+1))
-    base = whole // (4**g * odd_double_factorial(g))
-    acc = [0] * half  # degrees 0 .. half-1; the final shift by x fills 1 .. half
-    for s in range(g, 0, -1):
-        # acc <- acc (x + x^2), truncated
-        acc = [0] + [a + b for a, b in zip(acc[:-1], [0] + acc)]
-        k = g - s
-        term = base
-        for u in range(min(k, (half - 1) // 3) + 1):
-            acc[3 * u] += term
-            term = term * (k - u) // (u + 1)
-        base = base * 4 * (2 * s + 1) // (24 * (k + 1))
-    num = [0] + acc
-    # unstable channel: x^a with a = 3u + 1 carries -comb(g-1, u), a = 3u
-    # and a = 3u + 2 carry +comb(g-1, u)
-    unit = whole // (24**g * factorial(g))
-    for a in range(half + 1):
-        c = unit * comb(g - 1, a // 3)
-        num[a] += -c if a % 3 == 1 else c
-    return num, whole
+    seed = 4**g * odd_double_factorial(g)
+    v = [0, 0, 0, 0, seed]  # numerators of v_{-4} .. v_0
+    for a in range(-4, (3 * g - 1) // 2 - 4):
+        # q_5 v_{a+5} = -(q_0 v_a + .. + q_4 v_{a+4}), v_a .. v_{a+4} = v[-5:]
+        rest = (a - 3 * g + 1) * (2 * a - 6 * g + 1) * v[-5]
+        rest += 3 * (2 * a * g - 2 * a - 6 * g * g + 8 * g - 3) * v[-4]
+        rest -= (2 * a * a - 6 * a * g + 9 * a - 3 * g + 10) * v[-3]
+        rest += (2 * a * a - 6 * a * g + 15 * a - 12 * g + 28) * v[-2]
+        rest += 3 * (2 * a * g - 2 * a + 10 * g - 9) * v[-1]
+        num, rem = divmod(rest, (a + 5) * (2 * a + 11))
+        if rem:
+            raise ArithmeticError(f"two-point recurrence leaves a remainder at g={g}, a={a + 5}")
+        v.append(num)
+    return v[4:], seed * 24**g * factorial(g)
 
 
 def _string(g: int, rest: tuple[int, ...], t: BracketTable) -> tuple[int, int]:

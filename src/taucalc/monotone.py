@@ -136,8 +136,9 @@ def two_point_row(g: int) -> list[Fraction]:
     """All two-point brackets of one genus, cheapest first exponent up to
     the balanced middle: [<tau_d tau_{3g-1-d}>_g for d = 0 .. (3g-1)//2].
 
-    Read from the closed two-point family one genus at a time, as
-    Fractions; psi_swap_deep compares the same row's integer numerators.
+    Read as Fractions from the bracket engine's row builder, which runs
+    the order-5 recurrence from the seed <tau_0 tau_{3g-1}>_g; psi_swap_deep
+    compares the same row's integer numerators.
     """
     num, whole = _two_point_numerators(g)
     return [Fraction(c, whole) for c in num]

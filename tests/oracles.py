@@ -15,7 +15,9 @@ pair sums for the same comparison.  `merged_by_orderings` is the merged
 series folded from G over every ordering, with its odd-power check, the
 reference for the package's fold on sorted keys.
 `two_point_numerators_by_channel` sums the closed two-point rows term by
-term over every channel, against the package's Horner evaluation.
+term over every channel, and `two_point_numerators_by_horner` evaluates
+them by Horner's rule in x + x^2: both are references for the package's
+order-5 recurrence.
 `divide_by_varsum` and `delta_terms` are the n-point engine's division by
 x_0 + .. + x_{n-1} and its Delta polynomial over every monomial, the
 oracles of its sorted-key kernels, and `lowerings` builds its tables of
@@ -266,6 +268,47 @@ def two_point_numerators_by_channel(g: int) -> tuple[list[int], int]:
             ci = comb(s - 1, i)
             for u in range(min(k, (half - s - i) // 3) + 1):
                 num[s + i + 3 * u] += ci * row[u]
+    unit = whole // (24**g * factorial(g))
+    for a in range(half + 1):
+        c = unit * comb(g - 1, a // 3)
+        num[a] += -c if a % 3 == 1 else c
+    return num, whole
+
+
+def two_point_numerators_by_horner(g: int) -> tuple[list[int], int]:
+    """The closed two-point row of genus g >= 1 by Horner's rule in x + x^2:
+    integer numerators of <tau_d tau_{3g-1-d}>_g for d = 0 .. (3g-1)//2
+    over whole = 4^g (2g+1)!! 24^g g!, and whole.
+
+    The two-point family has one stable channel per s = 1..g plus the
+    unstable channel exp((x^3+y^3)/24)/(x+y), whose degree-(3g-1) slice is
+    (x^3+y^3)^(g-1) (x^2-xy+y^2)/(24^g g!).  Every contribution divides
+    whole, so the accumulation runs on integers.
+
+    With y set to 1, the stable channels sum to sum_s x^s (1+x)^(s-1) P_s(x^3)
+    = x sum_s (x+x^2)^(s-1) P_s(x^3), with P_s(z) = sum_u base_s C(g-s, u)
+    z^u.  Horner in x + x^2 from s = g down to 1 evaluates it with shifted
+    additions and products by small ints, O(g^2) of them per row.
+    """
+    half = (3 * g - 1) // 2
+    whole = 4**g * _odd_df(g) * 24**g * factorial(g)
+    # base_s = whole / (4^s (2s+1)!! 24^k k!), k = g - s, is an integer
+    # (4^k (2g+1)!!/(2s+1)!! 24^s g!, which k! divides); it and base_s C(k, u)
+    # step by exact division: base_{s-1} = base_s 4 (2s+1) / (24 (k+1))
+    base = whole // (4**g * _odd_df(g))
+    acc = [0] * half  # degrees 0 .. half-1; the final shift by x fills 1 .. half
+    for s in range(g, 0, -1):
+        # acc <- acc (x + x^2), truncated
+        acc = [0] + [a + b for a, b in zip(acc[:-1], [0] + acc)]
+        k = g - s
+        term = base
+        for u in range(min(k, (half - 1) // 3) + 1):
+            acc[3 * u] += term
+            term = term * (k - u) // (u + 1)
+        base = base * 4 * (2 * s + 1) // (24 * (k + 1))
+    num = [0] + acc
+    # unstable channel: x^a with a = 3u + 1 carries -comb(g-1, u), a = 3u
+    # and a = 3u + 2 carry +comb(g-1, u)
     unit = whole // (24**g * factorial(g))
     for a in range(half + 1):
         c = unit * comb(g - 1, a // 3)

@@ -31,6 +31,7 @@ from oracles import (
     genus0_string,
     three_point_with_tau0,
     two_point_numerators_by_channel,
+    two_point_numerators_by_horner,
     warm_table_from_series,
 )
 
@@ -101,9 +102,29 @@ def test_one_point_values():
 
 
 def test_two_point_rows_match_channel_sum():
-    # the Horner evaluation in x + x^2 against the term-by-term channel sum
+    # the order-5 recurrence against the term-by-term channel sum
     for g in range(1, 61):
         assert br._two_point_numerators(g) == two_point_numerators_by_channel(g), g
+
+
+def test_two_point_rows_match_horner():
+    # the order-5 recurrence against Horner's rule in x + x^2
+    for g in range(1, 151):
+        assert br._two_point_numerators(g) == two_point_numerators_by_horner(g), g
+
+
+def test_two_point_brackets_golden():
+    # sha256 of every <tau_a tau_{3g-1-a}>_g through g = 100, both halves of
+    # each row, pinned from the Horner row builder before the recurrence
+    table = BracketTable()
+    text = "".join(
+        f"{g} {a} {bracket(g, (a, 3 * g - 1 - a), table)}\n"
+        for g in range(1, 101)
+        for a in range(3 * g)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "61c52b61b84681cb0ca600aec0cb6dff787a6a5708f99d864ef650baf74a8ea8"
+    )
 
 
 def test_one_point_keys_match_series():

@@ -113,6 +113,20 @@ def test_npoint_golden_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of commands that read deep two-point rows, pinned
+# from the Horner row builder before the order-5 recurrence
+@pytest.mark.parametrize("argv, digest", [
+    ("monotone --n 2 --gmax 120 --no-timing",
+     "d907fb17d9bb478af31312ab667cafcb635c7c6cd8100095d8e9fa9c71ac71be"),
+    ("compute --g 60 --d 89,90",
+     "150508bd1a60c2138f7a12f99d8bb5ab3e28867efc16b371916ee5861ffcff83"),
+])
+def test_two_point_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of `verify <token> --no-timing --jobs 1` stdout at the default grid,
 # pinned from the Fraction-based split_sum before its integer row kernel
 @pytest.mark.parametrize("token, digest", [

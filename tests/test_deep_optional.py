@@ -1,20 +1,23 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; the module takes about 10 s on a 2-vCPU VM,
-5 to 6 s of it the two-point monotonicity rows through genus 300 and 3 to
-4 s the denominator block through genus 10.  The standard
-acceptance module stays authoritative; this is head-room validation.
+Enable with TAUCALC_DEEP=1; the module takes about 12 s on a 2-vCPU VM:
+about 6 s checking the two-point rows through genus 300 against the
+Horner oracle, 4 to 5 s the denominator block through genus 10, and
+under 1 s the two-point monotonicity rows through genus 500.  The
+standard acceptance module stays authoritative; this is head-room
+validation.
 """
 
 import os
 
 import pytest
 
-from taucalc.brackets import BracketTable
+from taucalc.brackets import BracketTable, _two_point_numerators
 from taucalc.combinat import multisets_with_sum
 from taucalc.identities import VERIFY_TOKENS, verify
+from taucalc.monotone import psi_swap_deep
 from taucalc.npoint import npoint_series
-from oracles import warm_table_from_series
+from oracles import two_point_numerators_by_horner, warm_table_from_series
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("TAUCALC_DEEP"),
@@ -45,11 +48,14 @@ def test_insertion_identities_through_genus_twenty():
     assert checked > 150
 
 
-def test_two_point_monotonicity_deep():
-    from taucalc.monotone import psi_swap_deep
+def test_two_point_rows_match_horner_through_genus_300():
+    for g in range(1, 301):
+        assert _two_point_numerators(g) == two_point_numerators_by_horner(g), g
 
-    report = psi_swap_deep(300)
-    assert report.passed and int(report.lhs) == sum((3 * g - 1) // 2 for g in range(1, 301))
+
+def test_two_point_monotonicity_deep():
+    report = psi_swap_deep(500)
+    assert report.passed and int(report.lhs) == sum((3 * g - 1) // 2 for g in range(1, 501))
 
 
 def test_denominator_block_through_genus_ten():
