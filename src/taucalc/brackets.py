@@ -10,29 +10,26 @@ the bracket of sigma_d = (2d+1)!! tau_d.  Three families are closed:
               (see _two_point_numerators)
 
 The two-point row is kept on the table, one per genus, and never saved.
-For n >= 3 in higher genus every key is first brought to canonical form,
-with all exponents >= 2, by the string and dilaton equations:
-
-  S_g(0, d)       = sum_j (2d_j+1) S_g(... d_j - 1 ...)
-  S_{g,n+1}(1, d) = 3(2g-2+n) S_{g,n}(d)
-
-A canonical key then descends on its largest exponent with the DVV form of
-the KdV/Virasoro recursion, which in this normalization has integer
+Every other key of genus >= 1 (so n >= 3) takes one step of the DVV form
+of the KdV/Virasoro recursion, which in this normalization has integer
 coefficients and one 1/2 (no division by (2k+3)!!):
 
   S_g(k+1, d) = sum_j (2d_j+1) S_g(... d_j + k ...)
     + 1/2 sum_{r+s=k-1} [S_{g-1}(r, s, d)
                          + sum_{I ⊔ J, g'} S_{g'}(r, d_I) S_{g-g'}(s, d_J)]
 
-with ordered pairs (I, J) and unstable or dimension-violating brackets
-equal to 0.  A term equals its mirror, with (r, I) and (s, J) swapped, so
-the sum is taken over mirror pairs at weight 1, and a self-mirror term at
-1/2.  Sub-keys with a tau_0 or tau_1 are canonicalized in turn, and every
-key of genus >= 1 visited, closed or not, is memoized under its own
-exponents, so the descent only ever sees n >= 3 keys and stops at n <= 2.
+with ordered pairs (I, J), and brackets that are unstable, violate the
+dimension or hold a negative exponent equal to 0.  The pivot tau_{k+1} is
+a tau_0 if the key has one (k = -1: the string equation, with no boundary
+terms), else a tau_1 (k = 0: the dilaton equation, whose descent terms all
+read d, so the step is 3(2g-2+|d|) S_g(d)), else the largest exponent, so
+the boundary terms only ever meet exponents >= 2.  A boundary term
+equals its mirror, with (r, I) and (s, J) swapped, so the sum is taken over
+mirror pairs at weight 1, and a self-mirror term at 1/2.  Every key of
+genus >= 1 visited, closed or not, is memoized under its own exponents.
 Genus-0 keys and S_1(1) = 3 <tau_1>_1 = 1/8 are answered before the memo
 and never stored, so no cache file written here holds them.
-The test suite checks the closed forms and both equations against the
+The test suite checks the closed forms and the recursion against the
 n-point series engine.
 
 Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
@@ -222,13 +219,9 @@ def bracket(genus: int, exponents: Iterable[int], table: BracketTable | None = N
 
 def bracket_any_genus(exponents: Iterable[int], table: BracketTable | None = None) -> Fraction:
     """Bracket at the unique genus fitting the dimension constraint, else 0."""
-    d = tuple(sorted(exponents))
-    if d and d[0] < 0:
-        return _ZERO
+    d = tuple(exponents)
     g, rem = divmod(sum(d) - len(d) + 3, 3)
-    if rem or g < 0:
-        return _ZERO
-    return bracket(g, d, table)
+    return _ZERO if rem else bracket(g, d, table)
 
 
 def _genus0(d: tuple[int, ...]) -> tuple[int, int]:
@@ -262,13 +255,8 @@ def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
         if row is None:
             row = t._pairs[g] = _two_point_numerators(g)
         value = _sigma_form(sigma_weight(d), row[0][d[0]], row[1])
-    elif d[0] == 0:
-        value = _string(g, d[1:], t)
-    elif d[0] == 1:
-        num, e = _bracket(g, d[1:], t)
-        value = _dyadic(3 * (2 * g - 3 + n) * num, e)
     else:
-        value = _dvv(g, d, t)
+        value = _descent(g, d, t)
     t._data[key] = value
     return value
 
@@ -306,37 +294,28 @@ def _two_point_numerators(g: int) -> tuple[list[int], int]:
     return v[4:], seed * 24**g * factorial(g)
 
 
-def _string(g: int, rest: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
-    """S_g(0, rest) = sum_j (2 rest_j + 1) S_g(... rest_j - 1 ...) (g >= 1)."""
-    acc: dict[int, int] = {}
-    for i, x in enumerate(rest):
-        if x >= 1 and (i == 0 or rest[i - 1] != x):
-            # lowering the first of a run of equal values keeps the tuple sorted
-            num, e = _bracket(g, rest[:i] + (x - 1,) + rest[i + 1 :], t)
-            acc[e] = acc.get(e, 0) + rest.count(x) * (2 * x + 1) * num
-    return dyadic_sum(acc)
-
-
-def _dvv(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
-    """DVV descent for g >= 1 on a key with n >= 3 exponents, all >= 2.
-
-    Every sub-key goes back through _bracket: one with n <= 2 is read from
-    its closed form, and one with a tau_0 or tau_1 is stripped by the
-    string or dilaton equation.  The 1/2-sum over ordered pairs of the
-    boundary terms is evaluated over mirror pairs (see the module
-    docstring), which visits the same sub-keys.
+def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
+    """One DVV step (see the module docstring) on a key of genus >= 1 with
+    n >= 3 exponents, on the pivot its rule picks.  Every sub-key goes back
+    through _bracket, which closes those with n <= 2.
     """
-    k = d[-1] - 1
-    rest = d[:-1]
+    if d[0] == 1:
+        # k = 0, the dilaton equation: every descent term reads d[1:]
+        num, e = _bracket(g, d[1:], t)
+        return _dyadic(3 * (2 * g - 3 + len(d)) * num, e)
+    k, rest = (-1, d[1:]) if d[0] == 0 else (d[-1] - 1, d[:-1])
 
     acc: dict[int, int] = {}
 
-    # descent: raise one remaining exponent by k (group equal values)
+    # descent: move one remaining exponent by k (group equal values); the
+    # first of a run stays in place when lowered, so only k >= 1 sorts
     for i, x in enumerate(rest):
-        if i == 0 or rest[i - 1] != x:
-            sub = tuple(sorted(rest[:i] + rest[i + 1 :] + (x + k,)))
-            num, e = _bracket(g, sub, t)
+        if x + k >= 0 and (i == 0 or rest[i - 1] != x):
+            sub = rest[:i] + (x + k,) + rest[i + 1 :]
+            num, e = _bracket(g, tuple(sorted(sub)) if k > 0 else sub, t)
             acc[e] = acc.get(e, 0) + rest.count(x) * (2 * x + 1) * num
+    if k < 0:  # the string equation has no boundary terms
+        return dyadic_sum(acc)
 
     # boundary terms (k >= 1 since every exponent is >= 2), one per mirror
     # pair; only a self-mirror term keeps the 1/2, as the +1 on its exponent

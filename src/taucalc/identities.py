@@ -258,11 +258,11 @@ def lambda_gg1_bracket(
     exponents: Iterable[int],
     table: BracketTable | None = None,
 ) -> Fraction:
-    """<prod psi^{d_j} lambda_g lambda_{g-1}>_{g,n} for g >= 2, d_j >= 1."""
+    """<prod psi^{d_j} lambda_g lambda_{g-1}>_{g,n} for g >= 2; 0 off-dimension."""
     d = tuple(exponents)
     if genus < 2:
         raise ValueError("needs genus >= 2 (lambda_{g-1} with g-1 >= 1)")
-    if any(x < 1 for x in d) or sum(x - 1 for x in d) != genus - 2:
+    if sum(x - 1 for x in d) != genus - 2:
         return _ZERO
     sign = (-1) ** (genus - 1)
     return sign * factorial(2 * genus - 1) * ch_insertion(genus, genus, d, table)

@@ -258,7 +258,6 @@ def _split_numerator(left: dict, right: dict, n: int, degree: int) -> IntTerms:
     return out
 
 
-@lru_cache(maxsize=None)
 def _stable_terms(n: int, cap: int) -> IntSeries:
     """Stable normalized n-point series through total degree cap."""
     if n == 1:
@@ -361,9 +360,9 @@ class NPointSeries:
             (terms, den), n, low, cap = self._g_terms, self.n, self.n % 3, self.degree_cap
             if n == 2:
                 # G's unstable part 1/(x+y) adds the polynomial (exp(p_3/24) - 1)/(x+y)
-                # to F, so (x+y) F = exp(p_3/24) ((x+y) G + 1) - 1, one degree up
-                terms = {m: c for d in range(3, cap + 2, 3) for m, c in _times_power_sum(terms, 2, d, 1).items()}
-                terms[(0, 0)] = den
+                # to F, so (x+y) F = exp(p_3/24) ((x+y) G + 1) - 1, one degree up,
+                # with (x+y) G + 1 = sum_{s>=0} x^s y^s (x+y)^s / (4^s (2s+1)!!)
+                terms, den = _delta_power_sum(0, (cap + 1) // 3, 0)
                 low, cap = 0, cap + 1
             out, e_den = _times_exp_cubes(terms, n, low, cap)
             den *= e_den

@@ -125,8 +125,12 @@ def lambda_g_bracket(genus: int, exponents: Iterable[int]) -> Fraction:
 
 def faber_closed_form(genus: int, exponents: Iterable[int]) -> Fraction:
     """(2g-3+n)! |B_2g| / (2^{2g-1} (2g)! prod (2d_j-1)!!), the conjectured
-    value of <prod psi^{d_j} lambda_g lambda_{g-1}>."""
+    value of <prod psi^{d_j} lambda_g lambda_{g-1}> for d_j >= 1; 0 off-dimension."""
     d = tuple(exponents)
+    if any(x < 1 for x in d):
+        raise ValueError(f"the closed form needs every exponent >= 1, got {d}")
+    if sum(d) != genus - 2 + len(d):
+        return _ZERO
     den = 2 ** (2 * genus - 1) * factorial(2 * genus) * sigma_weight(x - 1 for x in d)
     return Fraction(factorial(2 * genus - 3 + len(d)), den) * abs(bernoulli(2 * genus))
 

@@ -20,7 +20,7 @@ from taucalc.brackets import (
     sigma_weight,
 )
 from taucalc.combinat import multisets_with_sum
-from taucalc.denominators import compute_script_D
+from taucalc.denominators import compute_D, compute_script_D
 from taucalc.identities import SweepLimits, sweep
 from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
@@ -236,6 +236,19 @@ def test_canonical_engine_memo_size():
     assert len(table) <= 3000
 
 
+@pytest.mark.parametrize("g, n, counts", [
+    (6, 7, (1576, 6582, 1576)),
+    (7, 5, (1130, 7851, 1130)),
+    (9, 3, (1257, 11603, 1257)),
+])
+def test_cold_stratum_memo_counts(g, n, counts):
+    # memo size, hits and misses of a cold compute_D pin which sub-keys each
+    # DVV step visits, whichever pivot (tau_0, tau_1 or the largest) it takes
+    table = BracketTable()
+    compute_D(g, n, table)
+    assert (len(table), table.hits, table.misses) == counts
+
+
 def test_memo_holds_dyadic_normal_form():
     # every memo entry is S = prod (2d_j+1)!! <tau_d> as (num, e) = num/2^e
     # with num odd or zero
@@ -292,6 +305,9 @@ def test_bracket_any_genus():
     assert bracket_any_genus((2, 3)) == Fraction(29, 5760)
     assert bracket_any_genus((1, 1)) == Fraction(1, 24)
     assert bracket_any_genus((0, 1)) == 0  # no integer genus fits
+    # bracket reads 0 at a negative exponent or genus
+    assert bracket_any_genus((-1, 3)) == 0
+    assert bracket_any_genus((0,) * 6) == 0
 
 
 def test_cache_transparency():

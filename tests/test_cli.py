@@ -177,6 +177,19 @@ def test_kappa_cold_cache_file_golden(tmp_path, capsys):
     )
 
 
+def test_many_point_cold_cache_file_golden(tmp_path, capsys):
+    # D(6, 7) descends through string, dilaton and boundary steps
+    cache = tmp_path / "d67.cache"
+    code, out, _ = run(capsys, "denom", "--g", "6", "--n", "7", "--cache", str(cache))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "36f5bef2652e22fe5d2adcf6f3ed5d24fe3e4e2835aad6dbf0b27df713e04054"
+    )
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "5f313f69023171f5af1db0e6f112d9fbf3abd96ab067e5e5f0d5ee1008a690fa"
+    )
+
+
 def test_verify_cold_cache_file_golden(tmp_path, capsys):
     # the bracket lookups a sweep makes decide which entries the cache holds
     cache = tmp_path / "c34.cache"

@@ -23,7 +23,7 @@ from taucalc.monotone import (
 )
 from taucalc.npoint import merged_series, npoint_series
 from taucalc.rationals import factorize, ord_at_prime
-from taucalc.reduction import kappa_to_psi, lambda_g_bracket
+from taucalc.reduction import faber_closed_form, kappa_to_psi, lambda_g_bracket
 
 _STABILITY = "needs g >= 1 and stability, got g=0, n=3"
 
@@ -48,6 +48,8 @@ _STABILITY = "needs g >= 1 and stability, got g=0, n=3"
     (lambda: alt_pair_sum(-1, 1, (1,)), ParameterError, "K must be nonnegative"),
     (lambda: split_sum(-1, (), (), 1, (1,)), ParameterError, "K must be nonnegative"),
     (lambda: ch_insertion(2, 0, (1,)), ValueError, "the Chern character index 2k-1 needs k >= 1"),
+    (lambda: faber_closed_form(2, (0, 0, 3)), ValueError,
+     "the closed form needs every exponent >= 1, got (0, 0, 3)"),
     (lambda: verify("eq4", g=1, e=(1,)), ParameterError, "eq4 takes the parameters g, d"),
     (lambda: ord_at_prime(3, 1), ValueError, "not a prime: 1"),
     (lambda: factorize(0), ValueError, "expected a positive integer, got 0"),
@@ -61,6 +63,8 @@ def test_out_of_domain_call_raises(call, exc, message):
     lambda: ch_insertion(2, 1, (-1, 3)),
     lambda: kappa_to_psi(1, (-1,), (2,)),
     lambda: lambda_g_bracket(2, (5,)),
+    lambda: faber_closed_form(3, ()),
+    lambda: faber_closed_form(2, (1, 2)),
 ])
 def test_total_function_reads_zero_off_its_domain(call):
     assert call() == Fraction(0)

@@ -251,6 +251,23 @@ def test_lambda_gg1_values():
         lambda_gg1_bracket(1, [0])
 
 
+def test_lambda_gg1_string_equation():
+    # lambda_g lambda_{g-1} is pulled back from M_g, so the string equation
+    # <tau_0 prod tau_d L>_g = sum_j <.. tau_{d_j - 1} ..>_g holds for its
+    # values, keys with a tau_0 included
+    table = BracketTable()
+    checked = 0
+    for g in range(2, 6):
+        for n in range(1, 4):
+            for d in multisets_with_sum(n, g - 1 + n):
+                rhs = sum(lambda_gg1_bracket(g, d[:j] + (d[j] - 1,) + d[j + 1 :], table)
+                          for j in range(n))
+                assert lambda_gg1_bracket(g, (0,) + d, table) == rhs, (g, d)
+                checked += rhs != 0
+    assert checked > 20
+    assert lambda_gg1_bracket(2, (0, 2)) == Fraction(1, 2880)
+
+
 def test_faber_chain_closed_form_vs_ch_route():
     table = BracketTable()
     for g in range(2, 5):
