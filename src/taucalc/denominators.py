@@ -2,8 +2,8 @@
 
 D(g, n) is the lcm of denominators of all pure psi-brackets on the
 n-pointed genus-g space; script-D(g) the analogue over kappa monomials on
-the unpointed space.  The module computes both exactly, checks the
-conjectured prime-order profile
+the unpointed space, also read off psi-brackets (see `compute_script_D`).
+The module computes both exactly, checks the conjectured prime-order profile
 
     ord_2 = 3g + ord_2(g!),  ord_3 = g + ord_3(g!),
     ord_p = floor(2g/(p-1))  for p >= 5,
@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .brackets import BracketTable, bracket
 from .combinat import multisets_with_sum, partitions
 from .rationals import factorize, lcm_of_denominators, ord_at_prime, primes_upto
-from .reduction import kappa_to_psi
 from .report import Report, timed_report
 
 __all__ = [
@@ -89,17 +88,17 @@ def compute_D(genus: int, n: int, table: BracketTable | None = None) -> Denomina
 
 
 def compute_script_D(genus: int, table: BracketTable | None = None) -> DenominatorProfile:
-    """lcm of kappa-monomial denominators at genus g >= 2.
+    """lcm of kappa-monomial denominators at genus g >= 2, from psi-brackets.
 
-    Kappa exponents sweep the positive partitions of 3g-3; inserting
-    kappa_0 only rescales by the integer 2g-2 and never enlarges a
-    denominator, so zero exponents are skipped.
-    """
+    For a partition a of 3g-3 into m parts, the pushforward formula gives
+    P_a = <prod tau_{a_j+1}>_g = sum over sigma in S_m of K_{a_sigma}, with
+    K_b = <prod kappa_{b_j}>_g and a_sigma summing a over each cycle of sigma.
+    Unitriangular in the refinement order with diagonal 1, it has an integral
+    inverse: {K_a} and {P_a} span one Z-module, so their denominators share
+    an lcm.  Zero parts are skipped: a dilaton tau_1 only multiplies by an integer."""
     if genus < 2:
         raise ValueError("script-D is defined for genus >= 2 (see SCRIPT_D_SMALL)")
-    values = [
-        kappa_to_psi(genus, (), a, table) for a in partitions(3 * genus - 3)
-    ]
+    values = (bracket(genus, tuple(x + 1 for x in a), table) for a in partitions(3 * genus - 3))
     return _profile(genus, lcm_of_denominators(values))
 
 

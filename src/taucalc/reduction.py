@@ -137,4 +137,6 @@ def faber_closed_form(genus: int, exponents: Iterable[int]) -> Fraction:
 
 def faber_kappa_value(genus: int) -> Fraction:
     """<kappa_{g-2} lambda_g lambda_{g-1}>_g = |B_2g| (g-1)! / (2^g (2g)!)."""
+    if genus < 2:
+        raise ValueError(f"kappa_(g-2) needs genus >= 2, got g={genus}")
     return abs(bernoulli(2 * genus)) * Fraction(factorial(genus - 1), 2**genus * factorial(2 * genus))

@@ -26,6 +26,9 @@ is the bracket engine's DVV descent in Fractions with its boundary 1/2-sum
 taken over ordered pairs, the reference for the engine's mirror-paired
 sum; it reads the ordered splits from `combinat.submultiset_splits`, which
 the combinatorics tests check against labelled subsets.
+`script_D_by_kappa` is script-D by its definition, the lcm over the kappa
+monomials, from the caller's kappa reduction: the reference for the
+package's reading of script-D off psi-brackets.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import io
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from taucalc.brackets import BracketTable, cache_save
-from taucalc.combinat import multisets_with_sum, submultiset_splits
+from taucalc.combinat import multisets_with_sum, partitions, submultiset_splits
 from taucalc.npoint import DivisionRemainderError
 
 
@@ -111,6 +114,20 @@ def ch_insertion_mumford(genus, k, exponents, bracket, kappa_to_psi, table=None)
                 if rv:
                     combo += half * sign * lv * rv
     return bernoulli_tangent(2 * k) / factorial(2 * k) * combo
+
+
+def script_D_by_kappa(genus: int, kappa_to_psi) -> int:
+    """lcm of the denominators of <prod kappa_{a_j}>_g over the partitions a
+    of 3g-3; kappa_to_psi(g, psi, kappa, table) is supplied by the caller
+    and runs on a table of its own."""
+    table = BracketTable()
+    return lcm(*(kappa_to_psi(genus, (), a, table).denominator for a in partitions(3 * genus - 3)))
+
+
+# bracket memo size after script-D(g) on a fresh table, counted while
+# script-D still went through the kappa recursion, which ends in the same
+# psi-brackets <prod tau_{a_j+1}>_g that the package now reads directly
+SCRIPT_D_MEMO_SIZES = {2: 7, 3: 28, 4: 94, 5: 257, 6: 634, 7: 1456, 8: 3165, 9: 6586, 10: 13196}
 
 
 def _odd_df(k: int) -> int:

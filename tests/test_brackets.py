@@ -20,10 +20,11 @@ from taucalc.brackets import (
     sigma_weight,
 )
 from taucalc.combinat import multisets_with_sum
-from taucalc.denominators import compute_D, compute_script_D
+from taucalc.denominators import compute_D
 from taucalc.identities import SweepLimits, sweep
 from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
+from taucalc.reduction import kappa_to_psi
 from oracles import (
     REFERENCE_BRACKETS,
     cache_dumps,
@@ -266,7 +267,8 @@ def test_derived_memos_hold_dyadic_normal_form():
     # the kappa sub-integrals, the rows and the convolution slots are summed
     # by the same dyadic_sum as the memo, so they share its normal form
     table = BracketTable()
-    compute_script_D(5, table)
+    for a in ((1, 11), (3, 4, 5), (1, 1, 2, 3, 5)):
+        kappa_to_psi(5, (), a, table)
     list(sweep("c35a", SweepLimits(4, 3, k_span=2), table))
     assert table._kappa and table._rows and table._conv
     values = list(table._kappa.values())
@@ -281,7 +283,8 @@ def test_clear_empties_every_store():
     table = BracketTable()
     assert bracket(2, (2, 3), table) == Fraction(29, 5760)  # a two-point key
     list(sweep("c35a", SweepLimits(3, 3, k_span=2), table))
-    compute_script_D(3, table)
+    for a in ((1, 5), (1, 2, 3), (1, 1, 1, 1, 2)):
+        kappa_to_psi(3, (), a, table)
     stores = {name: v for name, v in vars(table).items() if isinstance(v, dict)}
     assert {"_data", "_rows", "_pairs", "_conv", "_kappa"} <= set(stores)
     assert all(stores.values()), [name for name, v in stores.items() if not v]

@@ -164,8 +164,21 @@ def test_verify_other_tokens_golden_stdout(capsys, token, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `denom --g <g>` stdout, pinned while script-D still went through
+# the kappa recursion rather than reading psi-brackets
+@pytest.mark.parametrize("argv, digest", [
+    ("denom --g 7", "55e40e95647734896b54eb53a651a35cbe1eb66b30315b184e9ef4c703ded8e5"),
+    ("denom --g 8", "56ff0fc39463d31128f3f486dbcb3959370c60b416aad30ce2a35104bb056f50"),
+])
+def test_script_D_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_kappa_cold_cache_file_golden(tmp_path, capsys):
-    # script-D(5) visits its brackets in the kappa fold's state order
+    # pinned when script-D(5) visited its brackets in the kappa fold's
+    # state order; the psi-bracket route must leave the same file
     cache = tmp_path / "d5.cache"
     code, out, _ = run(capsys, "denom", "--g", "5", "--cache", str(cache))
     assert code == 0

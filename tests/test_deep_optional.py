@@ -1,11 +1,12 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; the module takes about 12 s on a 2-vCPU VM:
-about 6 s checking the two-point rows through genus 300 against the
-Horner oracle, 4 to 5 s the denominator block through genus 10, and
-under 1 s the two-point monotonicity rows through genus 500.  The
-standard acceptance module stays authoritative; this is head-room
-validation.
+Enable with TAUCALC_DEEP=1; the module takes about 17 s on a 2-vCPU VM:
+5 to 6 s checking the two-point rows through genus 300 against the
+Horner oracle, about 5 s script-D from psi-brackets against the kappa
+recursion at genus 8 to 10, about 3.6 s the denominator block through
+genus 11, and about 1 s the two-point monotonicity rows through genus
+500.  The standard acceptance module stays authoritative; this is
+head-room validation.
 """
 
 import os
@@ -14,10 +15,17 @@ import pytest
 
 from taucalc.brackets import BracketTable, _two_point_numerators
 from taucalc.combinat import multisets_with_sum
+from taucalc.denominators import compute_script_D
 from taucalc.identities import VERIFY_TOKENS, verify
 from taucalc.monotone import psi_swap_deep
 from taucalc.npoint import npoint_series
-from oracles import two_point_numerators_by_horner, warm_table_from_series
+from taucalc.reduction import kappa_to_psi
+from oracles import (
+    SCRIPT_D_MEMO_SIZES,
+    script_D_by_kappa,
+    two_point_numerators_by_horner,
+    warm_table_from_series,
+)
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("TAUCALC_DEEP"),
@@ -58,9 +66,17 @@ def test_two_point_monotonicity_deep():
     assert report.passed and int(report.lhs) == sum((3 * g - 1) // 2 for g in range(1, 501))
 
 
-def test_denominator_block_through_genus_ten():
-    # `tau verify c41 --gmax 10`: c41, c42 and c4s for g = 2..10, and c43
-    # for each pair g <= h with g + h <= 10
-    reports = list(VERIFY_TOKENS["c41"][2](10, 1))
+@pytest.mark.parametrize("g", [8, 9, 10])
+def test_script_D_from_psi_brackets_matches_kappa_route_deep(g):
+    table = BracketTable()
+    assert compute_script_D(g, table).value == script_D_by_kappa(g, kappa_to_psi)
+    assert len(table) == SCRIPT_D_MEMO_SIZES[g]
+    assert not table._kappa
+
+
+def test_denominator_block_through_genus_eleven():
+    # `tau verify c41 --gmax 11`: c41, c42 and c4s for g = 2..11, and c43
+    # for each pair g <= h with g + h <= 11
+    reports = list(VERIFY_TOKENS["c41"][2](11, 1))
     assert all(r.passed for r in reports), [r.id for r in reports if not r.passed]
-    assert len(reports) == 3 * 9 + 36 == 63
+    assert len(reports) == 3 * 10 + 42 == 72

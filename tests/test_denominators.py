@@ -14,6 +14,8 @@ from taucalc.denominators import (
     threshold_check,
     witness_search,
 )
+from taucalc.reduction import kappa_to_psi
+from oracles import SCRIPT_D_MEMO_SIZES, script_D_by_kappa
 
 
 def test_compute_D_examples():
@@ -45,6 +47,20 @@ def test_script_D3_profile():
 def test_script_D_matches_conjectured_orders(g):
     profile = compute_script_D(g)
     assert profile.factors == conjectured_orders(g)
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_script_D_from_psi_brackets_matches_kappa_route(g):
+    table = BracketTable()
+    assert compute_script_D(g, table).value == script_D_by_kappa(g, kappa_to_psi)
+    assert len(table) == SCRIPT_D_MEMO_SIZES[g]
+    assert not table._kappa  # no kappa sub-integral was computed
+
+
+def test_conjecture41_leaves_the_kappa_memo_empty():
+    table = BracketTable()
+    assert conjecture41_check(4, table).passed
+    assert table and not table._kappa
 
 
 def test_conjectured_orders():

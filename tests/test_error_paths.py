@@ -23,7 +23,7 @@ from taucalc.monotone import (
 )
 from taucalc.npoint import merged_series, npoint_series
 from taucalc.rationals import factorize, ord_at_prime
-from taucalc.reduction import faber_closed_form, kappa_to_psi, lambda_g_bracket
+from taucalc.reduction import faber_closed_form, faber_kappa_value, kappa_to_psi, lambda_g_bracket
 
 _STABILITY = "needs g >= 1 and stability, got g=0, n=3"
 
@@ -50,6 +50,8 @@ _STABILITY = "needs g >= 1 and stability, got g=0, n=3"
     (lambda: ch_insertion(2, 0, (1,)), ValueError, "the Chern character index 2k-1 needs k >= 1"),
     (lambda: faber_closed_form(2, (0, 0, 3)), ValueError,
      "the closed form needs every exponent >= 1, got (0, 0, 3)"),
+    (lambda: faber_kappa_value(1), ValueError, "kappa_(g-2) needs genus >= 2, got g=1"),
+    (lambda: faber_kappa_value(0), ValueError, "kappa_(g-2) needs genus >= 2, got g=0"),
     (lambda: verify("eq4", g=1, e=(1,)), ParameterError, "eq4 takes the parameters g, d"),
     (lambda: ord_at_prime(3, 1), ValueError, "not a prime: 1"),
     (lambda: factorize(0), ValueError, "expected a positive integer, got 0"),
