@@ -34,8 +34,9 @@ n-point series engine.
 
 Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
 the pair (num, e), num odd or zero, and sums add by shifting.  Every sum
-of such pairs, here and in the derived memos, goes through `dyadic_sum`,
-which returns that normal form.  Fractions are built only at the
+of such pairs here and in the kappa memo goes through `dyadic_sum`, which
+returns that normal form; the identity sums shift into one integer each
+(see identities).  Fractions are built only at the
 boundary: `bracket` returns num/(2^e prod (2d_j+1)!!), and the cache file
 and BracketTable.put/items hold <tau_d>_g.
 
@@ -363,7 +364,8 @@ def cache_save(table: BracketTable, destination: str | IO[str]) -> int:
 
     A path is written through a temporary file in the same directory that
     then replaces the target, so a crash mid-write never leaves a
-    truncated cache behind.
+    truncated cache behind.  An OSError on that file names the destination,
+    not the temporary file, and leaves neither behind.
     """
     lines = _cache_lines(table)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -376,9 +378,11 @@ def cache_save(table: BracketTable, destination: str | IO[str]) -> int:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(body)
             os.replace(tmp, destination)
-        except BaseException:
+        except BaseException as exc:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+            if isinstance(exc, OSError) and exc.filename == tmp:
+                raise type(exc)(exc.errno, exc.strerror, destination) from None
             raise
     else:
         destination.write(body)

@@ -21,6 +21,13 @@ The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
 insertion combinations all go through `split_sum`, one convolution of two
 of the bracket table's rows per split (see its docstring).
 
+Every bracket-side sum keeps one rule: it reads the engine's sigma pairs
+S = num/2^e (`sigma_bracket`), adds them as integers over the lcm of their
+weights into one shifted accumulator, and builds one Fraction at the end.
+`_bracket_sum` does so for the signed bracket lists (the alternating pair
+sum, the c33 head and descent terms behind the insertion combinations, the
+c32 heads), and `split_sum` and each `_convolution` for the splittings.
+
 The bracket side of eq3 is (2g)!/B_2g times Mumford's expansion of
 <ch_{2g-1} prod tau_d>_g, so `ch_insertion` (any odd Chern character of
 the Hodge bundle) and `lambda_gg1_bracket`, through lambda_g lambda_{g-1}
@@ -47,14 +54,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import itemgetter
+from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import denominators as dn
 from . import monotone as mono
 from .brackets import (
-    BracketTable, bracket, default_table, dyadic_ratio, dyadic_sum, one_point, sigma_bracket,
+    BracketTable, _dyadic, bracket, default_table, dyadic_ratio, one_point, sigma_bracket,
     sigma_weight,
 )
 from .combinat import multisets_with_sum, submultiset_splits
@@ -89,11 +97,34 @@ def alt_pair_sum(K: int, genus: int, d: Iterable[int], table: BracketTable | Non
     if K < 0:
         raise ParameterError("K must be nonnegative")
     d = tuple(d)
-    total = _ZERO
-    for j in range(2 * K + 1):
-        v = bracket(genus, (2 * K - j, j) + d, table)
-        total += v if j % 2 == 0 else -v
-    return total
+    return _bracket_sum(genus, (((-1) ** j, (2 * K - j, j) + d) for j in range(2 * K + 1)), table)
+
+
+def _bracket_sum(genus: int, terms: Iterable[tuple[int, tuple[int, ...]]],
+                 table: BracketTable | None) -> Fraction:
+    """sum of c <prod tau_E>_genus over terms = ((c, E), ...), c an int, read
+    in order as sigma pairs S(E) = num/2^e (`sigma_bracket`) and added as
+    integers: the sum so far is total/(2^top L), L the lcm of the weights
+    sigma_weight(E) of the nonzero terms so far, so one Fraction is built
+    per sum.  A zero term computes no weight."""
+    t = table if table is not None else default_table()
+    total = top = 0
+    L = 1
+    for c, E in terms:
+        num, e = sigma_bracket(genus, E, t)
+        if num:
+            w = sigma_weight(E)
+            if L % w:
+                grow = w // gcd(L, w)
+                total *= grow
+                L *= grow
+            if e > top:
+                total <<= e - top
+                top = e
+            total += (c * num * (L // w)) << (top - e)
+    if not total:
+        return _ZERO
+    return Fraction(*dyadic_ratio((total, top), L))
 
 
 @lru_cache(maxsize=None)
@@ -126,17 +157,19 @@ def _pair_scale(K: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _convolution(
-    t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int
+    t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int,
+    scale: tuple[int, ...],
 ) -> tuple[int, int]:
-    """C_K(A, B) = sum_j scale_K[j] S(j, A) S(K-j, B) as (num, e) = num/2^e,
-    where S(j, E) is row E of the table at j (`t._rows[E]`, filled here on
-    first use) and scale_K is `_pair_scale(K)`.  genus is the one
-    that K, A and B fix together.  Since scale_K[K-j] = (-1)^K scale_K[j],
-    C_K(B, A) = (-1)^K C_K(A, B)."""
-    scale = _pair_scale(K)[1]
+    """C_K(A, B) = sum_j scale[j] S(j, A) S(K-j, B) as (num, e) = num/2^e,
+    num odd or zero, where S(j, E) is row E of the table at j (`t._rows[E]`,
+    filled here on first use) and scale is `_pair_scale(K)[1]`.  genus is
+    the one that K, A and B fix together.  Since scale[K-j] = (-1)^K
+    scale[j], C_K(B, A) = (-1)^K C_K(A, B).  Terms add into one shifted
+    integer, as in `split_sum`; each j reads its left entry, then its right
+    one, whether or not either is zero."""
     lrow = t._rows[A]
     rrow = t._rows[B]
-    acc: dict[int, int] = {}
+    total = top = 0  # the sum so far is total/2^top
     # the left factor fits its dimension at genus g' iff j = lo + 3 g'
     lo = len(A) - 2 - sum(A)
     start = lo if lo >= 0 else lo % 3
@@ -144,14 +177,18 @@ def _convolution(
         lv = lrow.get(j)
         if lv is None:
             lv = lrow[j] = sigma_bracket((j - lo) // 3, (j,) + A, t)
-        ln, le = lv
         rv = rrow.get(K - j)
         if rv is None:
             rv = rrow[K - j] = sigma_bracket(genus - (j - lo) // 3, (K - j,) + B, t)
+        ln, le = lv
         rn, re = rv
-        if rn:
-            acc[le + re] = acc.get(le + re, 0) + ln * rn * scale[j]
-    return dyadic_sum(acc)
+        if ln and rn:
+            e = le + re
+            if e > top:
+                total <<= e - top
+                top = e
+            total += (ln * rn * scale[j]) << (top - e)
+    return _dyadic(total, top)
 
 
 def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], genus: int,
@@ -178,8 +215,10 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
     S(j, E) = <sigma_j prod sigma_E>, the engine's (num, e) form, that the
     table keeps per sorted E (`t._rows[E]`), filled on first use.  The
     sigma weights of d and the extras are the same for every split, and
-    `_pair_scale` puts those of tau_j and tau_{K-j} over one denominator,
-    so terms add as integers into one numerator; a zero sum returns 0 at once.
+    `_pair_scale(K)`, read once per call and handed to each convolution,
+    puts those of tau_j and tau_{K-j} over one denominator, so a
+    convolution's terms and then the splits' add as integers, each into one
+    shifted numerator, with no dict; a zero sum returns 0 at once.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -190,6 +229,7 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
         return _ZERO
     t = table if table is not None else default_table()
     conv = t._conv[K]
+    L, scale = _pair_scale(K)
     flip = -1 if K % 2 else 1
     total = top = 0  # the sum so far is total/2^top
     for (_, _, count), A, B in zip(_splits(d), _sides(left, d, 0), _sides(right, d, 1)):
@@ -198,7 +238,7 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
             count *= flip
         c = conv.get((A, B))
         if c is None:
-            c = conv[A, B] = _convolution(t, K, A, B, genus)
+            c = conv[A, B] = _convolution(t, K, A, B, genus, scale)
         num, e = c
         if num:
             if e > top:
@@ -207,7 +247,7 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
             total += (count * num) << (top - e)
     if not total:
         return _ZERO
-    return Fraction(*dyadic_ratio((total, top), _pair_scale(K)[0] * sigma_weight(left + right + d)))
+    return Fraction(*dyadic_ratio((total, top), L * sigma_weight(left + right + d)))
 
 
 def _dfact_prod(d: Iterable[int]) -> int:
@@ -217,8 +257,7 @@ def _dfact_prod(d: Iterable[int]) -> int:
 
 def _insertion_combo(genus: int, X: int, d: tuple[int, ...], table) -> Fraction:
     """<tau_d tau_{2X}>_g - sum_j <..tau_{d_j+2X-1}..>_g + 1/2 * split(2X-2)."""
-    head, descent = _c33_descent(genus, X - 1, (), d, table)
-    combo = head - descent
+    combo = _bracket_sum(genus, _c33_terms(X - 1, (), d, -1), table)
     if X >= 1:
         combo += _HALF * split_sum(2 * X - 2, (), (), genus, d, table)
     return combo
@@ -276,12 +315,13 @@ def _eq3_constant(g: int, d: tuple[int, ...]) -> Fraction:
     return Fraction(factorial(2 * g - 3 + len(d)), 2 ** (2 * g - 1) * factorial(2 * g - 1) * _dfact_prod(d))
 
 
-def _c33_descent(g, K, r, d, table):
-    combo = bracket(g, (2 * K + 2,) + r + d, table)
-    descent = _ZERO
+def _c33_terms(K, r, d, sign):
+    """(1, tau_{2K+2} r d), then (sign, d with d_j raised by 2K + 1, r) for
+    each j: the head and the descent terms of c33 and the insertion combos,
+    as `_bracket_sum` terms."""
+    yield 1, (2 * K + 2,) + r + d
     for j in range(len(d)):
-        descent += bracket(g, d[:j] + (d[j] + 2 * K + 1,) + d[j + 1 :] + r, table)
-    return combo, descent
+        yield sign, d[:j] + (d[j] + 2 * K + 1,) + d[j + 1 :] + r
 
 
 # The least K of each family's vanishing range ("a"); its constant
@@ -327,20 +367,21 @@ def _decomp(table, g, d):
     return residual + half_alt, const_eq3 if consts_match else Fraction(-1), extra
 
 
+def _c32_heads(table, g, K, r, s, d):
+    """<tau_{2K+r+1} tau_s prod tau_d>_g + <tau_{2K+s+1} tau_r prod tau_d>_g"""
+    return _bracket_sum(g, ((1, (2 * K + r + 1, s) + d), (1, (2 * K + s + 1, r) + d)), table)
+
+
 def _c32b(table, g, r, s, d):
     den = sigma_weight((r, s)) * 4**g * factorial(2 * g - 1) * _dfact_prod(d)
     lhs = Fraction(factorial(2 * g - 1 + len(d)), den)
-    rhs = (
-        bracket(g, (2 * g + r - 1, s) + d, table)
-        + bracket(g, (2 * g + s - 1, r) + d, table)
-        - split_sum(2 * g - 2, (r,), (s,), g, d, table)
-    )
-    return lhs, rhs, {}
+    return lhs, _c32_heads(table, g, g - 1, r, s, d) - split_sum(2 * g - 2, (r,), (s,), g, d, table), {}
 
 
 def _c33a(table, g, K, m, r, d):
-    head, descent = _c33_descent(g, K, r, d, table)
-    return head, descent - split_sum(2 * K, r, (), g, d, table), {}
+    (_, head), *descent = _c33_terms(K, r, d, 1)
+    lhs = bracket(g, head, table)
+    return lhs, _bracket_sum(g, descent, table) - split_sum(2 * K, r, (), g, d, table), {}
 
 
 def _c33b(table, g, m, r, d):
@@ -348,8 +389,7 @@ def _c33b(table, g, m, r, d):
     c = (sum(2 * x for x in r) + m) * (g + (m - 3) // 2) if m % 2 else 1
     den = 4**g * factorial(2 * g - 3 + m) * _dfact_prod(d) * sigma_weight(r)
     lhs = Fraction(c * factorial(2 * g - 3 + len(d) + m), den)
-    head, descent = _c33_descent(g, K, r, d, table)
-    rhs = head - descent + split_sum(2 * K, r, (), g, d, table)
+    rhs = _bracket_sum(g, _c33_terms(K, r, d, -1), table) + split_sum(2 * K, r, (), g, d, table)
     return lhs, rhs, {"K": K}
 
 
@@ -509,8 +549,7 @@ _IDENTITIES: dict[str, _Identity] = {
         loops=(_genus(0), _window("K", lambda g, **_: g, "K >= g", extra=1), _R_INT, _S_UPTO_R),
         d_sum=lambda g, K, r, s, n, **_: 3 * g + n - 2 * K - r - s - 2,
         sides=lambda table, g, K, r, s, d: (
-            bracket(g, (2 * K + r + 1, s) + d, table) + bracket(g, (2 * K + s + 1, r) + d, table),
-            split_sum(2 * K, (r,), (s,), g, d, table), {}),
+            _c32_heads(table, g, K, r, s, d), split_sum(2 * K, (r,), (s,), g, d, table), {}),
     ),
     "c32b": _Identity(
         loops=(_genus(1), _R_INT, _S_UPTO_R),
@@ -587,7 +626,8 @@ def verify(
 
     The parameters are checked first against the identity's loop bounds,
     d's bound, its checks and the sum of d; checked=True skips that for
-    tuples that `instances` has already kept.
+    tuples that `instances` has already kept.  The report's ms is the time
+    that `sides` took; `sweep` builds every report through this call.
     """
     spec = _spec(identity)
     if not checked:
@@ -598,7 +638,9 @@ def verify(
             raise ParameterError(f"{identity} {problem}")
         # sorted once the checks, which read no order, have passed every part
         params = {k: (tuple(sorted(v)) if isinstance(v, (list, tuple)) else v) for k, v in params.items()}
-    return timed_report(identity, params, lambda: spec.sides(table, **params))
+    start = perf_counter()
+    lhs, rhs, extra = spec.sides(table, **params)
+    return Report(identity, params, lhs, rhs, (perf_counter() - start) * 1000.0, extra)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ the combinatorics tests check against labelled subsets.
 `script_D_by_kappa` is script-D by its definition, the lcm over the kappa
 monomials, from the caller's kappa reduction: the reference for the
 package's reading of script-D off psi-brackets.
+`bracket_sum_by_fractions` adds signed brackets as one reduced Fraction
+per term, the reference for the identity sides' integer bracket sums.
 """
 
 from __future__ import annotations
@@ -128,6 +130,12 @@ def script_D_by_kappa(genus: int, kappa_to_psi) -> int:
 # script-D still went through the kappa recursion, which ends in the same
 # psi-brackets <prod tau_{a_j+1}>_g that the package now reads directly
 SCRIPT_D_MEMO_SIZES = {2: 7, 3: 28, 4: 94, 5: 257, 6: 634, 7: 1456, 8: 3165, 9: 6586, 10: 13196}
+
+
+def bracket_sum_by_fractions(genus: int, terms, bracket) -> Fraction:
+    """sum of c <prod tau_E>_genus over terms = ((c, E), ...), each term a
+    Fraction from the bracket function passed in, bracket(genus, E)."""
+    return sum((c * bracket(genus, E) for c, E in terms), Fraction(0))
 
 
 def _odd_df(k: int) -> int:

@@ -264,8 +264,9 @@ def test_memo_holds_dyadic_normal_form():
 
 
 def test_derived_memos_hold_dyadic_normal_form():
-    # the kappa sub-integrals, the rows and the convolution slots are summed
-    # by the same dyadic_sum as the memo, so they share its normal form
+    # the kappa sub-integrals (summed by dyadic_sum), the rows (engine
+    # values) and the convolution slots (one shift loop, then normalized)
+    # all hold the memo's normal form
     table = BracketTable()
     for a in ((1, 11), (3, 4, 5), (1, 1, 2, 3, 5)):
         kappa_to_psi(5, (), a, table)

@@ -213,6 +213,20 @@ def test_verify_cold_cache_file_golden(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # c33's descent terms and c35's two-sided convolutions read brackets
+    # that no other family reads; the order and set of reads must not move
+    (("verify", "c33"), "170093827290908d8950cad9ba3a0b9279a9c155c14b3a4d12cc5ab825f7a994"),
+    (("verify", "c35", "--no-timing", "--jobs", "1"),
+     "8b7875e73a79da6a50c5304175bd38382edff883436201ed6925f671bdde4214"),
+])
+def test_verify_cold_cache_file_golden_c33_c35(tmp_path, capsys, argv, digest):
+    cache = tmp_path / "sweep.cache"
+    code, _, _ = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == digest
+
+
 def test_verify_json_and_exit(capsys):
     code, out, _ = run(
         capsys, "verify", "eq4", "--gmax", "2", "--nmax", "2", "--jobs", "1", "--no-timing"
@@ -311,6 +325,20 @@ def test_cache_round_trip(tmp_path, capsys):
 
     code, out, _ = run(capsys, "cache", "--import", str(exported), "--verify-cache")
     assert code == 0 and "imported" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("cache", "--export", "{path}"),
+    ("compute", "--g", "2", "--d", "2,3", "--cache", "{path}"),
+])
+def test_cache_save_error_names_the_destination(tmp_path, capsys, argv):
+    # the save goes through a temporary file beside the destination; an
+    # error must name the path the user gave and leave no file behind
+    path = str(tmp_path / "missing" / "x.cache")
+    code, _, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_import_rejects_corruption(tmp_path, capsys):

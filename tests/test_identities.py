@@ -22,7 +22,7 @@ from taucalc.identities import (
     verify,
 )
 from taucalc.report import Report, reports_to_json
-from oracles import cache_dumps
+from oracles import bracket_sum_by_fractions, cache_dumps
 
 
 def test_alt_pair_sum_examples():
@@ -480,6 +480,82 @@ def test_sweep_reports_match_fresh_verify(ident):
         fresh = verify(ident, **r.params)
         assert list(fresh.params) == keys and fresh.params == r.params
         assert (fresh.lhs, fresh.rhs, fresh.extra, fresh.passed) == (r.lhs, r.rhs, r.extra, r.passed)
+
+
+@pytest.mark.parametrize("genus, terms, vanishes", [
+    (2, (), True),
+    # cancels to 0: one key twice with opposite signs, once unsorted
+    (2, ((1, (2, 3)), (-1, (3, 2))), True),
+    # only zero terms: off-dimension, unstable, negative exponent, negative genus
+    (1, ((1, (1, 2)), (3, (0,)), (-2, (-1, 3)), (1, ())), True),
+    (-1, ((1, (0, 0, 0)),), True),
+    # a genus-0 key whose sigma value is 3^5 * 2^3, so its exponent is
+    # negative, beside <tau_0^3>_0, an unstable key, a negative exponent and
+    # an off-dimension key
+    (0, ((1, (0, 0, 0, 1, 1, 1, 1)), (-2, (0, 0, 0)), (5, (0, 0)), (7, (-1, 1, 1, 1)), (1, (0, 0, 1))),
+     False),
+    # weights of every size and sigma values of every 2-adic order at one genus
+    (2, ((1, (2, 3)), (-2, (1, 4)), (3, (0, 5)), (1, (4,)), (-1, (1, 1, 3)), (4, (0, 0, 6)),
+         (1, (-2, 7)), (-5, (2, 2, 2))), False),
+])
+def test_bracket_sum_matches_fraction_sum(genus, terms, vanishes):
+    table = BracketTable()
+    want = bracket_sum_by_fractions(genus, terms, lambda g, E: bracket(g, E, table))
+    got = identities._bracket_sum(genus, terms, BracketTable())
+    assert type(got) is Fraction and got == want and (want == 0) == vanishes
+
+
+@given(genus=st.integers(-1, 3), terms=st.lists(st.tuples(
+    st.integers(-3, 3), st.lists(st.integers(-1, 7), max_size=4).map(tuple)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_bracket_sum_matches_fraction_sum_on_random_terms(genus, terms):
+    table = BracketTable()
+    want = bracket_sum_by_fractions(genus, terms, lambda g, E: bracket(g, E, table))
+    assert identities._bracket_sum(genus, terms, table) == want
+
+
+_BRACKET_SUM_IDS = ("eq3", "eq4", "eq5", "eq6", "eq7", "eq8", "decomp", "c32a", "c32b", "c33a", "c33b")
+
+
+@pytest.mark.parametrize("ident", _BRACKET_SUM_IDS + ("c34a", "c34b"))
+def test_identity_sides_match_fraction_sums(monkeypatch, ident):
+    # every report on a small grid is the same when each integer bracket
+    # sum of its sides is replaced by one Fraction per bracket
+    lim = SweepLimits(g_max=4, n_max=3, k_span=2, rs_max=1)
+    fast = list(sweep(ident, lim, BracketTable()))
+    calls = []
+
+    def by_fractions(genus, terms, table):
+        calls.append(genus)
+        return bracket_sum_by_fractions(genus, terms, lambda g, E: bracket(g, E, table))
+
+    monkeypatch.setattr(identities, "_bracket_sum", by_fractions)
+    slow = list(sweep(ident, lim, BracketTable()))
+    assert fast and [r.params for r in slow] == [r.params for r in fast]
+    for a, b in zip(fast, slow):
+        assert (a.lhs, a.rhs, a.extra, a.passed) == (b.lhs, b.rhs, b.extra, b.passed), a.params
+    # c34's sides are one bracket and a split sum: no bracket sum to compare
+    assert bool(calls) == (ident in _BRACKET_SUM_IDS)
+
+
+def test_sweep_builds_each_report_through_verify_once(monkeypatch):
+    # identity evaluation has one entry point, the module's `verify`, looked
+    # up on each pull (perfbench times the identity layer there): a sweep
+    # yields exactly the reports it returned, one call each, checked=True
+    calls = []
+    plain = identities.verify
+
+    def counted(*args, **kwargs):
+        report = plain(*args, **kwargs)
+        calls.append((kwargs["checked"], report))
+        return report
+
+    monkeypatch.setattr(identities, "verify", counted)
+    for ident in IDENTITY_IDS:
+        calls.clear()
+        reports = list(sweep(ident, SweepLimits(g_max=3, n_max=2, k_span=1, rs_max=1)))
+        assert reports and len(calls) == len(reports), ident
+        assert all(checked is True and a is b for (checked, a), b in zip(calls, reports)), ident
 
 
 def test_split_sum_mirror_sign_on_c35_tuples():
