@@ -26,19 +26,22 @@ read d, so the step is 3(2g-2+|d|) S_g(d)), else the largest exponent, so
 the boundary terms only ever meet exponents >= 2.  A boundary term
 equals its mirror, with (r, I) and (s, J) swapped, so the sum is taken over
 mirror pairs at weight 1, and a self-mirror term at 1/2.  Every key of
-genus >= 1 visited, closed or not, is memoized under its own exponents.
-Genus-0 keys and S_1(1) = 3 <tau_1>_1 = 1/8 are answered before the memo
+genus >= 1 visited, closed or not, is memoized under its own exponents,
+but S_1(1) = 3 <tau_1>_1 = 1/8.  The memo is read first, since nearly
+every read is a hit (so a genus-0 key that `put` or a cache file placed
+there is read from it); on a miss, genus-0 keys and S_1(1) are closed
 and never stored, so no cache file written here holds them.
 The test suite checks the closed forms and the recursion against the
 n-point series engine.
 
 Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
-the pair (num, e), num odd or zero, and sums add by shifting.  Every sum
-of such pairs here and in the kappa memo goes through `dyadic_sum`, which
-returns that normal form; the identity sums shift into one integer each
-(see identities).  Fractions are built only at the
-boundary: `bracket` returns num/(2^e prod (2d_j+1)!!), and the cache file
-and BracketTable.put/items hold <tau_d>_g.
+the pair (num, e), num odd or zero, and sums add by shifting.  Each sum
+here, in the kappa step (reduction) and in the identities keeps one
+integer total/2^top, shifted up when a term's exponent passes top, and
+`_dyadic` brings it to that normal form once.  A zero term is read but
+not added, so every sum reads its sub-keys in one fixed order.  Fractions
+are built only at the boundary: `bracket` returns num/(2^e prod
+(2d_j+1)!!), and the cache file and BracketTable.put/items hold <tau_d>_g.
 
 Brackets are total functions: out-of-range input returns 0, never raises.
 """
@@ -89,15 +92,6 @@ def dyadic_ratio(value: tuple[int, int], weight: int) -> tuple[int, int]:
     """(num, den), not reduced, of num/(2^e weight) for value = (num, e)."""
     num, e = value
     return (num, weight << e) if e >= 0 else (num << -e, weight)
-
-
-def dyadic_sum(acc: dict[int, int]) -> tuple[int, int]:
-    """sum of v/2^e over acc = {e: v} as (num, e), num odd or zero; (0, 0)
-    if acc is empty."""
-    if not acc:
-        return _DZERO
-    top = max(acc)
-    return _dyadic(sum(v << (top - e) for e, v in acc.items()), top)
 
 
 def _sigma_form(weight: int, num: int, den: int) -> tuple[int, int]:
@@ -234,16 +228,15 @@ def _genus0(d: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
-    if g == 0:
-        return _genus0(d) if sum(d) == len(d) - 3 else _DZERO
-    if g == 1 and d == (1,):
-        return _S11
-
     key = (g, d)  # a hit needs no range check: the memo holds _storable keys
     v = t._data.get(key)
     if v is not None:
         t.hits += 1
         return v
+    if g == 0:
+        return _genus0(d) if sum(d) == len(d) - 3 else _DZERO
+    if g == 1 and d == (1,):
+        return _S11
     n = len(d)
     if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
         return _DZERO
@@ -305,8 +298,7 @@ def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
         num, e = _bracket(g, d[1:], t)
         return _dyadic(3 * (2 * g - 3 + len(d)) * num, e)
     k, rest = (-1, d[1:]) if d[0] == 0 else (d[-1] - 1, d[:-1])
-
-    acc: dict[int, int] = {}
+    total = top = 0  # the sum so far is total/2^top
 
     # descent: move one remaining exponent by k (group equal values); the
     # first of a run stays in place when lowered, so only k >= 1 sorts
@@ -314,17 +306,25 @@ def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
         if x + k >= 0 and (i == 0 or rest[i - 1] != x):
             sub = rest[:i] + (x + k,) + rest[i + 1 :]
             num, e = _bracket(g, tuple(sorted(sub)) if k > 0 else sub, t)
-            acc[e] = acc.get(e, 0) + rest.count(x) * (2 * x + 1) * num
+            if num:
+                if e > top:
+                    total <<= e - top
+                    top = e
+                total += (rest.count(x) * (2 * x + 1) * num) << (top - e)
     if k < 0:  # the string equation has no boundary terms
-        return dyadic_sum(acc)
+        return _dyadic(total, top)
 
     # boundary terms (k >= 1 since every exponent is >= 2), one per mirror
     # pair; only a self-mirror term keeps the 1/2, as the +1 on its exponent
     for r in range((k + 1) // 2):
         # irreducible: genus drops, both new insertions on one component
         num, e = _bracket(g - 1, tuple(sorted(rest + (r, k - 1 - r))), t)
-        e += 2 * r == k - 1
-        acc[e] = acc.get(e, 0) + num
+        if num:
+            e += 2 * r == k - 1
+            if e > top:
+                total <<= e - top
+                top = e
+            total += num << (top - e)
     # reducible: the left genus (r + c)/3 is forced by its dimension, so r
     # runs over one residue class mod 3; c > 0 as every exponent of rest is
     # >= 2, so that genus is >= 1 (and so is the right one, likewise)
@@ -335,10 +335,13 @@ def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
                 gl = (r + c) // 3
                 ln, le = _bracket(gl, tuple(sorted((r,) + left)), t)
                 rn, re = _bracket(g - gl, tuple(sorted((k - 1 - r,) + right)), t)
-                e = le + re + (2 * r == k - 1 and left == right)
-                acc[e] = acc.get(e, 0) + count * ln * rn
-
-    return dyadic_sum(acc)
+                if ln and rn:
+                    e = le + re + (2 * r == k - 1 and left == right)
+                    if e > top:
+                        total <<= e - top
+                        top = e
+                    total += (count * ln * rn) << (top - e)
+    return _dyadic(total, top)
 
 
 class CacheError(ValueError):

@@ -14,8 +14,8 @@ Two routes live here:
   is left.  Every kappa monomial of a genus shares the sub-integrals, so
   they are memoized on the bracket table, in sigma form times an integer
   D(kappa) that clears the (2c+1)!! of every new tau_c: the value is a
-  dyadic pair (num, e), each term adds an integer multiple of num per
-  exponent e, and one Fraction is built at the root,
+  dyadic pair (num, e), each step adds integer multiples of its terms'
+  num into one shifted integer, and one Fraction is built at the root,
 * the closed lambda_g formula
       <prod psi^{d_j} lambda_g> = C(2g+n-3; d) (2^{2g-1}-1)/2^{2g-1} |B_2g|/(2g)!.
 
@@ -32,7 +32,7 @@ from math import factorial, lcm
 from typing import Iterable
 
 from .brackets import (
-    BracketTable, default_table, dyadic_ratio, dyadic_sum, sigma_bracket, sigma_weight,
+    BracketTable, _dyadic, default_table, dyadic_ratio, sigma_bracket, sigma_weight,
 )
 from .combinat import multinomial, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
@@ -102,12 +102,15 @@ def _sigma_kappa(
     key = (g, psi, kappa)
     value = t._kappa.get(key)
     if value is None:
-        acc: dict[int, int] = {}
+        total = top = 0  # the sum so far is total/2^top
         for c, rest, w in _kappa_plan(kappa)[1]:
             num, e = _sigma_kappa(g, tuple(sorted(psi + (c,))), rest, t)
             if num:
-                acc[e] = acc.get(e, 0) + w * num
-        value = t._kappa[key] = dyadic_sum(acc)
+                if e > top:
+                    total <<= e - top
+                    top = e
+                total += (w * num) << (top - e)
+        value = t._kappa[key] = _dyadic(total, top)
     return value
 
 

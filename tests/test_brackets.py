@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -85,11 +86,12 @@ def test_genus0_against_string_equation_oracle():
 
 
 def test_genus0_large_n_is_not_memoized():
-    # genus 0 is closed at every n, so it is answered before the memo
+    # genus 0 is closed at every n, so a miss is answered and never stored
     table = BracketTable()
     d = (0,) * 9 + (1, 3, 5)
     assert bracket(0, d, table) == genus0_string(d) != 0
     assert (0, tuple(sorted(d))) not in table._data and len(table) == 0
+    assert table.hits == table.misses == 0
 
 
 def test_one_point_values():
@@ -198,6 +200,40 @@ def test_descent_agrees_with_series():
     assert all(bracket(g, d) != 0 for g, d in canonical)
 
 
+def test_kdv_equation():
+    # Witten's KdV form of the recursion, a relation independent of the
+    # DVV step the engine takes:
+    #   (2n+1) <<t_n t_0^2>> = <<t_{n-1} t_0>> <<t_0^3>>
+    #                          + 2 <<t_{n-1} t_0^2>> <<t_0^2>> + 1/4 <<t_{n-1} t_0^4>>
+    # at the coefficient of the labelled spectators X = (x_1, .., x_m): each
+    # product sums over the ordered splits of the labels {1..m}, and each
+    # bracket sits at the genus its dimension fixes
+    table = BracketTable()
+
+    def b(*exponents):
+        return bracket_any_genus(exponents, table)
+
+    relations = 0
+    for m in range(5):
+        for X in combinations_with_replacement(range(7), m):
+            if sum(X) > 6:
+                continue
+            splits = [
+                (tuple(x for i, x in enumerate(X) if mask >> i & 1),
+                 tuple(x for i, x in enumerate(X) if not mask >> i & 1))
+                for mask in range(2**m)
+            ]
+            for n in range(1, 3 * (sum(X) + 6)):
+                lhs = (2 * n + 1) * b(n, 0, 0, *X)
+                rhs = Fraction(1, 4) * b(n - 1, 0, 0, 0, 0, *X)
+                for left, right in splits:
+                    rhs += b(n - 1, 0, *left) * b(0, 0, 0, *right)
+                    rhs += 2 * b(n - 1, 0, 0, *left) * b(0, 0, *right)
+                assert lhs == rhs, (n, X)
+                relations += lhs != 0
+    assert relations == 716
+
+
 def test_mirror_paired_descent_matches_ordered_oracle():
     # every stratum with g >= 1, n <= 8 and 3g-3+n <= 22 (52 strata) on one
     # cold table: the engine sums each mirror pair of boundary terms once,
@@ -264,9 +300,9 @@ def test_memo_holds_dyadic_normal_form():
 
 
 def test_derived_memos_hold_dyadic_normal_form():
-    # the kappa sub-integrals (summed by dyadic_sum), the rows (engine
-    # values) and the convolution slots (one shift loop, then normalized)
-    # all hold the memo's normal form
+    # the kappa sub-integrals and the convolution slots (each one shifted
+    # integer, then normalized) and the rows (engine values) all hold the
+    # memo's normal form
     table = BracketTable()
     for a in ((1, 11), (3, 4, 5), (1, 1, 2, 3, 5)):
         kappa_to_psi(5, (), a, table)

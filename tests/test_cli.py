@@ -190,6 +190,20 @@ def test_kappa_cold_cache_file_golden(tmp_path, capsys):
     )
 
 
+def test_compute_kappa_cold_cache_file_golden(tmp_path, capsys):
+    # the brackets that the kappa steps read decide the cache file
+    cache = tmp_path / "kappa.cache"
+    code, out, _ = run(capsys, "compute-kappa", "--g", "5", "--n", "1",
+                       "--a", "1,1,1,1,1,1,1,1,1,1,1", "--d", "2", "--cache", str(cache))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6dd5f761547dd303d0c52d2338d844db5b47f8f5733ffcefe7da5e0bb3896698"
+    )
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "cdc373d21f3cd0303f6c3ce4061d4e115430b2bb2539df5edc638560229818ce"
+    )
+
+
 def test_many_point_cold_cache_file_golden(tmp_path, capsys):
     # D(6, 7) descends through string, dilaton and boundary steps
     cache = tmp_path / "d67.cache"

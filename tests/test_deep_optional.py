@@ -1,12 +1,12 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; the module takes about 17 s on a 2-vCPU VM:
+Enable with TAUCALC_DEEP=1; the module takes about 18 s on a 2-vCPU VM:
 5 to 6 s checking the two-point rows through genus 300 against the
 Horner oracle, about 5 s script-D from psi-brackets against the kappa
-recursion at genus 8 to 10, about 3.6 s the denominator block through
-genus 11, and about 1 s the two-point monotonicity rows through genus
-500.  The standard acceptance module stays authoritative; this is
-head-room validation.
+recursion at genus 8 to 10, about 1 s the memo counts of script-D(10),
+about 3.6 s the denominator block through genus 11, and about 1 s the
+two-point monotonicity rows through genus 500.  The standard acceptance
+module stays authoritative; this is head-room validation.
 """
 
 import os
@@ -72,6 +72,12 @@ def test_script_D_from_psi_brackets_matches_kappa_route_deep(g):
     assert compute_script_D(g, table).value == script_D_by_kappa(g, kappa_to_psi)
     assert len(table) == SCRIPT_D_MEMO_SIZES[g]
     assert not table._kappa
+
+
+def test_script_D_memo_counts_genus_ten():
+    table = BracketTable()
+    compute_script_D(10, table)
+    assert (len(table), table.hits, table.misses) == (13196, 532801, 13196)
 
 
 def test_denominator_block_through_genus_eleven():

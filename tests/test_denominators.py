@@ -57,6 +57,14 @@ def test_script_D_from_psi_brackets_matches_kappa_route(g):
     assert not table._kappa  # no kappa sub-integral was computed
 
 
+def test_script_D_memo_counts():
+    # a deep descent: memo size, hits and misses of script-D(8) on a fresh
+    # table pin which sub-keys every DVV step of the chain visits
+    table = BracketTable()
+    compute_script_D(8, table)
+    assert (len(table), table.hits, table.misses) == (3165, 64941, 3165)
+
+
 def test_conjecture41_leaves_the_kappa_memo_empty():
     table = BracketTable()
     assert conjecture41_check(4, table).passed

@@ -111,6 +111,21 @@ def test_kappa_fold_matches_set_partition_sum(data):
     assert kappa_to_psi(g, psi, kappa, table) == expected
 
 
+def test_kappa_reduction_memo_counts():
+    # the three compute-kappa monomials of the benchmark, on one fresh
+    # table: bracket memo size, hits and misses and the kappa memo size pin
+    # which sub-integrals and brackets the kappa steps visit
+    table = BracketTable()
+    values = [
+        kappa_to_psi(5, psi, kappa, table)
+        for psi, kappa in [((), (1,) * 10 + (2,)), ((2,), (1,) * 11), ((2, 2), (1,) * 10)]
+    ]
+    assert values == [Fraction(4437290982317891, 2229534720),
+                      Fraction(626693680890100121, 11147673600),
+                      Fraction(639949676749247, 6220800)]
+    assert (len(table), table.hits, table.misses, len(table._kappa)) == (257, 1677, 257, 139)
+
+
 def test_kappa_memo_is_shared_across_monomials():
     # every kappa partition of 3g-3+n with psi = (0,)*n, g <= 3, n <= 2
     cases = [
