@@ -129,10 +129,12 @@ class BracketTable:
       _rows   ascending multiset E -> {j: S(j, E)}, the one-sided rows
               <sigma_j prod sigma_E> at the genus that fits the dimension,
               read by identities.split_sum
-      _conv   K -> {(A, B): C_K(A, B)}, A <= B, the convolutions split_sum
-              builds from two rows.  The slot of every K is kept, since a
-              sweep comes back to a K it has left: c35 at --gmax 6
-              --nmax 4 runs 57 stretches of K over 17 values.
+      _conv   K -> {key: C_K(A, B)}, A <= B, the convolutions split_sum
+              builds from two rows, keyed by the Cantor pair of the ids
+              that identities._sides gives A and B; those ids are
+              process-global and never persisted.  The slot of every K is
+              kept, since a sweep comes back to a K it has left: c35 at
+              --gmax 6 --nmax 4 runs 57 stretches of K over 17 values.
       _kappa  the kappa sub-integrals of reduction.kappa_to_psi
 
     All of it lives as long as the table, is emptied by `clear` and is
@@ -145,9 +147,7 @@ class BracketTable:
         self._data: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._rows: defaultdict[tuple[int, ...], dict[int, tuple[int, int]]] = defaultdict(dict)
         self._pairs: dict[int, tuple[list[int], int]] = {}
-        self._conv: defaultdict[
-            int, dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]
-        ] = defaultdict(dict)
+        self._conv: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
         self._kappa: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
         self.hits = 0
         self.misses = 0

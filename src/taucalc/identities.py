@@ -133,12 +133,18 @@ def _splits(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
     return tuple(submultiset_splits(d))
 
 
+# each distinct sorted side, once per process: side -> (side, its id)
+_SIDE_IDS: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+
+
 @lru_cache(maxsize=None)
-def _sides(extras: tuple[int, ...], d: tuple[int, ...], part: int) -> tuple[tuple[int, ...], ...]:
-    """sorted(extras + split[part]) for each split of `_splits(d)`, in its
-    order: part 0 gives the left sides, part 1 the right ones.  Kept per
-    (extras, d), which far fewer calls share than (left, right, d)."""
-    return tuple(tuple(sorted(extras + split[part])) for split in _splits(d))
+def _sides(extras: tuple[int, ...], d: tuple[int, ...], part: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(A, id) for A = sorted(extras + split[part]) and each split of
+    `_splits(d)`, in its order: part 0 gives the left sides, part 1 the
+    right ones.  A is interned in `_SIDE_IDS`, whose ids count up from 0;
+    both are process-global, like this cache, and never persisted."""
+    return tuple(_SIDE_IDS.setdefault(A, (A, len(_SIDE_IDS)))
+                 for A in (tuple(sorted(extras + split[part])) for split in _splits(d)))
 
 
 @lru_cache(maxsize=None)
@@ -161,12 +167,10 @@ def _convolution(
     scale: tuple[int, ...],
 ) -> tuple[int, int]:
     """C_K(A, B) = sum_j scale[j] S(j, A) S(K-j, B) as (num, e) = num/2^e,
-    num odd or zero, where S(j, E) is row E of the table at j (`t._rows[E]`,
-    filled here on first use) and scale is `_pair_scale(K)[1]`.  genus is
-    the one that K, A and B fix together.  Since scale[K-j] = (-1)^K
-    scale[j], C_K(B, A) = (-1)^K C_K(A, B).  Terms add into one shifted
-    integer, as in `split_sum`; each j reads its left entry, then its right
-    one, whether or not either is zero."""
+    num odd or zero, with S(j, E) row E of the table at j (`t._rows[E]`,
+    filled on first use), scale `_pair_scale(K)[1]` and genus the one K, A
+    and B fix.  As scale[K-j] = (-1)^K scale[j], C_K(B, A) = (-1)^K C_K(A,
+    B).  Each j reads its left entry, then its right one, zero or not."""
     lrow = t._rows[A]
     rrow = t._rows[B]
     total = top = 0  # the sum so far is total/2^top
@@ -204,21 +208,17 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
     at the one genus its own dimension fixes, g' is determined by j, and
     only the j in one residue class mod 3 contribute.
 
-    Each split (I, J) contributes its multiplicity times one convolution
-    C_K(A, B) over j (see `_convolution`), with A = sorted(left_extras +
-    d_I) and B = sorted(right_extras + d_J); `_sides` keeps those sorted
-    sides per (extras, d).  Only the pair with A <= B is ever computed: a
-    split with B < A reads C_K(B, A) and flips the sign of its multiplicity
-    when K is odd.  Splits share their pairs within a call, across calls
-    and across K, so the table keeps the convolutions of every K in its
-    slots (`t._conv[K]`).  A convolution reads its factors from the rows
-    S(j, E) = <sigma_j prod sigma_E>, the engine's (num, e) form, that the
-    table keeps per sorted E (`t._rows[E]`), filled on first use.  The
-    sigma weights of d and the extras are the same for every split, and
-    `_pair_scale(K)`, read once per call and handed to each convolution,
-    puts those of tau_j and tau_{K-j} over one denominator, so a
-    convolution's terms and then the splits' add as integers, each into one
-    shifted numerator, with no dict; a zero sum returns 0 at once.
+    Each split (I, J) adds its multiplicity times the convolution C_K(A, B)
+    (`_convolution`) of its sides A = sorted(left_extras + d_I) and B =
+    sorted(right_extras + d_J), which `_sides` interns.  Only A <= B, in
+    tuple order, is computed: a split with B < A reads C_K(B, A), its sign
+    flipped for odd K.  The table keeps each C_K(A, B) in `t._conv[K]`,
+    keyed by the Cantor pair of the two side ids, since splits share them
+    within a call, across calls and across K.  `_pair_scale(K)` puts the
+    sigma weights of tau_j and tau_{K-j} over one denominator, and those of
+    d and the extras are the same for every split, so the terms of a
+    convolution, and then the splits, add as integers into one shifted
+    numerator.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -232,13 +232,14 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
     L, scale = _pair_scale(K)
     flip = -1 if K % 2 else 1
     total = top = 0  # the sum so far is total/2^top
-    for (_, _, count), A, B in zip(_splits(d), _sides(left, d, 0), _sides(right, d, 1)):
+    for (_, _, count), (A, a), (B, b) in zip(_splits(d), _sides(left, d, 0), _sides(right, d, 1)):
         if B < A:
-            A, B = B, A
+            A, B, a, b = B, A, b, a
             count *= flip
-        c = conv.get((A, B))
+        key = (a + b) * (a + b + 1) // 2 + b  # Cantor's pairing of the side ids
+        c = conv.get(key)
         if c is None:
-            c = conv[A, B] = _convolution(t, K, A, B, genus, scale)
+            c = conv[key] = _convolution(t, K, A, B, genus, scale)
         num, e = c
         if num:
             if e > top:
@@ -677,9 +678,11 @@ def sweep(identity: str, limits: SweepLimits | None = None,
     becomes params in spec order for `verify`, unchecked: `instances` checked it."""
     keys = _spec(identity).keys + ("d",)
     names = sorted(keys)
-    grid = sorted(map(itemgetter(*names), instances(identity, limits)))
+    grid = sorted(map(itemgetter(*names), instances(identity, limits)), reverse=True)
     in_spec_order = itemgetter(*map(names.index, keys))
-    return (verify(identity, table, checked=True, **dict(zip(keys, in_spec_order(v)))) for v in grid)
+    # popped from the end, so each row is freed once its report is pulled
+    return (verify(identity, table, checked=True, **dict(zip(keys, in_spec_order(grid.pop()))))
+            for _ in range(len(grid)))
 
 
 def _n1_sum(g: int, part: int, table: BracketTable | None) -> Fraction:

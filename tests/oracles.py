@@ -31,6 +31,8 @@ monomials, from the caller's kappa reduction: the reference for the
 package's reading of script-D off psi-brackets.
 `bracket_sum_by_fractions` adds signed brackets as one reduced Fraction
 per term, the reference for the identity sides' integer bracket sums.
+`kdv_relations` checks Witten's KdV form of the recursion, a relation
+independent of the DVV step the engine takes, on brackets passed in.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm, prod
 
 from taucalc.brackets import BracketTable, cache_save
@@ -136,6 +138,42 @@ def bracket_sum_by_fractions(genus: int, terms, bracket) -> Fraction:
     """sum of c <prod tau_E>_genus over terms = ((c, E), ...), each term a
     Fraction from the bracket function passed in, bracket(genus, E)."""
     return sum((c * bracket(genus, E) for c, E in terms), Fraction(0))
+
+
+def kdv_relations(sigma_max: int, bracket_any_genus) -> tuple[int, list]:
+    """Witten's KdV form of the recursion,
+
+      (2n+1) <<t_n t_0^2>> = <<t_{n-1} t_0>> <<t_0^3>>
+                             + 2 <<t_{n-1} t_0^2>> <<t_0^2>> + 1/4 <<t_{n-1} t_0^4>>,
+
+    at the coefficient of the labelled spectators X = (x_1, .., x_m), for
+    every multiset X with m <= 4 and sum(X) <= sigma_max and every 1 <= n <
+    3(sum(X) + 6).  Each product sums over the ordered splits of the labels
+    {1..m} (bit masks, not `submultiset_splits`, which the descent uses), and
+    each bracket, bracket_any_genus(exponents), sits at the genus its
+    dimension fixes.  Returns the number of nonzero relations and the
+    (n, X) of those that fail."""
+    b = bracket_any_genus
+    relations, failed = 0, []
+    for m in range(5):
+        for X in combinations_with_replacement(range(sigma_max + 1), m):
+            if sum(X) > sigma_max:
+                continue
+            splits = [
+                (tuple(x for i, x in enumerate(X) if mask >> i & 1),
+                 tuple(x for i, x in enumerate(X) if not mask >> i & 1))
+                for mask in range(2**m)
+            ]
+            for n in range(1, 3 * (sum(X) + 6)):
+                lhs = (2 * n + 1) * b((n, 0, 0) + X)
+                rhs = Fraction(1, 4) * b((n - 1, 0, 0, 0, 0) + X)
+                for left, right in splits:
+                    rhs += b((n - 1, 0) + left) * b((0, 0, 0) + right)
+                    rhs += 2 * b((n - 1, 0, 0) + left) * b((0, 0) + right)
+                if lhs != rhs:
+                    failed.append((n, X))
+                relations += lhs != 0
+    return relations, failed
 
 
 def _odd_df(k: int) -> int:

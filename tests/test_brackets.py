@@ -2,7 +2,6 @@ import hashlib
 import io
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -31,6 +30,7 @@ from oracles import (
     cache_dumps,
     dvv_ordered,
     genus0_string,
+    kdv_relations,
     three_point_with_tau0,
     two_point_numerators_by_channel,
     two_point_numerators_by_horner,
@@ -201,37 +201,13 @@ def test_descent_agrees_with_series():
 
 
 def test_kdv_equation():
-    # Witten's KdV form of the recursion, a relation independent of the
-    # DVV step the engine takes:
-    #   (2n+1) <<t_n t_0^2>> = <<t_{n-1} t_0>> <<t_0^3>>
-    #                          + 2 <<t_{n-1} t_0^2>> <<t_0^2>> + 1/4 <<t_{n-1} t_0^4>>
-    # at the coefficient of the labelled spectators X = (x_1, .., x_m): each
-    # product sums over the ordered splits of the labels {1..m}, and each
-    # bracket sits at the genus its dimension fixes
+    # Witten's KdV form of the recursion (oracles.kdv_relations) on a cold
+    # table, every spectator multiset X with |X| <= 4 and sum(X) <= 8: 1445
+    # nonzero relations (716 of them with sum(X) <= 6); the deep suite runs
+    # sum(X) <= 12
     table = BracketTable()
-
-    def b(*exponents):
-        return bracket_any_genus(exponents, table)
-
-    relations = 0
-    for m in range(5):
-        for X in combinations_with_replacement(range(7), m):
-            if sum(X) > 6:
-                continue
-            splits = [
-                (tuple(x for i, x in enumerate(X) if mask >> i & 1),
-                 tuple(x for i, x in enumerate(X) if not mask >> i & 1))
-                for mask in range(2**m)
-            ]
-            for n in range(1, 3 * (sum(X) + 6)):
-                lhs = (2 * n + 1) * b(n, 0, 0, *X)
-                rhs = Fraction(1, 4) * b(n - 1, 0, 0, 0, 0, *X)
-                for left, right in splits:
-                    rhs += b(n - 1, 0, *left) * b(0, 0, 0, *right)
-                    rhs += 2 * b(n - 1, 0, 0, *left) * b(0, 0, *right)
-                assert lhs == rhs, (n, X)
-                relations += lhs != 0
-    assert relations == 716
+    relations, failed = kdv_relations(8, lambda d: bracket_any_genus(d, table))
+    assert not failed and relations == 1445
 
 
 def test_mirror_paired_descent_matches_ordered_oracle():

@@ -1,19 +1,21 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; the module takes about 18 s on a 2-vCPU VM:
-5 to 6 s checking the two-point rows through genus 300 against the
-Horner oracle, about 5 s script-D from psi-brackets against the kappa
-recursion at genus 8 to 10, about 1 s the memo counts of script-D(10),
-about 3.6 s the denominator block through genus 11, and about 1 s the
-two-point monotonicity rows through genus 500.  The standard acceptance
-module stays authoritative; this is head-room validation.
+Enable with TAUCALC_DEEP=1; the module takes about 85 s on a 2-vCPU VM
+and peaks near 200 MB: about 60 s checking Witten's KdV relations with
+spectator sums up to 12 on a cold table, 6 to 7 s the two-point rows
+through genus 300 against the Horner oracle, about 5 s script-D from
+psi-brackets against the kappa recursion at genus 8 to 10, about 1.5 s
+the memo counts of script-D(10), about 6 s the denominator block through
+genus 11, and about 1 s the two-point monotonicity rows through genus
+500.  The standard acceptance module stays authoritative; this is
+head-room validation.
 """
 
 import os
 
 import pytest
 
-from taucalc.brackets import BracketTable, _two_point_numerators
+from taucalc.brackets import BracketTable, _two_point_numerators, bracket_any_genus
 from taucalc.combinat import multisets_with_sum
 from taucalc.denominators import compute_script_D
 from taucalc.identities import VERIFY_TOKENS, verify
@@ -22,6 +24,7 @@ from taucalc.npoint import npoint_series
 from taucalc.reduction import kappa_to_psi
 from oracles import (
     SCRIPT_D_MEMO_SIZES,
+    kdv_relations,
     script_D_by_kappa,
     two_point_numerators_by_horner,
     warm_table_from_series,
@@ -86,3 +89,11 @@ def test_denominator_block_through_genus_eleven():
     reports = list(VERIFY_TOKENS["c41"][2](11, 1))
     assert all(r.passed for r in reports), [r.id for r in reports if not r.passed]
     assert len(reports) == 3 * 10 + 42 == 72
+
+
+def test_kdv_equation_deep():
+    # tests/test_brackets.py::test_kdv_equation's relations (sum(X) <= 8)
+    # widened to sum(X) <= 12 on a cold table
+    table = BracketTable()
+    relations, failed = kdv_relations(12, lambda d: bracket_any_genus(d, table))
+    assert not failed and relations == 4576

@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -92,6 +93,18 @@ def test_split_sum_matches_brute_force(g, le, re_, d):
             assert want == 0
 
 
+def _conv_pairs(slot):
+    """The (A, B) side pairs of one convolution slot: each key is the Cantor
+    pair of two `identities._sides` ids, decoded through the registry."""
+    side = {i: A for A, i in identities._SIDE_IDS.values()}
+    pairs = []
+    for key in slot:
+        w = (isqrt(8 * key + 1) - 1) // 2
+        b = key - w * (w + 1) // 2
+        pairs.append((side[w - b], side[b]))
+    return pairs
+
+
 def test_split_sum_rows_are_table_scoped():
     args = (4, (0, 1), (0, 0), 2, (1, 2))  # a c35b instance, nonzero
     a = BracketTable()
@@ -111,7 +124,7 @@ def test_split_sum_rows_are_table_scoped():
     # (A, B) with A <= B, filled in the same order on a fresh table, absent
     # from the saved text, and emptied by clear()
     assert list(a._conv) == [4] and a._conv[4]
-    assert all(A <= B for A, B in a._conv[4])
+    assert all(A <= B for A, B in _conv_pairs(a._conv[4]))
     assert list(b._conv[4].items()) == list(a._conv[4].items())
     # a second K adds its own slot and leaves the first one as it was
     kept = dict(a._conv[4])
@@ -161,6 +174,38 @@ def test_c35_default_grid_convolution_count(monkeypatch):
     assert all(r.passed for r in run(g_max, n_max))
     assert len(computed) == len(set(computed)) == 2122
     assert all(A <= B for _, A, B in computed)
+
+
+def test_c35_default_grid_sides_are_interned(monkeypatch):
+    # each distinct side is one object per process: every row key and every
+    # side a slot key decodes to is the registry's own, the decoded pairs
+    # keep A <= B, and no two (K, A, B) share a slot: 2122 slots for the
+    # 2122 convolutions of test_c35_default_grid_convolution_count
+    table = BracketTable()
+    monkeypatch.setattr(brackets, "_DEFAULT_TABLE", table)
+    g_max, n_max, run = identities.VERIFY_TOKENS["c35"]
+    assert all(r.passed for r in run(g_max, n_max))
+    registry = identities._SIDE_IDS
+    assert table._rows and all(registry[E][0] is E for E in table._rows)
+    triples = [(K, A, B) for K, slot in table._conv.items() for A, B in _conv_pairs(slot)]
+    assert len(set(triples)) == len(triples) == 2122
+    assert all(registry[A][0] is A and registry[B][0] is B and A <= B for _, A, B in triples)
+    assert {E for _, A, B in triples for E in (A, B)} == set(table._rows)
+
+
+def test_sweep_frees_each_grid_row_when_pulled():
+    # the grid is held in reverse and popped, so a sweep keeps only the rows
+    # it has not yet pulled, and still yields them in canonical order
+    lim = SweepLimits(3, 2, k_span=2)
+    reports = sweep("c35a", lim)
+    grid = reports.gi_frame.f_locals["grid"]
+    total = len(grid)
+    pulled = [next(reports) for _ in range(5)]
+    assert len(grid) == total - 5 > 0
+    rest = list(reports)
+    assert not grid and len(pulled) + len(rest) == total
+    keys = [r.sort_key() for r in pulled + rest]
+    assert keys == sorted(keys)
 
 
 _call = st.tuples(st.integers(0, 6), _extras, _extras, st.lists(st.integers(0, 3), max_size=2).map(tuple))
