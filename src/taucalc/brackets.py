@@ -34,14 +34,18 @@ and never stored, so no cache file written here holds them.
 The test suite checks the closed forms and the recursion against the
 n-point series engine.
 
-Genus-0 values of S are dyadic, so every value is num/2^e: the memo holds
-the pair (num, e), num odd or zero, and sums add by shifting.  Each sum
-here, in the kappa step (reduction) and in the identities keeps one
-integer total/2^top, shifted up when a term's exponent passes top, and
-`_dyadic` brings it to that normal form once.  A zero term is read but
-not added, so every sum reads its sub-keys in one fixed order.  Fractions
-are built only at the boundary: `bracket` returns num/(2^e prod
-(2d_j+1)!!), and the cache file and BracketTable.put/items hold <tau_d>_g.
+Integrality.  V_g(d) = 2^B S_g(d), B = sigma_scale(g, n) = 4g + n - 2, is
+an integer for every key, and the memo holds V.  By induction on the
+recursion: the closed forms are integers (genus 0: V = 2 (n-3)! prod
+(2x+1) C(2x, x); S_1(1): V = 1; n <= 2 by exact division), and a descent
+term's scale is B - 1, an irreducible term's B - 3 and the sum of a
+reducible term's two B - 1, so every term, its 1/2 included, enters the
+step at a shift that only the shape of the step fixes (see _descent).
+At n = 1, V = (6g-3)!! 2^(g-1)/(3^g g!) is odd when g is a power of 2, so
+the bound is sharp.  Every sum here, in the kappa step (reduction) and in
+the identities adds ints.  Fractions are built only at the boundary:
+`bracket` returns V/(2^B prod (2d_j+1)!!), and the cache file and
+BracketTable.put/items hold <tau_d>_g.
 
 Brackets are total functions: out-of-range input returns 0, never raises.
 """
@@ -71,8 +75,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_DZERO = (0, 0)
-_S11 = (1, 3)  # S_1(1) = 3 * 1/24 = 1/2^3
 
 
 def sigma_weight(exponents: Iterable[int]) -> int:
@@ -80,27 +82,20 @@ def sigma_weight(exponents: Iterable[int]) -> int:
     return prod(map(odd_double_factorial, exponents))
 
 
-def _dyadic(num: int, e: int) -> tuple[int, int]:
-    """num/2^e as (odd or zero numerator, exponent)."""
-    if not num:
-        return _DZERO
-    tz = (num & -num).bit_length() - 1
-    return num >> tz, e - tz
+def sigma_scale(genus: int, n: int) -> int:
+    """B = 4g + n - 2: 2^B S_g(d) is an integer for every key with n points."""
+    return 4 * genus + n - 2
 
 
-def dyadic_ratio(value: tuple[int, int], weight: int) -> tuple[int, int]:
-    """(num, den), not reduced, of num/(2^e weight) for value = (num, e)."""
-    num, e = value
-    return (num, weight << e) if e >= 0 else (num << -e, weight)
-
-
-def _sigma_form(weight: int, num: int, den: int) -> tuple[int, int]:
-    """(num/den) weight as (num, e); ValueError unless dyadic."""
-    odd = den >> ((den & -den).bit_length() - 1)
-    q, r = divmod(num * weight, odd)
+def _scaled(key: tuple[int, tuple[int, ...]], weight: int, num: int, den: int) -> int:
+    """2^B weight num/den, B the scale of key; ValueError unless an int."""
+    B = sigma_scale(key[0], len(key[1]))
+    q, r = divmod((num * weight) << B, den)
     if r:
-        raise ValueError(f"value {num}/{den} is not dyadic in sigma form")
-    return _dyadic(q, (den // odd).bit_length() - 1)
+        odd = den >> ((den & -den).bit_length() - 1)
+        why = "is not dyadic" if (num * weight) % odd else f"leaves no integer at scale 2^{B}"
+        raise ValueError(f"value {num}/{den} {why} in sigma form")
+    return q
 
 
 def _storable(g: int, d: tuple[int, ...]) -> bool:
@@ -114,15 +109,15 @@ class BracketTable:
     """Memo table of brackets keyed by (genus, ascending exponents), with
     persistence support.
 
-    The memo holds S_g(d) (see the module docstring) as (num, e) = num/2^e,
-    num odd or zero; `put` and `items` convert to and from Fraction
-    <tau_d>_g, and `put` raises ValueError for a value whose S is not dyadic.
+    The memo holds the integer V = 2^B S_g(d) (see Integrality in the
+    module docstring); `put` and `items` convert to and from Fraction
+    <tau_d>_g, and `put` raises ValueError for a value whose V is no int.
 
     Insertions are idempotent: recomputation always yields the same exact
     value.
 
     The table also owns derived data, in plain dicts that their callers
-    index and fill directly, every value in the same (num, e) normal form:
+    index and fill directly, every value an int at its own scale 2^B:
 
       _pairs  genus -> the closed two-point row that the engine reads its
               n = 2 keys from
@@ -144,11 +139,11 @@ class BracketTable:
     VERSION = "v1"
 
     def __init__(self) -> None:
-        self._data: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-        self._rows: defaultdict[tuple[int, ...], dict[int, tuple[int, int]]] = defaultdict(dict)
+        self._data: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._rows: defaultdict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
         self._pairs: dict[int, tuple[list[int], int]] = {}
-        self._conv: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
-        self._kappa: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
+        self._conv: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        self._kappa: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -159,11 +154,11 @@ class BracketTable:
         key = tuple(key)
         if not _storable(*key):
             raise ValueError(f"no bracket has the key {key}")
-        self._data[key] = _sigma_form(sigma_weight(key[1]), value.numerator, value.denominator)
+        self._data[key] = _scaled(key, sigma_weight(key[1]), value.numerator, value.denominator)
 
     def items(self):
-        for key, v in self._data.items():
-            yield key, Fraction(*dyadic_ratio(v, sigma_weight(key[1])))
+        for (g, d), v in self._data.items():
+            yield (g, d), Fraction(v, sigma_weight(d) << sigma_scale(g, len(d)))
 
     def update(self, other: "BracketTable") -> None:
         """Copy every memo entry of `other` into this table."""
@@ -193,14 +188,12 @@ def one_point(genus: int) -> Fraction:
     return Fraction(1, 24**genus * factorial(genus))
 
 
-def sigma_bracket(
-    genus: int, exponents: Iterable[int], table: BracketTable | None = None
-) -> tuple[int, int]:
-    """S_genus(d) = prod (2d_j+1)!! <prod tau_{d_j}>_genus as (num, e), num
-    odd or zero; (0, 0) outside the stable range."""
+def sigma_bracket(genus: int, exponents: Iterable[int], table: BracketTable | None = None) -> int:
+    """2^B S_genus(d) = 2^B prod (2d_j+1)!! <prod tau_{d_j}>_genus, B =
+    sigma_scale(genus, len(d)); 0 outside the stable range."""
     d = tuple(sorted(exponents))
     if genus < 0 or (d and d[0] < 0):
-        return _DZERO
+        return 0
     t = table if table is not None else _DEFAULT_TABLE
     return _bracket(genus, d, t)
 
@@ -209,7 +202,7 @@ def bracket(genus: int, exponents: Iterable[int], table: BracketTable | None = N
     """Exact value of <prod tau_{d_j}>_genus; 0 outside the stable range."""
     d = tuple(exponents)
     v = sigma_bracket(genus, d, table)
-    return Fraction(*dyadic_ratio(v, sigma_weight(d))) if v[0] else _ZERO
+    return Fraction(v, sigma_weight(d) << sigma_scale(genus, len(d))) if v else _ZERO
 
 
 def bracket_any_genus(exponents: Iterable[int], table: BracketTable | None = None) -> Fraction:
@@ -219,36 +212,33 @@ def bracket_any_genus(exponents: Iterable[int], table: BracketTable | None = Non
     return _ZERO if rem else bracket(g, d, table)
 
 
-def _genus0(d: tuple[int, ...]) -> tuple[int, int]:
-    # (2d+1)!!/d! = (2d+1) C(2d, d)/2^d, and sum(d) = n - 3 (so n >= 3)
-    num = factorial(len(d) - 3)
-    for x in d:
-        num *= (2 * x + 1) * comb(2 * x, x)
-    return _dyadic(num, len(d) - 3)
+def _genus0(d: tuple[int, ...]) -> int:
+    # (2d+1)!!/d! = (2d+1) C(2d, d)/2^d, sum(d) = n - 3 (so n >= 3), B = n - 2
+    return 2 * factorial(len(d) - 3) * prod((2 * x + 1) * comb(2 * x, x) for x in d)
 
 
-def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
+def _bracket(g: int, d: tuple[int, ...], t: BracketTable) -> int:
     key = (g, d)  # a hit needs no range check: the memo holds _storable keys
     v = t._data.get(key)
     if v is not None:
         t.hits += 1
         return v
     if g == 0:
-        return _genus0(d) if sum(d) == len(d) - 3 else _DZERO
+        return _genus0(d) if sum(d) == len(d) - 3 else 0
     if g == 1 and d == (1,):
-        return _S11
+        return 1  # S_1(1) = 3 * 1/24 = 1/2^3, and B = 3
     n = len(d)
     if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
-        return _DZERO
+        return 0
     t.misses += 1
 
     if n == 1:
-        value = _sigma_form(sigma_weight(d), 1, 24**g * factorial(g))
+        value = _scaled(key, sigma_weight(d), 1, 24**g * factorial(g))
     elif n == 2:
         row = t._pairs.get(g)
         if row is None:
             row = t._pairs[g] = _two_point_numerators(g)
-        value = _sigma_form(sigma_weight(d), row[0][d[0]], row[1])
+        value = _scaled(key, sigma_weight(d), row[0][d[0]], row[1])
     else:
         value = _descent(g, d, t)
     t._data[key] = value
@@ -288,43 +278,34 @@ def _two_point_numerators(g: int) -> tuple[list[int], int]:
     return v[4:], seed * 24**g * factorial(g)
 
 
-def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
+def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> int:
     """One DVV step (see the module docstring) on a key of genus >= 1 with
     n >= 3 exponents, on the pivot its rule picks.  Every sub-key goes back
-    through _bracket, which closes those with n <= 2.
+    through _bracket, which closes those with n <= 2.  Each term is shifted
+    up by the bits its scale lacks against the key's (see Integrality), one
+    fewer for the 1/2 of a self-mirror term.
     """
     if d[0] == 1:
         # k = 0, the dilaton equation: every descent term reads d[1:]
-        num, e = _bracket(g, d[1:], t)
-        return _dyadic(3 * (2 * g - 3 + len(d)) * num, e)
+        return 6 * (2 * g - 3 + len(d)) * _bracket(g, d[1:], t)
     k, rest = (-1, d[1:]) if d[0] == 0 else (d[-1] - 1, d[:-1])
-    total = top = 0  # the sum so far is total/2^top
+    total = 0
 
     # descent: move one remaining exponent by k (group equal values); the
     # first of a run stays in place when lowered, so only k >= 1 sorts
     for i, x in enumerate(rest):
         if x + k >= 0 and (i == 0 or rest[i - 1] != x):
             sub = rest[:i] + (x + k,) + rest[i + 1 :]
-            num, e = _bracket(g, tuple(sorted(sub)) if k > 0 else sub, t)
-            if num:
-                if e > top:
-                    total <<= e - top
-                    top = e
-                total += (rest.count(x) * (2 * x + 1) * num) << (top - e)
+            total += rest.count(x) * (2 * x + 1) * _bracket(g, tuple(sorted(sub)) if k > 0 else sub, t)
+    total <<= 1
     if k < 0:  # the string equation has no boundary terms
-        return _dyadic(total, top)
+        return total
 
     # boundary terms (k >= 1 since every exponent is >= 2), one per mirror
-    # pair; only a self-mirror term keeps the 1/2, as the +1 on its exponent
+    # pair; a self-mirror term keeps the 1/2, one shift less
     for r in range((k + 1) // 2):
         # irreducible: genus drops, both new insertions on one component
-        num, e = _bracket(g - 1, tuple(sorted(rest + (r, k - 1 - r))), t)
-        if num:
-            e += 2 * r == k - 1
-            if e > top:
-                total <<= e - top
-                top = e
-            total += num << (top - e)
+        total += _bracket(g - 1, tuple(sorted(rest + (r, k - 1 - r))), t) << (2 + (2 * r != k - 1))
     # reducible: the left genus (r + c)/3 is forced by its dimension, so r
     # runs over one residue class mod 3; c > 0 as every exponent of rest is
     # >= 2, so that genus is >= 1 (and so is the right one, likewise)
@@ -333,15 +314,10 @@ def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> tuple[int, int]:
             c = sum(left) - len(left) + 2
             for r in range(-c % 3, min((k - 1) // 2 if left == right else k - 1, 3 * g - c) + 1, 3):
                 gl = (r + c) // 3
-                ln, le = _bracket(gl, tuple(sorted((r,) + left)), t)
-                rn, re = _bracket(g - gl, tuple(sorted((k - 1 - r,) + right)), t)
-                if ln and rn:
-                    e = le + re + (2 * r == k - 1 and left == right)
-                    if e > top:
-                        total <<= e - top
-                        top = e
-                    total += (count * ln * rn) << (top - e)
-    return _dyadic(total, top)
+                lv = _bracket(gl, tuple(sorted((r,) + left)), t)
+                rv = _bracket(g - gl, tuple(sorted((k - 1 - r,) + right)), t)
+                total += (count * lv * rv) << (2 * r != k - 1 or left != right)
+    return total
 
 
 class CacheError(ValueError):
@@ -355,9 +331,9 @@ def _cache_lines(table: BracketTable) -> list[str]:
     lines = []
     entries = sorted(table._data.items(), key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))
     for (g, exps), v in entries:
-        num, den = dyadic_ratio(v, sigma_weight(exps))
-        c = gcd(num, den)
-        value = f"{num // c}/{den // c}" if den != c else str(num // c)
+        den = sigma_weight(exps) << sigma_scale(g, len(exps))
+        c = gcd(v, den)
+        value = f"{v // c}/{den // c}" if den != c else str(v // c)
         lines.append(f"{g}|{','.join(map(str, exps))}|{value}")
     return lines
 
@@ -397,8 +373,8 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
 
     The file must end with the checksum trailer that cache_save writes;
     a file without it, or with entries after it, is rejected, and so are a
-    second line with the key of an earlier one and a value whose sigma
-    form (see the module docstring) is not dyadic.  A key the engine never
+    second line with the key of an earlier one and a value whose V (see
+    Integrality in the module docstring) is no int.  A key the engine never
     stores (see _storable), and a one-point key whose value is not
     1/(24^g g!), are rejected before a weight is computed, and the weights
     are computed in a memo local to the load, so a hostile file cannot fill
@@ -476,7 +452,7 @@ def cache_load(source: str | IO[str], verify: bool = False) -> BracketTable:
                     f"recomputation {format_rational(recomputed)}"
                 )
         try:
-            table._data[(g, exps)] = _sigma_form(prod(map(weight, exps)), num, den)
+            table._data[(g, exps)] = _scaled((g, exps), prod(map(weight, exps)), num, den)
         except ValueError as exc:
             raise CacheError(f"line {lineno}: {exc} in {line!r}") from None
         entry_lines.append(line)

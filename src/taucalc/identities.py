@@ -21,12 +21,13 @@ The splitting sums behind the c32-c35 families and the eq3/eq5/eq7/eq8
 insertion combinations all go through `split_sum`, one convolution of two
 of the bracket table's rows per split (see its docstring).
 
-Every bracket-side sum keeps one rule: it reads the engine's sigma pairs
-S = num/2^e (`sigma_bracket`), adds them as integers over the lcm of their
-weights into one shifted accumulator, and builds one Fraction at the end.
-`_bracket_sum` does so for the signed bracket lists (the alternating pair
-sum, the c33 head and descent terms behind the insertion combinations, the
-c32 heads), and `split_sum` and each `_convolution` for the splittings.
+Every bracket-side sum keeps one rule: it reads the engine's ints V =
+2^B S (`sigma_bracket`, B = `sigma_scale`), adds them as integers over
+one denominator and builds one Fraction at the end.  `_bracket_sum` does
+so for the signed bracket lists (the alternating pair sum, the c33 head
+and descent terms behind the insertion combinations, the c32 heads), and
+`split_sum` and each `_convolution` for the splittings, whose terms all
+share one scale.
 
 The bracket side of eq3 is (2g)!/B_2g times Mumford's expansion of
 <ch_{2g-1} prod tau_d>_g, so `ch_insertion` (any odd Chern character of
@@ -62,8 +63,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from . import denominators as dn
 from . import monotone as mono
 from .brackets import (
-    BracketTable, _dyadic, bracket, default_table, dyadic_ratio, one_point, sigma_bracket,
-    sigma_weight,
+    BracketTable, bracket, default_table, one_point, sigma_bracket, sigma_scale, sigma_weight,
 )
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
@@ -103,28 +103,22 @@ def alt_pair_sum(K: int, genus: int, d: Iterable[int], table: BracketTable | Non
 def _bracket_sum(genus: int, terms: Iterable[tuple[int, tuple[int, ...]]],
                  table: BracketTable | None) -> Fraction:
     """sum of c <prod tau_E>_genus over terms = ((c, E), ...), c an int, read
-    in order as sigma pairs S(E) = num/2^e (`sigma_bracket`) and added as
-    integers: the sum so far is total/(2^top L), L the lcm of the weights
-    sigma_weight(E) of the nonzero terms so far, so one Fraction is built
-    per sum.  A zero term computes no weight."""
+    in order as ints V(E) = 2^B sigma_weight(E) <prod tau_E> (`sigma_bracket`)
+    and added as integers: the sum so far is total/L, L the lcm of the
+    weights 2^B sigma_weight(E) of the nonzero terms so far, so one Fraction
+    is built per sum.  A zero term computes no weight."""
     t = table if table is not None else default_table()
-    total = top = 0
-    L = 1
+    total, L = 0, 1
     for c, E in terms:
-        num, e = sigma_bracket(genus, E, t)
-        if num:
-            w = sigma_weight(E)
+        v = sigma_bracket(genus, E, t)
+        if v:
+            w = sigma_weight(E) << sigma_scale(genus, len(E))
             if L % w:
                 grow = w // gcd(L, w)
                 total *= grow
                 L *= grow
-            if e > top:
-                total <<= e - top
-                top = e
-            total += (c * num * (L // w)) << (top - e)
-    if not total:
-        return _ZERO
-    return Fraction(*dyadic_ratio((total, top), L))
+            total += c * v * (L // w)
+    return Fraction(total, L) if total else _ZERO
 
 
 @lru_cache(maxsize=None)
@@ -165,15 +159,16 @@ def _pair_scale(K: int) -> tuple[int, tuple[int, ...]]:
 def _convolution(
     t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int,
     scale: tuple[int, ...],
-) -> tuple[int, int]:
-    """C_K(A, B) = sum_j scale[j] S(j, A) S(K-j, B) as (num, e) = num/2^e,
-    num odd or zero, with S(j, E) row E of the table at j (`t._rows[E]`,
-    filled on first use), scale `_pair_scale(K)[1]` and genus the one K, A
-    and B fix.  As scale[K-j] = (-1)^K scale[j], C_K(B, A) = (-1)^K C_K(A,
-    B).  Each j reads its left entry, then its right one, zero or not."""
+) -> int:
+    """C_K(A, B) = sum_j scale[j] V(j, A) V(K-j, B), with V(j, E) = 2^B S(j, E)
+    row E of the table at j (`t._rows[E]`, filled on first use), scale
+    `_pair_scale(K)[1]` and genus the one K, A and B fix.  The two scales
+    add up to 4 genus + |A| + |B| - 2 at every j, so no term is shifted.
+    As scale[K-j] = (-1)^K scale[j], C_K(B, A) = (-1)^K C_K(A, B).  Each j
+    reads its left entry, then its right one, zero or not."""
     lrow = t._rows[A]
     rrow = t._rows[B]
-    total = top = 0  # the sum so far is total/2^top
+    total = 0
     # the left factor fits its dimension at genus g' iff j = lo + 3 g'
     lo = len(A) - 2 - sum(A)
     start = lo if lo >= 0 else lo % 3
@@ -184,15 +179,8 @@ def _convolution(
         rv = rrow.get(K - j)
         if rv is None:
             rv = rrow[K - j] = sigma_bracket(genus - (j - lo) // 3, (K - j,) + B, t)
-        ln, le = lv
-        rn, re = rv
-        if ln and rn:
-            e = le + re
-            if e > top:
-                total <<= e - top
-                top = e
-            total += (ln * rn * scale[j]) << (top - e)
-    return _dyadic(total, top)
+        total += lv * rv * scale[j]
+    return total
 
 
 def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], genus: int,
@@ -216,9 +204,8 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
     keyed by the Cantor pair of the two side ids, since splits share them
     within a call, across calls and across K.  `_pair_scale(K)` puts the
     sigma weights of tau_j and tau_{K-j} over one denominator, and those of
-    d and the extras are the same for every split, so the terms of a
-    convolution, and then the splits, add as integers into one shifted
-    numerator.
+    d and the extras, like the scale 2^B of the n = |extras| + |d| points,
+    are the same for every split, so the splits add as plain integers.
     """
     if K < 0:
         raise ParameterError("K must be nonnegative")
@@ -231,7 +218,7 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
     conv = t._conv[K]
     L, scale = _pair_scale(K)
     flip = -1 if K % 2 else 1
-    total = top = 0  # the sum so far is total/2^top
+    total = 0
     for (_, _, count), (A, a), (B, b) in zip(_splits(d), _sides(left, d, 0), _sides(right, d, 1)):
         if B < A:
             A, B, a, b = B, A, b, a
@@ -240,15 +227,9 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
         c = conv.get(key)
         if c is None:
             c = conv[key] = _convolution(t, K, A, B, genus, scale)
-        num, e = c
-        if num:
-            if e > top:
-                total <<= e - top
-                top = e
-            total += (count * num) << (top - e)
-    if not total:
-        return _ZERO
-    return Fraction(*dyadic_ratio((total, top), L * sigma_weight(left + right + d)))
+        total += count * c
+    E = left + right + d
+    return Fraction(total, L * sigma_weight(E) << sigma_scale(genus, len(E))) if total else _ZERO
 
 
 def _dfact_prod(d: Iterable[int]) -> int:

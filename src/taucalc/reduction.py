@@ -12,10 +12,11 @@ Two routes live here:
   over the sub-multisets S of B' (mult(S) the product of binomials, as in
   `combinat.submultiset_splits`), ending in a pure bracket when no kappa
   is left.  Every kappa monomial of a genus shares the sub-integrals, so
-  they are memoized on the bracket table, in sigma form times an integer
-  D(kappa) that clears the (2c+1)!! of every new tau_c: the value is a
-  dyadic pair (num, e), each step adds integer multiples of its terms'
-  num into one shifted integer, and one Fraction is built at the root,
+  they are memoized on the bracket table as ints: the sigma form times an
+  integer D(kappa) that clears the (2c+1)!! of every new tau_c, times the
+  scale 2^B of a bracket with n + |kappa| points (`sigma_scale`).  A step
+  trades 1 + |S| kappas for one tau, so its term's scale lacks 2^|S|, which
+  the plan folds into the term's weight; one Fraction is built at the root,
 * the closed lambda_g formula
       <prod psi^{d_j} lambda_g> = C(2g+n-3; d) (2^{2g-1}-1)/2^{2g-1} |B_2g|/(2g)!.
 
@@ -31,9 +32,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable
 
-from .brackets import (
-    BracketTable, _dyadic, default_table, dyadic_ratio, sigma_bracket, sigma_weight,
-)
+from .brackets import BracketTable, default_table, sigma_bracket, sigma_scale, sigma_weight
 from .combinat import multinomial, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
 
@@ -65,8 +64,8 @@ def kappa_to_psi(
     if sum(psi) + sum(kappa) != 3 * genus - 3 + n or 2 * genus - 2 + n <= 0:
         return _ZERO
     t = table if table is not None else default_table()
-    value = _sigma_kappa(genus, psi, kappa, t)
-    return Fraction(*dyadic_ratio(value, _kappa_plan(kappa)[0] * sigma_weight(psi)))
+    den = _kappa_plan(kappa)[0] * sigma_weight(psi) << sigma_scale(genus, n + len(kappa))
+    return Fraction(_sigma_kappa(genus, psi, kappa, t), den)
 
 
 @lru_cache(maxsize=None)
@@ -77,13 +76,14 @@ def _kappa_plan(
 
     D(()) = 1, and D(kappa) is the lcm over the sub-multisets S of B' of
     (2c+1)!! D(B' - S) with c = b+1+sum(S).  terms holds, per S, the triple
-    (c, B' - S, (-1)^|S| mult(S) D(kappa) / ((2c+1)!! D(B' - S))).
+    (c, B' - S, (-2)^|S| mult(S) D(kappa) / ((2c+1)!! D(B' - S))), 2^|S|
+    the scale that the term of S lacks (see the module docstring).
     """
     if not kappa:
         return 1, ()
     b = kappa[-1]
     parts = [
-        (b + 1 + sum(S), rest, (-1) ** len(S) * count)
+        (b + 1 + sum(S), rest, (-2) ** len(S) * count)
         for S, rest, count in submultiset_splits(kappa[:-1])
     ]
     dens = [odd_double_factorial(c) * _kappa_plan(rest)[0] for c, rest, _ in parts]
@@ -91,26 +91,18 @@ def _kappa_plan(
     return D, tuple((c, rest, coeff * (D // x)) for (c, rest, coeff), x in zip(parts, dens))
 
 
-def _sigma_kappa(
-    g: int, psi: tuple[int, ...], kappa: tuple[int, ...], t: BracketTable
-) -> tuple[int, int]:
-    """sigma_weight(psi) D(kappa) <prod tau_psi prod kappa_kappa>_g as (num, e),
-    for ascending psi and kappa that fit the dimension; memoized on t."""
+def _sigma_kappa(g: int, psi: tuple[int, ...], kappa: tuple[int, ...], t: BracketTable) -> int:
+    """2^B sigma_weight(psi) D(kappa) <prod tau_psi prod kappa_kappa>_g, B =
+    sigma_scale(g, |psi| + |kappa|), for ascending psi and kappa that fit the
+    dimension; memoized on t."""
     if len(kappa) < 2:
         # no kappa, or the last step: one term, tau_{b+1}, with D((b,)) = (2b+3)!!
         return sigma_bracket(g, psi + (kappa[0] + 1,) if kappa else psi, t)
     key = (g, psi, kappa)
     value = t._kappa.get(key)
     if value is None:
-        total = top = 0  # the sum so far is total/2^top
-        for c, rest, w in _kappa_plan(kappa)[1]:
-            num, e = _sigma_kappa(g, tuple(sorted(psi + (c,))), rest, t)
-            if num:
-                if e > top:
-                    total <<= e - top
-                    top = e
-                total += (w * num) << (top - e)
-        value = t._kappa[key] = _dyadic(total, top)
+        value = t._kappa[key] = sum(w * _sigma_kappa(g, tuple(sorted(psi + (c,))), rest, t)
+                                    for c, rest, w in _kappa_plan(kappa)[1])
     return value
 
 

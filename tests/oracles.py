@@ -33,6 +33,8 @@ package's reading of script-D off psi-brackets.
 per term, the reference for the identity sides' integer bracket sums.
 `kdv_relations` checks Witten's KdV form of the recursion, a relation
 independent of the DVV step the engine takes, on brackets passed in.
+`conv_pairs` decodes the keys of a split-sum convolution slot back to the
+side pairs they stand for.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import io
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, isqrt, lcm, prod
 
 from taucalc.brackets import BracketTable, cache_save
 from taucalc.combinat import multisets_with_sum, partitions, submultiset_splits
@@ -497,3 +499,16 @@ def lowerings(n: int, degree: int, k: int) -> tuple:
                 row.append((m[:j] + (v - k,) + m[j:i] + m[i + 1 :], m.count(v)))
         table.append((m, tuple(row)))
     return tuple(table)
+
+
+def conv_pairs(slot, side_ids) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (A, B) side pairs of one convolution slot, in its order: each key
+    is the Cantor pair of two side ids, decoded through the side registry
+    `side_ids` (side -> (side, id))."""
+    side = {i: A for A, i in side_ids.values()}
+    pairs = []
+    for key in slot:
+        w = (isqrt(8 * key + 1) - 1) // 2
+        b = key - w * (w + 1) // 2
+        pairs.append((side[w - b], side[b]))
+    return pairs

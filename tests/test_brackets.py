@@ -17,17 +17,20 @@ from taucalc.brackets import (
     cache_load,
     cache_save,
     one_point,
+    sigma_scale,
     sigma_weight,
 )
 from taucalc.combinat import multisets_with_sum
 from taucalc.denominators import compute_D
-from taucalc.identities import SweepLimits, sweep
+from taucalc import identities
+from taucalc.identities import SweepLimits, _pair_scale, sweep
 from taucalc.npoint import npoint_series
 from taucalc.rationals import double_factorial, odd_double_factorial
-from taucalc.reduction import kappa_to_psi
+from taucalc.reduction import _kappa_plan, kappa_to_psi
 from oracles import (
     REFERENCE_BRACKETS,
     cache_dumps,
+    conv_pairs,
     dvv_ordered,
     genus0_string,
     kdv_relations,
@@ -220,9 +223,9 @@ def test_mirror_paired_descent_matches_ordered_oracle():
     assert len(strata) == 52
     for g, n in strata:
         for d in multisets_with_sum(n, 3 * g - 3 + n):
-            num, e = br.sigma_bracket(g, d, table)
-            assert Fraction(num) / Fraction(2) ** e == dvv_ordered(g, d, memo), (g, d)
-    cold = {key: Fraction(num) / Fraction(2) ** e for key, (num, e) in table._data.items()}
+            v = br.sigma_bracket(g, d, table)
+            assert Fraction(v, 2 ** sigma_scale(g, n)) == dvv_ordered(g, d, memo), (g, d)
+    cold = {(g, d): Fraction(v, 2 ** sigma_scale(g, len(d))) for (g, d), v in table._data.items()}
     assert cold == memo and len(memo) == 3738
 
 
@@ -263,33 +266,56 @@ def test_cold_stratum_memo_counts(g, n, counts):
 
 
 def test_memo_holds_dyadic_normal_form():
-    # every memo entry is S = prod (2d_j+1)!! <tau_d> as (num, e) = num/2^e
-    # with num odd or zero
+    # every memo entry is the int V = 2^B S, S = prod (2d_j+1)!! <tau_d> and
+    # B = 4g + n - 2 (the integrality theorem of the brackets module)
     table = BracketTable()
     for d in multisets_with_sum(4, 3 * 6 - 3 + 4):
         bracket(6, d, table)
     assert len(table) > 0
-    for (g, d), (num, e) in table._data.items():
-        assert type(num) is int and type(e) is int, (g, d)
-        assert num % 2 == 1 or (num, e) == (0, 0), (g, d)
-        assert Fraction(num, 2**e) == bracket(g, d) * sigma_weight(d), (g, d)
+    for (g, d), v in table._data.items():
+        assert type(v) is int and sigma_scale(g, len(d)) == 4 * g + len(d) - 2, (g, d)
+        assert v == bracket(g, d) * sigma_weight(d) * 2 ** sigma_scale(g, len(d)), (g, d)
+
+
+def _scaled_bracket(E, table):
+    """2^B S(E) at the genus that fits the dimension, read as a Fraction."""
+    g, rem = divmod(sum(E) - len(E) + 3, 3)
+    if rem or g < 0:
+        return 0
+    return bracket(g, E, table) * sigma_weight(E) * 2 ** sigma_scale(g, len(E))
 
 
 def test_derived_memos_hold_dyadic_normal_form():
-    # the kappa sub-integrals and the convolution slots (each one shifted
-    # integer, then normalized) and the rows (engine values) all hold the
-    # memo's normal form
-    table = BracketTable()
+    # the kappa sub-integrals, the rows and the convolution slots are ints,
+    # each equal to its value recomputed through Fractions at its own scale
+    table, fresh = BracketTable(), BracketTable()
     for a in ((1, 11), (3, 4, 5), (1, 1, 2, 3, 5)):
         kappa_to_psi(5, (), a, table)
     list(sweep("c35a", SweepLimits(4, 3, k_span=2), table))
     assert table._kappa and table._rows and table._conv
-    values = list(table._kappa.values())
-    for store in (table._rows, table._conv):
-        values += [v for inner in store.values() for v in inner.values()]
-    for num, e in values:
-        assert type(num) is int and type(e) is int
-        assert num % 2 == 1 or (num, e) == (0, 0), (num, e)
+    for (g, psi, kappa), v in table._kappa.items():
+        scale = _kappa_plan(kappa)[0] * sigma_weight(psi) * 2 ** sigma_scale(g, len(psi) + len(kappa))
+        assert type(v) is int and v == kappa_to_psi(g, psi, kappa, fresh) * scale, (g, psi, kappa)
+    for E, row in table._rows.items():
+        for j, v in row.items():
+            assert type(v) is int and v == _scaled_bracket((j,) + E, fresh), (j, E)
+    for K, slot in table._conv.items():
+        scale = _pair_scale(K)[1]
+        for (A, B), v in zip(conv_pairs(slot, identities._SIDE_IDS), slot.values()):
+            want = sum(scale[j] * _scaled_bracket((j,) + A, fresh) * _scaled_bracket((K - j,) + B, fresh)
+                       for j in range(K + 1))
+            assert type(v) is int and v == want, (K, A, B)
+
+
+def test_scale_is_sharp_at_one_point_of_genus_a_power_of_two():
+    # at n = 1, V = (6g-3)!! 2^(g-1) / (3^g g!) holds 2^(s_2(g) - 1), s_2
+    # the binary digit sum: odd exactly when g is a power of 2
+    table = BracketTable()
+    for g in range(1, 17):
+        v = br.sigma_bracket(g, (3 * g - 2,), table)
+        assert (v & -v).bit_length() - 1 == bin(g).count("1") - 1, g
+        assert g == 1 or table._data[(g, (3 * g - 2,))] == v
+    assert all(br.sigma_bracket(g, (3 * g - 2,), table) % 2 == 1 for g in (1, 2, 4, 8, 16))
 
 
 def test_clear_empties_every_store():
@@ -394,6 +420,15 @@ def test_cache_rejects_value_whose_sigma_form_is_not_dyadic():
         cache_load(io.StringIO(_sealed("1|1,1|1/27")))
     with pytest.raises(ValueError, match="not dyadic"):
         BracketTable().put((1, (1,)), Fraction(1, 72))
+
+
+def test_cache_rejects_dyadic_value_beyond_the_sigma_scale():
+    # 9 * 1/1024 is dyadic, but no bracket of g = 1, n = 2 has more than
+    # 2^(4g+n-2) = 2^4 in the denominator of its sigma form
+    with pytest.raises(CacheError, match="line 2: value 1/1024 leaves no integer at scale 2\\^4"):
+        cache_load(io.StringIO(_sealed("1|1,1|1/1024")))
+    with pytest.raises(ValueError, match="leaves no integer at scale"):
+        BracketTable().put((1, (1, 1)), Fraction(1, 1024))
 
 
 @pytest.mark.parametrize("entry", [

@@ -2,7 +2,6 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +22,7 @@ from taucalc.identities import (
     verify,
 )
 from taucalc.report import Report, reports_to_json
-from oracles import bracket_sum_by_fractions, cache_dumps
+from oracles import bracket_sum_by_fractions, cache_dumps, conv_pairs
 
 
 def test_alt_pair_sum_examples():
@@ -93,18 +92,6 @@ def test_split_sum_matches_brute_force(g, le, re_, d):
             assert want == 0
 
 
-def _conv_pairs(slot):
-    """The (A, B) side pairs of one convolution slot: each key is the Cantor
-    pair of two `identities._sides` ids, decoded through the registry."""
-    side = {i: A for A, i in identities._SIDE_IDS.values()}
-    pairs = []
-    for key in slot:
-        w = (isqrt(8 * key + 1) - 1) // 2
-        b = key - w * (w + 1) // 2
-        pairs.append((side[w - b], side[b]))
-    return pairs
-
-
 def test_split_sum_rows_are_table_scoped():
     args = (4, (0, 1), (0, 0), 2, (1, 2))  # a c35b instance, nonzero
     a = BracketTable()
@@ -124,7 +111,7 @@ def test_split_sum_rows_are_table_scoped():
     # (A, B) with A <= B, filled in the same order on a fresh table, absent
     # from the saved text, and emptied by clear()
     assert list(a._conv) == [4] and a._conv[4]
-    assert all(A <= B for A, B in _conv_pairs(a._conv[4]))
+    assert all(A <= B for A, B in conv_pairs(a._conv[4], identities._SIDE_IDS))
     assert list(b._conv[4].items()) == list(a._conv[4].items())
     # a second K adds its own slot and leaves the first one as it was
     kept = dict(a._conv[4])
@@ -187,7 +174,7 @@ def test_c35_default_grid_sides_are_interned(monkeypatch):
     assert all(r.passed for r in run(g_max, n_max))
     registry = identities._SIDE_IDS
     assert table._rows and all(registry[E][0] is E for E in table._rows)
-    triples = [(K, A, B) for K, slot in table._conv.items() for A, B in _conv_pairs(slot)]
+    triples = [(K, A, B) for K, slot in table._conv.items() for A, B in conv_pairs(slot, registry)]
     assert len(set(triples)) == len(triples) == 2122
     assert all(registry[A][0] is A and registry[B][0] is B and A <= B for _, A, B in triples)
     assert {E for _, A, B in triples for E in (A, B)} == set(table._rows)
