@@ -25,12 +25,16 @@ terms), else a tau_1 (k = 0: the dilaton equation, whose descent terms all
 read d, so the step is 3(2g-2+|d|) S_g(d)), else the largest exponent, so
 the boundary terms only ever meet exponents >= 2.  A boundary term
 equals its mirror, with (r, I) and (s, J) swapped, so the sum is taken over
-mirror pairs at weight 1, and a self-mirror term at 1/2.  Every key of
-genus >= 1 visited, closed or not, is memoized under its own exponents,
-but S_1(1) = 3 <tau_1>_1 = 1/8.  The memo is read first, since nearly
-every read is a hit (so a genus-0 key that `put` or a cache file placed
-there is read from it); on a miss, genus-0 keys and S_1(1) are closed
-and never stored, so no cache file written here holds them.
+mirror pairs at weight 1, and a self-mirror term at 1/2.  A reducible
+factor S_{g'}(r, d_I), its genus fixed by the dimension, is entry r of
+the table's one-sided row of d_I (BracketTable._rows), which the step
+reads first; an entry it misses, and every other sub-key, goes to the
+memo.  Every key of genus >= 1 visited, closed or not, is memoized under
+its own exponents, but S_1(1) = 3 <tau_1>_1 = 1/8.  The memo is read
+first, since nearly every read is a hit (so a genus-0 key that `put` or a
+cache file placed there is read from it); on a miss, genus-0 keys and
+S_1(1) are closed and never stored, so no cache file written here holds
+them.
 The test suite checks the closed forms and the recursion against the
 n-point series engine.
 
@@ -114,7 +118,8 @@ class BracketTable:
     <tau_d>_g, and `put` raises ValueError for a value whose V is no int.
 
     Insertions are idempotent: recomputation always yields the same exact
-    value.
+    value, and `put` raises ValueError for a value other than the one the
+    key holds, which the rows below may already have read.
 
     The table also owns derived data, in plain dicts that their callers
     index and fill directly, every value an int at its own scale 2^B:
@@ -123,7 +128,8 @@ class BracketTable:
               n = 2 keys from
       _rows   ascending multiset E -> {j: S(j, E)}, the one-sided rows
               <sigma_j prod sigma_E> at the genus that fits the dimension,
-              read by identities.split_sum
+              read by the reducible terms of _descent and by
+              identities.split_sum, and filled by `fill_row` on a miss
       _conv   K -> {key: C_K(A, B)}, A <= B, the convolutions split_sum
               builds from two rows, keyed by the Cantor pair of the ids
               that identities._sides gives A and B; those ids are
@@ -154,7 +160,12 @@ class BracketTable:
         key = tuple(key)
         if not _storable(*key):
             raise ValueError(f"no bracket has the key {key}")
-        self._data[key] = _scaled(key, sigma_weight(key[1]), value.numerator, value.denominator)
+        w = sigma_weight(key[1])
+        v = _scaled(key, w, value.numerator, value.denominator)
+        held = self._data.setdefault(key, v)
+        if held != v:
+            held = Fraction(held, w << sigma_scale(key[0], len(key[1])))
+            raise ValueError(f"the key {key} holds {held}, not {value}")
 
     def items(self):
         for (g, d), v in self._data.items():
@@ -280,10 +291,13 @@ def _two_point_numerators(g: int) -> tuple[list[int], int]:
 
 def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> int:
     """One DVV step (see the module docstring) on a key of genus >= 1 with
-    n >= 3 exponents, on the pivot its rule picks.  Every sub-key goes back
-    through _bracket, which closes those with n <= 2.  Each term is shifted
-    up by the bits its scale lacks against the key's (see Integrality), one
-    fewer for the 1/2 of a self-mirror term.
+    n >= 3 exponents, on the pivot its rule picks.  A reducible term reads
+    its factors as entries r of row d_I and k-1-r of row d_J, looked up once
+    per split and filled by `fill_row` on a miss; every other sub-key goes
+    through _bracket, which closes those with n <= 2.  So every sub-key is
+    computed and memoized once, in the order the step reads it.  Each term
+    is shifted up by the bits its scale lacks against the key's (see
+    Integrality), one fewer for the 1/2 of a self-mirror term.
     """
     if d[0] == 1:
         # k = 0, the dilaton equation: every descent term reads d[1:]
@@ -312,12 +326,27 @@ def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> int:
     for left, right, count in submultiset_splits(rest):
         if left <= right:
             c = sum(left) - len(left) + 2
-            for r in range(-c % 3, min((k - 1) // 2 if left == right else k - 1, 3 * g - c) + 1, 3):
-                gl = (r + c) // 3
-                lv = _bracket(gl, tuple(sorted((r,) + left)), t)
-                rv = _bracket(g - gl, tuple(sorted((k - 1 - r,) + right)), t)
-                total += (count * lv * rv) << (2 * r != k - 1 or left != right)
+            rs = range(-c % 3, min((k - 1) // 2 if left == right else k - 1, 3 * g - c) + 1, 3)
+            if rs:  # no row for a split without terms
+                lrow = t._rows[left]
+                rrow = t._rows[right]
+                for r in rs:
+                    lv = lrow.get(r)
+                    if lv is None:
+                        lv = fill_row(t, left, r)
+                    rv = rrow.get(k - 1 - r)
+                    if rv is None:
+                        rv = fill_row(t, right, k - 1 - r)
+                    total += (count * lv * rv) << (2 * r != k - 1 or left != right)
     return total
+
+
+def fill_row(t: BracketTable, E: tuple[int, ...], j: int) -> int:
+    """Store and return the missing entry j of row E (BracketTable._rows):
+    2^B S(j, E) at the genus (j + sum(E) - |E| + 2)/3 that the dimension
+    fixes, whole for every caller's j, read through sigma_bracket."""
+    v = t._rows[E][j] = sigma_bracket((j + sum(E) - len(E) + 2) // 3, (j,) + E, t)
+    return v
 
 
 class CacheError(ValueError):

@@ -63,7 +63,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from . import denominators as dn
 from . import monotone as mono
 from .brackets import (
-    BracketTable, bracket, default_table, one_point, sigma_bracket, sigma_scale, sigma_weight,
+    BracketTable, bracket, default_table, fill_row, one_point, sigma_bracket, sigma_scale, sigma_weight,
 )
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
@@ -161,9 +161,10 @@ def _convolution(
     scale: tuple[int, ...],
 ) -> int:
     """C_K(A, B) = sum_j scale[j] V(j, A) V(K-j, B), with V(j, E) = 2^B S(j, E)
-    row E of the table at j (`t._rows[E]`, filled on first use), scale
-    `_pair_scale(K)[1]` and genus the one K, A and B fix.  The two scales
-    add up to 4 genus + |A| + |B| - 2 at every j, so no term is shifted.
+    row E of the table at j (`t._rows[E]`, filled by `fill_row` on a miss),
+    scale `_pair_scale(K)[1]` and genus the one K, A and B fix.  The two
+    scales add up to 4 genus + |A| + |B| - 2 at every j, so no term is
+    shifted.
     As scale[K-j] = (-1)^K scale[j], C_K(B, A) = (-1)^K C_K(A, B).  Each j
     reads its left entry, then its right one, zero or not."""
     lrow = t._rows[A]
@@ -175,10 +176,10 @@ def _convolution(
     for j in range(start, min(K, lo + 3 * genus) + 1, 3):
         lv = lrow.get(j)
         if lv is None:
-            lv = lrow[j] = sigma_bracket((j - lo) // 3, (j,) + A, t)
+            lv = fill_row(t, A, j)
         rv = rrow.get(K - j)
         if rv is None:
-            rv = rrow[K - j] = sigma_bracket(genus - (j - lo) // 3, (K - j,) + B, t)
+            rv = fill_row(t, B, K - j)
         total += lv * rv * scale[j]
     return total
 

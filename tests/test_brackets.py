@@ -21,7 +21,7 @@ from taucalc.brackets import (
     sigma_weight,
 )
 from taucalc.combinat import multisets_with_sum
-from taucalc.denominators import compute_D
+from taucalc.denominators import compute_D, compute_script_D
 from taucalc import identities
 from taucalc.identities import SweepLimits, _pair_scale, sweep
 from taucalc.npoint import npoint_series
@@ -253,16 +253,19 @@ def test_canonical_engine_memo_size():
 
 
 @pytest.mark.parametrize("g, n, counts", [
-    (6, 7, (1576, 6582, 1576)),
-    (7, 5, (1130, 7851, 1130)),
-    (9, 3, (1257, 11603, 1257)),
+    (6, 7, (1576, 3641, 1576, 136, 302)),
+    (7, 5, (1130, 3085, 1130, 174, 478)),
+    (9, 3, (1257, 4132, 1257, 223, 754)),
 ])
 def test_cold_stratum_memo_counts(g, n, counts):
     # memo size, hits and misses of a cold compute_D pin which sub-keys each
-    # DVV step visits, whichever pivot (tau_0, tau_1 or the largest) it takes
+    # DVV step visits, whichever pivot (tau_0, tau_1 or the largest) it
+    # takes; the rows and their entries pin the reducible terms, which read
+    # the one-sided rows and go to the memo only on a row miss
     table = BracketTable()
     compute_D(g, n, table)
-    assert (len(table), table.hits, table.misses) == counts
+    rows = (len(table._rows), sum(map(len, table._rows.values())))
+    assert (len(table), table.hits, table.misses, *rows) == counts
 
 
 def test_memo_holds_dyadic_normal_form():
@@ -305,6 +308,53 @@ def test_derived_memos_hold_dyadic_normal_form():
             want = sum(scale[j] * _scaled_bracket((j,) + A, fresh) * _scaled_bracket((K - j,) + B, fresh)
                        for j in range(K + 1))
             assert type(v) is int and v == want, (K, A, B)
+
+
+def test_descent_filled_rows_hold_their_brackets():
+    # the reducible terms of the DVV step read and fill the rows: every
+    # entry a cold D(6, 7) or script-D(8) leaves is the bracket at the genus
+    # its dimension fixes, at its own scale
+    fresh = BracketTable()
+    for compute, args in ((compute_D, (6, 7)), (compute_script_D, (8,))):
+        table = BracketTable()
+        compute(*args, table)
+        assert table._rows and not table._conv and all(table._rows.values())
+        for E, row in table._rows.items():
+            for j, v in row.items():
+                assert type(v) is int and v == _scaled_bracket((j,) + E, fresh), (compute, j, E)
+
+
+def test_descent_filled_rows_serve_the_split_sums():
+    # a table whose rows the descent filled sweeps c35a to the same reports
+    # and the same convolution slots as a fresh table
+    lim = SweepLimits(4, 3, k_span=2)
+    filled, fresh = BracketTable(), BracketTable()
+    compute_D(6, 7, filled)
+    compute_script_D(8, filled)
+    assert filled._rows and not filled._conv
+    got = [r.to_dict(timing=False) for r in sweep("c35a", lim, filled)]
+    want = [r.to_dict(timing=False) for r in sweep("c35a", lim, fresh)]
+    assert got == want and len(want) > 100
+    assert {K: dict(slot) for K, slot in filled._conv.items()} == {K: dict(slot) for K, slot in fresh._conv.items()}
+
+
+def test_put_rejects_a_value_other_than_the_held_one():
+    # insertions are idempotent: an equal value is a no-op, another raises
+    # and leaves the memo (and so every row read from it) as it was
+    table = BracketTable()
+    key = (2, (2, 2, 2))
+    table.put(key, Fraction(7, 240))
+    table.put(key, Fraction(7, 240))
+    with pytest.raises(ValueError, match=r"the key \(2, \(2, 2, 2\)\) holds 7/240, not 1$"):
+        table.put(key, Fraction(1))
+    assert dict(table.items()) == {key: Fraction(7, 240)}
+    # a key the descent of D(3, 4) computed
+    table = BracketTable()
+    compute_D(3, 4, table)
+    assert key in table._data
+    with pytest.raises(ValueError, match="holds 7/240, not 1/480"):
+        table.put(key, Fraction(1, 480))
+    assert bracket(2, (2, 2, 2), table) == Fraction(7, 240)
 
 
 def test_scale_is_sharp_at_one_point_of_genus_a_power_of_two():

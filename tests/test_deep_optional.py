@@ -1,14 +1,14 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; the module takes about 85 s on a 2-vCPU VM
-and peaks near 200 MB: about 60 s checking Witten's KdV relations with
-spectator sums up to 12 on a cold table, 6 to 7 s the two-point rows
-through genus 300 against the Horner oracle, about 5 s script-D from
-psi-brackets against the kappa recursion at genus 8 to 10, about 1.5 s
-the memo counts of script-D(10), about 6 s the denominator block through
-genus 11, and about 1 s the two-point monotonicity rows through genus
-500.  The standard acceptance module stays authoritative; this is
-head-room validation.
+Enable with TAUCALC_DEEP=1; the module takes about 33 s on a 2-vCPU VM
+(CPython 3.11) and peaks near 210 MB: about 17 s checking Witten's KdV relations with
+spectator sums up to 12 on a cold table, about 5 s the two-point rows
+through genus 300 against the Horner oracle, about 3 s script-D from
+psi-brackets against the kappa recursion at genus 8 to 10, about 0.5 s
+the memo counts of script-D(10), about 5 s (peak RSS near 45 MB) the
+denominator block through genus 12, and about 1 s the two-point
+monotonicity rows through genus 500.  The standard acceptance module
+stays authoritative; this is head-room validation.
 """
 
 import os
@@ -80,15 +80,16 @@ def test_script_D_from_psi_brackets_matches_kappa_route_deep(g):
 def test_script_D_memo_counts_genus_ten():
     table = BracketTable()
     compute_script_D(10, table)
-    assert (len(table), table.hits, table.misses) == (13196, 532801, 13196)
+    rows = (len(table._rows), sum(map(len, table._rows.values())))
+    assert (len(table), table.hits, table.misses, *rows) == (13196, 59495, 13196, 3009, 9097)
 
 
-def test_denominator_block_through_genus_eleven():
-    # `tau verify c41 --gmax 11`: c41, c42 and c4s for g = 2..11, and c43
-    # for each pair g <= h with g + h <= 11
-    reports = list(VERIFY_TOKENS["c41"][2](11, 1))
+def test_denominator_block_through_genus_twelve():
+    # `tau verify c41 --gmax 12`: c41, c42 and c4s for g = 2..12, and c43
+    # for each pair g <= h with g + h <= 12
+    reports = list(VERIFY_TOKENS["c41"][2](12, 1))
     assert all(r.passed for r in reports), [r.id for r in reports if not r.passed]
-    assert len(reports) == 3 * 10 + 42 == 72
+    assert len(reports) == 3 * 11 + 49 == 82
 
 
 def test_kdv_equation_deep():

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from taucalc.brackets import BracketTable
@@ -59,10 +61,34 @@ def test_script_D_from_psi_brackets_matches_kappa_route(g):
 
 def test_script_D_memo_counts():
     # a deep descent: memo size, hits and misses of script-D(8) on a fresh
-    # table pin which sub-keys every DVV step of the chain visits
+    # table pin which sub-keys every DVV step of the chain visits, and the
+    # rows and their entries the reducible terms it read
     table = BracketTable()
     compute_script_D(8, table)
-    assert (len(table), table.hits, table.misses) == (3165, 64941, 3165)
+    rows = (len(table._rows), sum(map(len, table._rows.values())))
+    assert (len(table), table.hits, table.misses, *rows) == (3165, 11974, 3165, 791, 2016)
+
+
+# script-D(g) for g = 2..9, factored and whole, as computed through the DVV
+# descent before its reducible terms read the one-sided rows
+SCRIPT_D_GOLDEN = {
+    2: ("2^7 · 3^2 · 5", 5760),
+    3: ("2^10 · 3^4 · 5 · 7", 2903040),
+    4: ("2^15 · 3^5 · 5^2 · 7", 1393459200),
+    5: ("2^18 · 3^6 · 5^2 · 7 · 11", 367873228800),
+    6: ("2^22 · 3^8 · 5^3 · 7^2 · 11 · 13", 24103053950976000),
+    7: ("2^25 · 3^9 · 5^3 · 7^2 · 11 · 13", 578473294823424000),
+    8: ("2^31 · 3^10 · 5^4 · 7^2 · 11 · 13 · 17", 9440684171518279680000),
+    9: ("2^34 · 3^13 · 5^4 · 7^3 · 11 · 13 · 17 · 19", 271211974879377138647040000),
+}
+
+
+@pytest.mark.parametrize("g", sorted(SCRIPT_D_GOLDEN))
+def test_script_D_golden(g):
+    # each genus on a fresh table, so every descent of the chain runs cold
+    profile = compute_script_D(g, BracketTable())
+    assert (profile.rendered(), profile.value) == SCRIPT_D_GOLDEN[g]
+    assert profile.value == prod(p**e for p, e in profile.factors.items())
 
 
 def test_conjecture41_leaves_the_kappa_memo_empty():

@@ -164,20 +164,23 @@ def test_c35_default_grid_convolution_count(monkeypatch):
 
 
 def test_c35_default_grid_sides_are_interned(monkeypatch):
-    # each distinct side is one object per process: every row key and every
-    # side a slot key decodes to is the registry's own, the decoded pairs
-    # keep A <= B, and no two (K, A, B) share a slot: 2122 slots for the
-    # 2122 convolutions of test_c35_default_grid_convolution_count
+    # each distinct side is one object per process: every side a slot key
+    # decodes to is the registry's own, the decoded pairs keep A <= B, and
+    # no two (K, A, B) share a slot: 2122 slots for the 2122 convolutions of
+    # test_c35_default_grid_convolution_count.  Every side has its row; the
+    # DVV descent of the cold table adds the rows of its own splits (such
+    # as the empty one), keyed by the split's tuples, so 142 rows hold the
+    # 133 sides
     table = BracketTable()
     monkeypatch.setattr(brackets, "_DEFAULT_TABLE", table)
     g_max, n_max, run = identities.VERIFY_TOKENS["c35"]
     assert all(r.passed for r in run(g_max, n_max))
     registry = identities._SIDE_IDS
-    assert table._rows and all(registry[E][0] is E for E in table._rows)
     triples = [(K, A, B) for K, slot in table._conv.items() for A, B in conv_pairs(slot, registry)]
     assert len(set(triples)) == len(triples) == 2122
     assert all(registry[A][0] is A and registry[B][0] is B and A <= B for _, A, B in triples)
-    assert {E for _, A, B in triples for E in (A, B)} == set(table._rows)
+    sides = {E for _, A, B in triples for E in (A, B)}
+    assert len(sides) == 133 and sides <= set(table._rows) and len(table._rows) == 142
 
 
 def test_sweep_frees_each_grid_row_when_pulled():

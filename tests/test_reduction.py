@@ -113,8 +113,9 @@ def test_kappa_fold_matches_set_partition_sum(data):
 
 def test_kappa_reduction_memo_counts():
     # the three compute-kappa monomials of the benchmark, on one fresh
-    # table: bracket memo size, hits and misses and the kappa memo size pin
-    # which sub-integrals and brackets the kappa steps visit
+    # table: bracket memo size, hits and misses, the kappa memo size and the
+    # rows and their entries pin which sub-integrals and brackets the kappa
+    # steps visit
     table = BracketTable()
     values = [
         kappa_to_psi(5, psi, kappa, table)
@@ -123,7 +124,8 @@ def test_kappa_reduction_memo_counts():
     assert values == [Fraction(4437290982317891, 2229534720),
                       Fraction(626693680890100121, 11147673600),
                       Fraction(639949676749247, 6220800)]
-    assert (len(table), table.hits, table.misses, len(table._kappa)) == (257, 1677, 257, 139)
+    rows = (len(table._rows), sum(map(len, table._rows.values())))
+    assert (len(table), table.hits, table.misses, len(table._kappa), *rows) == (257, 805, 257, 139, 75, 130)
 
 
 def test_kappa_memo_is_shared_across_monomials():
