@@ -1,14 +1,14 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
 Enable with TAUCALC_DEEP=1; the module takes about 33 s on a 2-vCPU VM
-(CPython 3.11) and peaks near 210 MB: about 17 s checking Witten's KdV relations with
-spectator sums up to 12 on a cold table, about 5 s the two-point rows
-through genus 300 against the Horner oracle, about 3 s script-D from
-psi-brackets against the kappa recursion at genus 8 to 10, about 0.5 s
-the memo counts of script-D(10), about 5 s (peak RSS near 45 MB) the
-denominator block through genus 12, and about 1 s the two-point
-monotonicity rows through genus 500.  The standard acceptance module
-stays authoritative; this is head-room validation.
+(CPython 3.11) and peaks near 210 MB: about 17 s checking Witten's KdV
+relations with spectator sums up to 12 on a cold table, about 5 s the
+two-point rows through genus 300 against the Horner oracle, about 3 s
+script-D from psi-brackets against the kappa recursion at genus 8 to 10,
+about 0.5 s the memo counts of script-D(10), about 5 s (peak RSS near
+45 MB) the denominator block through genus 12, and about 1 s the
+two-point monotonicity rows through genus 500.  The standard acceptance
+module stays authoritative; this is head-room validation.
 """
 
 import os
