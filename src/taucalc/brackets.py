@@ -117,9 +117,10 @@ class BracketTable:
     module docstring); `put` and `items` convert to and from Fraction
     <tau_d>_g, and `put` raises ValueError for a value whose V is no int.
 
-    Insertions are idempotent: recomputation always yields the same exact
-    value, and `put` raises ValueError for a value other than the one the
-    key holds, which the rows below may already have read.
+    The write rule, one for `put` and `update`: a held value never changes,
+    as the rows below may have read it.  Every incoming key is checked
+    before any is written, and one held at another value raises ValueError
+    naming the key and both values.
 
     The table also owns derived data, in plain dicts that their callers
     index and fill directly, every value an int at its own scale 2^B:
@@ -160,20 +161,24 @@ class BracketTable:
         key = tuple(key)
         if not _storable(*key):
             raise ValueError(f"no bracket has the key {key}")
-        w = sigma_weight(key[1])
-        v = _scaled(key, w, value.numerator, value.denominator)
-        held = self._data.setdefault(key, v)
-        if held != v:
-            held = Fraction(held, w << sigma_scale(key[0], len(key[1])))
-            raise ValueError(f"the key {key} holds {held}, not {value}")
+        self._merge({key: _scaled(key, sigma_weight(key[1]), value.numerator, value.denominator)})
+
+    def _merge(self, entries: dict[tuple[int, tuple[int, ...]], int]) -> None:
+        """Write every entry, or none if a key holds another value.  Only the
+        shared keys are read, so a merge into an empty table checks none."""
+        for key in entries.keys() & self._data.keys():
+            if (held := self._data[key]) != (v := entries[key]):
+                w = sigma_weight(key[1]) << sigma_scale(key[0], len(key[1]))
+                raise ValueError(f"the key {key} holds {Fraction(held, w)}, not {Fraction(v, w)}")
+        self._data.update(entries)
 
     def items(self):
         for (g, d), v in self._data.items():
             yield (g, d), Fraction(v, sigma_weight(d) << sigma_scale(g, len(d)))
 
     def update(self, other: "BracketTable") -> None:
-        """Copy every memo entry of `other` into this table."""
-        self._data.update(other._data)
+        """Merge every memo entry of `other` into this table, or none."""
+        self._merge(other._data)
 
     def clear(self) -> None:
         self._data.clear()

@@ -201,10 +201,16 @@ def _run_cache(args) -> int:
         count = br.cache_save(br.default_table(), args.export)
         print(f"exported {count} entries to {args.export}")
         return 0
-    table = br.cache_load(args.import_path, verify=args.verify_cache)
-    br.default_table().update(table)
-    print(f"imported {len(table)} entries from {args.import_path}")
+    print(f"imported {_merge_file(args.import_path, args.verify_cache)} entries from {args.import_path}")
     return 0
+
+
+def _merge_file(path: str, verify: bool = False) -> int:
+    """Merge a cache file into the default table, all or nothing (see
+    BracketTable); returns the file's entry count."""
+    loaded = br.cache_load(path, verify=verify)
+    br.default_table().update(loaded)
+    return len(loaded)
 
 
 def _with_cache(args, body) -> int:
@@ -213,15 +219,12 @@ def _with_cache(args, body) -> int:
     file's entries: an unchanged file is not written again."""
     path = getattr(args, "cache", None)
     table = br.default_table()
-    stored = -1
-    if path and os.path.exists(path):
-        loaded = br.cache_load(path)
-        table.update(loaded)
-        stored = len(loaded)
+    stored = _merge_file(path) if path and os.path.exists(path) else -1
     try:
         return body()
     finally:
-        # entries are only ever added, so an equal count means the same keys
+        # the merge kept the file's values and entries are only ever added
+        # (a clashing merge adds none), so an equal count means the same ones
         if path and len(table) != stored:
             br.cache_save(table, path)
 

@@ -35,8 +35,8 @@ Q_t = Delta Q_{t-1} + (2t+n-3)!! 4^t P_t.  A remainder in a division by
 e_1 aborts: it can only mean an implementation bug.  F is read a genus at
 a time as integers over one denominator (`NPointSeries.stratum`, which
 `bracket` and the dump read), and `MergedSeries` folds G's integer terms;
-the `Fraction` dicts `NPointSeries.g` and `.f` are built on first access
-only, and nothing in the package reads them.
+the `Fraction` dict `NPointSeries.f` is built on first access only, and
+nothing in the package reads it.
 """
 
 from __future__ import annotations
@@ -321,25 +321,16 @@ class NPointSeries:
     """Normalized n-point series plus exact extraction back to brackets.
 
     It keeps reduced integer terms at sorted keys: G's, and F's by genus
-    (`stratum`, read by `bracket` and `dump_lines`).  The Fraction dicts
-    `.g` and `.f` over every monomial are built on first access only and
-    belong to this series."""
+    (`stratum`, read by `bracket` and `dump_lines`).  The Fraction dict
+    `.f` over every monomial is built on first access only and belongs to
+    this series."""
 
     def __init__(self, n: int, degree_cap: int):
         self.n = n
         self.degree_cap = degree_cap
         self._g_terms = _stable_terms(n, degree_cap)
         self._strata: dict[int, Stratum] | None = None
-        self._g: Terms | None = None
         self._f: Terms | None = None
-
-    @property
-    def g(self) -> Terms:
-        """The normalized series G."""
-        if self._g is None:
-            terms, den = self._g_terms
-            self._g = _expanded(self.n, {m: Fraction(c, den) for m, c in terms.items()})
-        return self._g
 
     @property
     def f(self) -> Terms:

@@ -35,6 +35,10 @@ per term, the reference for the identity sides' integer bracket sums.
 independent of the DVV step the engine takes, on brackets passed in.
 `conv_pairs` decodes the keys of a split-sum convolution slot back to the
 side pairs they stand for.
+`normalized_terms` is an n-point series' normalized G as a Fraction dict
+over every ordering, laid out from its integer terms at sorted keys.
+`engines_agree_on_stratum` compares one (g, n) stratum of the series with
+the descent engine's memo values passed in, as ints.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, isqrt, lcm, prod
 
 from taucalc.brackets import BracketTable, cache_save
@@ -267,9 +271,9 @@ def warm_table_from_series(series, table) -> int:
 
 def merged_by_orderings(g: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     """G(y, -y, x) from G's Fraction dict over every ordering (an (n+2)-point
-    series' `.g`): each monomial y^a (-y)^b x^d adds (-1)^b G[a, b, d] at
-    (a + b, d).  The nonzero sums, keyed (y-power, x-exponents); raises
-    ArithmeticError if an odd power of y survives."""
+    series' `normalized_terms`): each monomial y^a (-y)^b x^d adds (-1)^b
+    G[a, b, d] at (a + b, d).  The nonzero sums, keyed (y-power,
+    x-exponents); raises ArithmeticError if an odd power of y survives."""
     out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     for mono, c in g.items():
         key = (mono[0] + mono[1], mono[2:])
@@ -512,3 +516,29 @@ def conv_pairs(slot, side_ids) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         b = key - w * (w + 1) // 2
         pairs.append((side[w - b], side[b]))
     return pairs
+
+
+def normalized_terms(series) -> dict[tuple[int, ...], Fraction]:
+    """G of an n-point series as {monomial: Fraction} over every ordering of
+    its sorted keys, from its reduced integer terms over one denominator."""
+    terms, den = series._g_terms
+    return {mono: Fraction(c, den) for key, c in terms.items() for mono in set(permutations(key))}
+
+
+def engines_agree_on_stratum(series, g: int, sigma_bracket) -> int:
+    """Compare genus g of an n-point series with the descent engine as ints:
+    at every key d of the stratum, V den = num prod (2d_j+1)!! 2^B, with V
+    = sigma_bracket(g, d) the memo's int at scale B = 4g + n - 2 and
+    num/den the series' coefficient (0 where its stratum has no key).
+    Raises AssertionError with both sides at the first mismatch; returns
+    the stratum's key count."""
+    n = series.n
+    keys, nums, den = series.stratum(g)
+    coefficient = dict(zip(keys, nums))
+    count = 0
+    for d in multisets_with_sum(n, 3 * g - 3 + n):
+        descent = sigma_bracket(g, d) * den
+        from_series = coefficient.get(d, 0) * prod(map(_odd_df, d)) << (4 * g + n - 2)
+        assert descent == from_series, (g, d, descent, from_series)
+        count += 1
+    return count

@@ -357,6 +357,29 @@ def test_put_rejects_a_value_other_than_the_held_one():
     assert bracket(2, (2, 2, 2), table) == Fraction(7, 240)
 
 
+def test_update_merges_all_or_nothing():
+    # update keeps put's rule: a clash anywhere in the other table raises
+    # before any entry is written, so the memo and the rows read from it
+    # stay as they were
+    table = BracketTable()
+    compute_D(3, 4, table)
+    memo, row = dict(table._data), dict(table._rows[(2, 2)])
+    clash = BracketTable()
+    clash.put((3, (7,)), Fraction(1, 82944))
+    clash.put((2, (2, 2, 2)), Fraction(1, 480))
+    with pytest.raises(ValueError, match=r"the key \(2, \(2, 2, 2\)\) holds 7/240, not 1/480$"):
+        table.update(clash)
+    assert table._data == memo and table._rows[(2, 2)] == row == {2: 50400}
+    assert bracket(2, (2, 2, 2), table) == Fraction(7, 240)
+    # equal values and new keys merge
+    agree = BracketTable()
+    agree.put((2, (2, 2, 2)), Fraction(7, 240))
+    agree.put((3, (7,)), Fraction(1, 82944))
+    table.update(agree)
+    assert len(table) == len(memo) + 1 and table._data.items() >= memo.items()
+    assert bracket(3, (7,), table) == Fraction(1, 82944)
+
+
 def test_scale_is_sharp_at_one_point_of_genus_a_power_of_two():
     # at n = 1, V = (6g-3)!! 2^(g-1) / (3^g g!) holds 2^(s_2(g) - 1), s_2
     # the binary digit sum: odd exactly when g is a power of 2

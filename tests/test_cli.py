@@ -373,6 +373,29 @@ def test_cache_import_rejects_non_dyadic_value(tmp_path, capsys):
     assert code == 2 and out == "" and "line 2" in err and "not dyadic" in err
 
 
+def test_clashing_import_merges_nothing_and_leaves_the_cache_file(tmp_path, capsys, monkeypatch):
+    # a sealed copy of the --cache file with one value changed and one new
+    # key: the import names the clash, merges neither line, and the file
+    # the run warmed from is not written again
+    good, bad = tmp_path / "good.tc", tmp_path / "bad.tc"
+    code, out, _ = run(capsys, "compute", "--g", "2", "--d", "2,2,2", "--cache", str(good))
+    assert code == 0 and out == "7/240\n"
+    entries = good.read_text().splitlines()[1:-1]
+    assert "2|2,2,2|7/240" in entries
+    entries = [e.replace("2|2,2,2|7/240", "2|2,2,2|1/480") for e in entries] + ["3|7|1/82944"]
+    digest = hashlib.sha256("\n".join(entries).encode()).hexdigest()
+    bad.write_text("TAUCACHE v1\n" + "".join(e + "\n" for e in entries) + f"#sha256={digest}\n")
+    before = good.read_bytes()
+    monkeypatch.setattr(br, "_DEFAULT_TABLE", br.BracketTable())
+    code, out, err = run(capsys, "cache", "--import", str(bad), "--cache", str(good))
+    assert (code, out) == (2, "")
+    assert err == "error: the key (2, (2, 2, 2)) holds 7/240, not 1/480\n"
+    assert good.read_bytes() == before
+    monkeypatch.setattr(br, "_DEFAULT_TABLE", br.BracketTable())
+    code, out, _ = run(capsys, "compute", "--g", "2", "--d", "2,2,2", "--cache", str(good))
+    assert code == 0 and out == "7/240\n"
+
+
 def test_cache_that_is_not_utf8_names_its_line(tmp_path, capsys):
     # a stray byte on line 3 stops both the import and a verb's --cache,
     # with the line named, and the file is left as it was; a text stream

@@ -1,21 +1,24 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; the module takes about 33 s on a 2-vCPU VM
+Enable with TAUCALC_DEEP=1; the module takes about 42 s on a 2-vCPU VM
 (CPython 3.11) and peaks near 210 MB: about 17 s checking Witten's KdV
 relations with spectator sums up to 12 on a cold table, about 5 s the
 two-point rows through genus 300 against the Horner oracle, about 3 s
 script-D from psi-brackets against the kappa recursion at genus 8 to 10,
 about 0.5 s the memo counts of script-D(10), about 5 s (peak RSS near
-45 MB) the denominator block through genus 12, and about 1 s the
-two-point monotonicity rows through genus 500.  The standard acceptance
-module stays authoritative; this is head-room validation.
+45 MB) the denominator block through genus 12, about 1 s the two-point
+monotonicity rows through genus 500, and about 8 s (peak RSS near 86 MB)
+the two engines compared as ints at (3, g <= 20), (4, g <= 16) and
+(5, g <= 12).  The standard acceptance module stays authoritative; this
+is head-room validation.
 """
 
 import os
+from functools import partial
 
 import pytest
 
-from taucalc.brackets import BracketTable, _two_point_numerators, bracket_any_genus
+from taucalc.brackets import BracketTable, _two_point_numerators, bracket_any_genus, sigma_bracket
 from taucalc.combinat import multisets_with_sum
 from taucalc.denominators import compute_script_D
 from taucalc.identities import VERIFY_TOKENS, verify
@@ -24,6 +27,7 @@ from taucalc.npoint import npoint_series
 from taucalc.reduction import kappa_to_psi
 from oracles import (
     SCRIPT_D_MEMO_SIZES,
+    engines_agree_on_stratum,
     kdv_relations,
     script_D_by_kappa,
     two_point_numerators_by_horner,
@@ -90,6 +94,14 @@ def test_denominator_block_through_genus_twelve():
     reports = list(VERIFY_TOKENS["c41"][2](12, 1))
     assert all(r.passed for r in reports), [r.id for r in reports if not r.passed]
     assert len(reports) == 3 * 11 + 49 == 82
+
+
+@pytest.mark.parametrize("n, g_max, keys", [(3, 20, 2486), (4, 16, 5455), (5, 12, 5181)])
+def test_engines_agree_as_ints_deep(n, g_max, keys):
+    # tests/test_npoint.py::test_engines_agree_as_ints_stratum_by_stratum,
+    # deeper in genus
+    series, sigma = npoint_series(n, g_max), partial(sigma_bracket, table=BracketTable())
+    assert sum(engines_agree_on_stratum(series, g, sigma) for g in range(g_max + 1)) == keys
 
 
 def test_kdv_equation_deep():

@@ -1,4 +1,4 @@
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -95,6 +95,28 @@ def test_conjecture41_leaves_the_kappa_memo_empty():
     table = BracketTable()
     assert conjecture41_check(4, table).passed
     assert table and not table._kappa
+
+
+def test_memo_meets_the_two_adic_bound_of_conjecture41():
+    # every stored V = 2^(4g+n-2) S_g(d) at (g, n) has ord_2(V) >= g + n - 2
+    # - ord_2(g!), so every denominator's 2-order is at most 3g + ord_2(g!),
+    # c41's 2-part; with equality at each one-point key.  Only ints are read.
+    def ord2(x: int) -> int:
+        return (x & -x).bit_length() - 1
+
+    table = BracketTable()
+    compute_script_D(8, table)
+    for n in range(1, 7):
+        compute_D(5, n, table)
+    short, one_point = [], {}
+    for (g, d), v in table._data.items():
+        bound = g + len(d) - 2 - ord2(factorial(g))
+        if ord2(v) < bound:
+            short.append((g, d, ord2(v), bound))
+        if len(d) == 1:
+            one_point[g] = ord2(v) - bound
+    assert short == [] and len(table) == 3426
+    assert one_point == {2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 8: 0}
 
 
 def test_conjectured_orders():

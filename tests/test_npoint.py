@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 
 import pytest
 
 from taucalc import npoint
-from taucalc.brackets import BracketTable, bracket
+from taucalc.brackets import BracketTable, bracket, sigma_bracket
 from taucalc.combinat import multisets_with_sum
 from taucalc.npoint import (
     DivisionRemainderError,
@@ -17,7 +18,15 @@ from taucalc.npoint import (
     npoint_series,
 )
 from taucalc.identities import alt_pair_sum
-from oracles import delta_terms as _delta, divide_by_varsum as _divide_by_varsum, lowerings, merged_alt_sums, merged_by_orderings
+from oracles import (
+    delta_terms as _delta,
+    divide_by_varsum as _divide_by_varsum,
+    engines_agree_on_stratum,
+    lowerings,
+    merged_alt_sums,
+    merged_by_orderings,
+    normalized_terms,
+)
 from taucalc.rationals import odd_double_factorial
 from math import factorial, gcd
 
@@ -41,7 +50,7 @@ def test_delta_poly():
 
 
 def test_one_point_series():
-    s = NPointSeries(1, 10).g
+    s = normalized_terms(NPointSeries(1, 10))
     assert s[(1,)] == Fraction(1, 24)
     assert s[(4,)] == Fraction(-1, 1152)
     assert s.get((2,), 0) == 0
@@ -52,7 +61,7 @@ def test_genus_zero_series_below_three_points_are_empty():
     # no stable bracket has n <= 2 at genus 0, so nothing sits below the cap
     for n in (1, 2):
         series = npoint_series(n, 0)
-        assert series.g == {} and series.f == {}, n
+        assert normalized_terms(series) == {} and series.f == {}, n
 
 
 def test_series_degree_guard():
@@ -179,7 +188,7 @@ def test_series_values_are_fractions_in_lowest_terms():
     # Fraction values only
     for n, g_hi in ((1, 4), (2, 5), (3, 4), (4, 3), (5, 2)):
         series = npoint_series(n, g_hi)
-        for poly in (series.g, series.f):
+        for poly in (normalized_terms(series), series.f):
             assert poly, (n, g_hi)
             for c in poly.values():
                 assert type(c) is Fraction and c
@@ -196,10 +205,10 @@ def test_two_point_extraction_examples():
 def test_two_point_second_genus_components():
     # normalized series components: degree 2 is xy/12, degree 5 is
     # x^2 y^2 (x+y)/240
-    s2 = npoint_series(2, 3)
-    assert s2.g[(1, 1)] == Fraction(1, 12)
-    assert s2.g.get((2, 0), 0) == 0
-    assert s2.g[(3, 2)] == Fraction(1, 240)
+    s2 = normalized_terms(npoint_series(2, 3))
+    assert s2[(1, 1)] == Fraction(1, 12)
+    assert s2.get((2, 0), 0) == 0
+    assert s2[(3, 2)] == Fraction(1, 240)
 
 
 def test_three_point_genus0_normalization():
@@ -223,7 +232,7 @@ def test_symmetry_of_npoint_output():
     # the series are computed at sorted keys and laid out in every
     # ordering, so a wrong ordering shows up as an asymmetric series
     for n, g_hi in ((3, 3), (4, 2), (5, 3), (6, 2)):
-        assert _is_symmetric(npoint_series(n, g_hi).g, n), (n, g_hi)
+        assert _is_symmetric(normalized_terms(npoint_series(n, g_hi)), n), (n, g_hi)
 
 
 def test_series_equals_descent_on_three_and_four_point_strata():
@@ -240,11 +249,18 @@ def test_series_equals_descent_on_three_and_four_point_strata():
     assert keys == 754
 
 
+@pytest.mark.parametrize("n, g_max, keys", [(3, 14, 932), (4, 12, 2050), (5, 10, 2597), (6, 8, 2081)])
+def test_engines_agree_as_ints_stratum_by_stratum(n, g_max, keys):
+    # V den = num prod (2d_j+1)!! 2^B at every key of (g, n), g <= g_max,
+    # the descent on a fresh table
+    series, sigma = npoint_series(n, g_max), partial(sigma_bracket, table=BracketTable())
+    assert sum(engines_agree_on_stratum(series, g, sigma) for g in range(g_max + 1)) == keys
+
+
 def test_components_sit_on_the_genus_grading():
     # nonzero homogeneous components only at degrees 3g + n - 3
     for n in (2, 3, 4):
-        series = npoint_series(n, 3)
-        for deg in {sum(m) for m in series.g}:
+        for deg in {sum(m) for m in normalized_terms(npoint_series(n, 3))}:
             g, rem = divmod(deg - n + 3, 3)
             assert rem == 0 and g >= 0 and 2 * g - 2 + n > 0, (n, deg)
 
@@ -302,14 +318,14 @@ def test_merged_alt_sums_match_engine():
 
 
 def test_merged_odd_powers_vanish_over_every_ordering():
-    # every odd y-power of G(y, -y, x), folded from .g over every ordering,
+    # every odd y-power of G(y, -y, x), folded from G over every ordering,
     # vanishes: the oracle's check passes on the engine's G ...
     for n in (1, 2, 3):
         for g in range(5):
-            fold = merged_by_orderings(npoint_series(n + 2, g).g)
+            fold = merged_by_orderings(normalized_terms(npoint_series(n + 2, g)))
             assert fold and all(ypow % 2 == 0 for ypow, _ in fold), (n, g)
     # ... and fires on a G with a term odd in the pair slots
-    g = dict(npoint_series(3, 2).g)
+    g = normalized_terms(npoint_series(3, 2))
     g[(1, 0, 2)] = g.get((1, 0, 2), Fraction(0)) + 1
     with pytest.raises(ArithmeticError, match="odd powers"):
         merged_by_orderings(g)
@@ -321,7 +337,7 @@ def test_merged_coefficients_match_the_fold_over_every_ordering():
     for n in (1, 2, 3):
         for g in range(5):
             m = merged_series(n, g)
-            fold = merged_by_orderings(npoint_series(n + 2, g).g)
+            fold = merged_by_orderings(normalized_terms(npoint_series(n + 2, g)))
             nonzero = 0
             for d in product(range(m.degree_cap + 1), repeat=n):
                 for K in range((m.degree_cap - sum(d)) // 2 + 1):
@@ -340,7 +356,6 @@ def test_each_series_belongs_to_its_caller():
     poly = npoint_series(3, 2)
     want_strata = [poly.stratum(g) for g in range(3)]
     poly.f.clear()
-    poly.g.clear()
     assert [poly.stratum(g) for g in range(3)] == want_strata
     assert poly.dump_lines() == want
     again = npoint_series(3, 2)
@@ -389,8 +404,7 @@ def test_strata_read_f_as_integers():
 
 def test_dump_and_bracket_build_no_expanded_dict(monkeypatch):
     # the dumps, bracket() and the merged coefficients read integer terms;
-    # the Fraction dicts over every monomial are built only when .g or .f
-    # is read
+    # the Fraction dict over every monomial is built only when .f is read
     built = []
     expand = npoint._expanded
     monkeypatch.setattr(npoint, "_expanded", lambda *args: built.append(args) or expand(*args))
@@ -402,8 +416,7 @@ def test_dump_and_bracket_build_no_expanded_dict(monkeypatch):
     assert merged.coefficient(1, (2, 0)) == merged.coefficient(1, (0, 2)) != 0
     assert built == []
     assert series.f[(6, 0, 6, 4)] == series.bracket((6, 0, 6, 4))
-    series.g
-    assert [n for n, _ in built] == [4, 4]
+    assert [n for n, _ in built] == [4]
 
 
 def test_dump_format():
