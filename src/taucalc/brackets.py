@@ -25,16 +25,17 @@ terms), else a tau_1 (k = 0: the dilaton equation, whose descent terms all
 read d, so the step is 3(2g-2+|d|) S_g(d)), else the largest exponent, so
 the boundary terms only ever meet exponents >= 2.  A boundary term
 equals its mirror, with (r, I) and (s, J) swapped, so the sum is taken over
-mirror pairs at weight 1, and a self-mirror term at 1/2.  A reducible
-factor S_{g'}(r, d_I), its genus fixed by the dimension, is entry r of
-the table's one-sided row of d_I (BracketTable._rows), which the step
-reads first; an entry it misses, and every other sub-key, goes to the
-memo.  Every key of genus >= 1 visited, closed or not, is memoized under
-its own exponents, but S_1(1) = 3 <tau_1>_1 = 1/8.  The memo is read
-first, since nearly every read is a hit (so a genus-0 key that `put` or a
-cache file placed there is read from it); on a miss, genus-0 keys and
-S_1(1) are closed and never stored, so no cache file written here holds
-them.
+mirror pairs at weight 1, and a self-mirror term at 1/2.  The reducible
+terms of a split d_I <= d_J are one `convolve_rows` of the table's
+one-sided rows (BracketTable._rows) of d_I and d_J, each factor at the
+genus its dimension fixes; a split with d_I = d_J is its own mirror, so
+its whole range of r counts at 1/2.  A row entry the step misses, and
+every other sub-key, goes to the memo.  Every key of genus >= 1 visited,
+closed or not, is memoized under its own exponents, but S_1(1) =
+3 <tau_1>_1 = 1/8.  The memo is read first, since nearly every read is a
+hit (so a genus-0 key that `put` or a cache file placed there is read
+from it); on a miss, genus-0 keys and S_1(1) are closed and never
+stored, so no cache file written here holds them.
 The test suite checks the closed forms and the recursion against the
 n-point series engine.
 
@@ -129,8 +130,8 @@ class BracketTable:
               n = 2 keys from
       _rows   ascending multiset E -> {j: S(j, E)}, the one-sided rows
               <sigma_j prod sigma_E> at the genus that fits the dimension,
-              read by the reducible terms of _descent and by
-              identities.split_sum, and filled by `fill_row` on a miss
+              read by `convolve_rows` for the reducible terms of _descent
+              and for identities.split_sum, and filled by it on a miss
       _conv   K -> {key: C_K(A, B)}, A <= B, the convolutions split_sum
               builds from two rows, keyed by the Cantor pair of the ids
               that identities._sides gives A and B; those ids are
@@ -296,13 +297,12 @@ def _two_point_numerators(g: int) -> tuple[list[int], int]:
 
 def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> int:
     """One DVV step (see the module docstring) on a key of genus >= 1 with
-    n >= 3 exponents, on the pivot its rule picks.  A reducible term reads
-    its factors as entries r of row d_I and k-1-r of row d_J, looked up once
-    per split and filled by `fill_row` on a miss; every other sub-key goes
-    through _bracket, which closes those with n <= 2.  So every sub-key is
-    computed and memoized once, in the order the step reads it.  Each term
-    is shifted up by the bits its scale lacks against the key's (see
-    Integrality), one fewer for the 1/2 of a self-mirror term.
+    n >= 3 exponents, on the pivot its rule picks.  The reducible terms are
+    one `convolve_rows` per split d_I <= d_J at the all-ones scale; every
+    other sub-key goes through _bracket, which closes those with n <= 2.
+    So every sub-key is computed and memoized once, in the order the step
+    reads it.  Each term is shifted up by the bits its scale lacks against
+    the key's (see Integrality), one fewer for a self-mirror 1/2.
     """
     if d[0] == 1:
         # k = 0, the dilaton equation: every descent term reads d[1:]
@@ -321,35 +321,46 @@ def _descent(g: int, d: tuple[int, ...], t: BracketTable) -> int:
         return total
 
     # boundary terms (k >= 1 since every exponent is >= 2), one per mirror
-    # pair; a self-mirror term keeps the 1/2, one shift less
+    # pair; a self-mirror term or split keeps the 1/2, one shift less
     for r in range((k + 1) // 2):
         # irreducible: genus drops, both new insertions on one component
         total += _bracket(g - 1, tuple(sorted(rest + (r, k - 1 - r))), t) << (2 + (2 * r != k - 1))
-    # reducible: the left genus (r + c)/3 is forced by its dimension, so r
-    # runs over one residue class mod 3; c > 0 as every exponent of rest is
-    # >= 2, so that genus is >= 1 (and so is the right one, likewise)
+    # reducible: one convolution per split, a split and its mirror at once
+    ones = (1,) * k  # the scale of every j in 0..k-1
     for left, right, count in submultiset_splits(rest):
         if left <= right:
-            c = sum(left) - len(left) + 2
-            rs = range(-c % 3, min((k - 1) // 2 if left == right else k - 1, 3 * g - c) + 1, 3)
-            if rs:  # no row for a split without terms
-                lrow = t._rows[left]
-                rrow = t._rows[right]
-                for r in rs:
-                    lv = lrow.get(r)
-                    if lv is None:
-                        lv = fill_row(t, left, r)
-                    rv = rrow.get(k - 1 - r)
-                    if rv is None:
-                        rv = fill_row(t, right, k - 1 - r)
-                    total += (count * lv * rv) << (2 * r != k - 1 or left != right)
+            total += (count * convolve_rows(t, k - 1, left, right, g, ones)) << (left != right)
     return total
 
 
-def fill_row(t: BracketTable, E: tuple[int, ...], j: int) -> int:
-    """Store and return the missing entry j of row E (BracketTable._rows):
-    2^B S(j, E) at the genus (j + sum(E) - |E| + 2)/3 that the dimension
-    fixes, whole for every caller's j, read through sigma_bracket."""
+def convolve_rows(t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int,
+                  scale: tuple[int, ...]) -> int:
+    """sum_j scale[j] V(j, A) V(K-j, B) over the j where both factors fit
+    their dimensions at total genus `genus`, V(j, E) = 2^B S(j, E) entry j
+    of row E (BracketTable._rows).  The two 2^B make 2^(4 genus + |A| + |B|
+    - 2) at every j, so no term is shifted.  Each j reads its left entry,
+    then its right one, filling a missing one; no j makes no row."""
+    # the left factor fits its dimension at genus g' iff j = lo + 3 g'
+    lo = len(A) - 2 - sum(A)
+    js = range(lo if lo >= 0 else lo % 3, min(K, lo + 3 * genus) + 1, 3)
+    if not js:
+        return 0
+    lrow, rrow, total = t._rows[A], t._rows[B], 0
+    for j in js:
+        lv = lrow.get(j)
+        if lv is None:
+            lv = _fill_row(t, A, j)
+        rv = rrow.get(K - j)
+        if rv is None:
+            rv = _fill_row(t, B, K - j)
+        total += lv * rv * scale[j]
+    return total
+
+
+def _fill_row(t: BracketTable, E: tuple[int, ...], j: int) -> int:
+    """Store and return the missing entry j of row E: 2^B S(j, E) at the
+    genus (j + sum(E) - |E| + 2)/3 that the dimension fixes, whole for
+    every j convolve_rows reads, through sigma_bracket."""
     v = t._rows[E][j] = sigma_bracket((j + sum(E) - len(E) + 2) // 3, (j,) + E, t)
     return v
 

@@ -60,11 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, timed=False):
         p.add_argument("--cache", metavar="PATH", default=None,
                        help="warm-start from this cache file and save back on exit")
-        p.add_argument("--no-timing", action="store_true",
-                       help="omit elapsed-time fields from reports")
+        if timed:  # only the verbs that write reports time anything
+            p.add_argument("--no-timing", action="store_true",
+                           help="omit elapsed-time fields from reports")
 
     p = sub.add_parser("compute", help="one bracket <tau_{d_1}..tau_{d_n}>_g")
     p.set_defaults(run=lambda args: print(br.bracket(args.g, args.d)) or 0)
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="ignored: every sweep runs in this process (kept so that "
                         "existing command lines still parse)")
-    common(p)
+    common(p, timed=True)
 
     p = sub.add_parser("denom", help="denominator profile D(g,n) or script-D(g)")
     p.set_defaults(run=_run_denom)
@@ -109,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", choices=("none", "top"), default="none")
     p.add_argument("--n", type=_grid_bound, default=2)
     p.add_argument("--gmax", type=_grid_bound, required=True)
-    common(p)
+    common(p, timed=True)
 
     p = sub.add_parser("cache", help="export or import the bracket table")
     p.set_defaults(run=_run_cache)
@@ -216,16 +217,19 @@ def _merge_file(path: str, verify: bool = False) -> int:
 def _with_cache(args, body) -> int:
     """Run body() on the default table, warm from --cache if its file
     exists, and save the table back unless it still holds exactly the
-    file's entries: an unchanged file is not written again."""
+    file's entries: an unchanged file is not written again.  A missing
+    file is created only by a run that ends without an error."""
     path = getattr(args, "cache", None)
     table = br.default_table()
     stored = _merge_file(path) if path and os.path.exists(path) else -1
+    code = 2  # what main exits with if body() raises
     try:
-        return body()
+        code = body()
+        return code
     finally:
         # the merge kept the file's values and entries are only ever added
         # (a clashing merge adds none), so an equal count means the same ones
-        if path and len(table) != stored:
+        if path and len(table) != stored and (stored >= 0 or code != 2):
             br.cache_save(table, path)
 
 

@@ -26,8 +26,8 @@ Every bracket-side sum keeps one rule: it reads the engine's ints V =
 one denominator and builds one Fraction at the end.  `_bracket_sum` does
 so for the signed bracket lists (the alternating pair sum, the c33 head
 and descent terms behind the insertion combinations, the c32 heads), and
-`split_sum` and each `_convolution` for the splittings, whose terms all
-share one scale.
+`split_sum` and each `brackets.convolve_rows` for the splittings, whose
+terms all share one scale.
 
 The bracket side of eq3 is (2g)!/B_2g times Mumford's expansion of
 <ch_{2g-1} prod tau_d>_g, so `ch_insertion` (any odd Chern character of
@@ -63,7 +63,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from . import denominators as dn
 from . import monotone as mono
 from .brackets import (
-    BracketTable, bracket, default_table, fill_row, one_point, sigma_bracket, sigma_scale, sigma_weight,
+    BracketTable, bracket, convolve_rows, default_table, one_point, sigma_bracket, sigma_scale, sigma_weight,
 )
 from .combinat import multisets_with_sum, submultiset_splits
 from .rationals import bernoulli, odd_double_factorial
@@ -156,34 +156,6 @@ def _pair_scale(K: int) -> tuple[int, tuple[int, ...]]:
     return L, tuple((-1) ** j * (L // x) for j, x in enumerate(w))
 
 
-def _convolution(
-    t: BracketTable, K: int, A: tuple[int, ...], B: tuple[int, ...], genus: int,
-    scale: tuple[int, ...],
-) -> int:
-    """C_K(A, B) = sum_j scale[j] V(j, A) V(K-j, B), with V(j, E) = 2^B S(j, E)
-    row E of the table at j (`t._rows[E]`, filled by `fill_row` on a miss),
-    scale `_pair_scale(K)[1]` and genus the one K, A and B fix.  The two
-    scales add up to 4 genus + |A| + |B| - 2 at every j, so no term is
-    shifted.
-    As scale[K-j] = (-1)^K scale[j], C_K(B, A) = (-1)^K C_K(A, B).  Each j
-    reads its left entry, then its right one, zero or not."""
-    lrow = t._rows[A]
-    rrow = t._rows[B]
-    total = 0
-    # the left factor fits its dimension at genus g' iff j = lo + 3 g'
-    lo = len(A) - 2 - sum(A)
-    start = lo if lo >= 0 else lo % 3
-    for j in range(start, min(K, lo + 3 * genus) + 1, 3):
-        lv = lrow.get(j)
-        if lv is None:
-            lv = fill_row(t, A, j)
-        rv = rrow.get(K - j)
-        if rv is None:
-            rv = fill_row(t, B, K - j)
-        total += lv * rv * scale[j]
-    return total
-
-
 def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], genus: int,
               d: Iterable[int], table: BracketTable | None = None) -> Fraction:
     """sum over ordered pairs I ⊔ J of {1..n}, genus splittings and j of
@@ -197,11 +169,12 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
     at the one genus its own dimension fixes, g' is determined by j, and
     only the j in one residue class mod 3 contribute.
 
-    Each split (I, J) adds its multiplicity times the convolution C_K(A, B)
-    (`_convolution`) of its sides A = sorted(left_extras + d_I) and B =
-    sorted(right_extras + d_J), which `_sides` interns.  Only A <= B, in
-    tuple order, is computed: a split with B < A reads C_K(B, A), its sign
-    flipped for odd K.  The table keeps each C_K(A, B) in `t._conv[K]`,
+    Each split (I, J) adds its multiplicity times C_K(A, B), the rows of its
+    sides A = sorted(left_extras + d_I) and B = sorted(right_extras + d_J),
+    which `_sides` interns, convolved (`convolve_rows`) at scale[j] =
+    `_pair_scale(K)[1][j]`.  As scale[K-j] = (-1)^K scale[j], only A <= B,
+    in tuple order, is computed: a split with B < A reads C_K(B, A), its
+    sign flipped for odd K.  The table keeps each C_K(A, B) in `t._conv[K]`,
     keyed by the Cantor pair of the two side ids, since splits share them
     within a call, across calls and across K.  `_pair_scale(K)` puts the
     sigma weights of tau_j and tau_{K-j} over one denominator, and those of
@@ -227,7 +200,7 @@ def split_sum(K: int, left_extras: Iterable[int], right_extras: Iterable[int], g
         key = (a + b) * (a + b + 1) // 2 + b  # Cantor's pairing of the side ids
         c = conv.get(key)
         if c is None:
-            c = conv[key] = _convolution(t, K, A, B, genus, scale)
+            c = conv[key] = convolve_rows(t, K, A, B, genus, scale)
         total += count * c
     E = left + right + d
     return Fraction(total, L * sigma_weight(E) << sigma_scale(genus, len(E))) if total else _ZERO

@@ -691,6 +691,33 @@ def test_npoint_creates_a_missing_cache(tmp_path, capsys):
     assert len(br.cache_load(str(cache))) == 0
 
 
+def test_failed_run_creates_no_cache(tmp_path, capsys):
+    # a run that ends in an error writes no --cache file that was missing,
+    # whether it fails on a damaged import, on its input or on an empty grid
+    junk = tmp_path / "junk.tc"
+    junk.write_text("junk\n")
+    for i, argv in enumerate((["cache", "--import", str(junk)],
+                              ["compute-kappa", "--g", "1", "--n", "2", "--a", "1", "--d", "0"],
+                              ["verify", "eq3", "--gmax", "1"])):
+        cache = tmp_path / f"new{i}.tc"
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        assert not cache.exists(), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["junk.tc"]
+
+
+@pytest.mark.parametrize("verb", sorted(_MINIMAL_ARGV))
+def test_no_timing_only_on_the_verbs_that_time(tmp_path, capsys, verb):
+    # verify and monotone write reports with elapsed times; no other verb
+    # times anything, so none takes --no-timing
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in _MINIMAL_ARGV[verb]]
+    code, out, err = run(capsys, *argv, "--no-timing")
+    if verb in ("verify", "monotone"):
+        assert code == 0 and out.startswith("[") and '"ms"' not in out, verb
+    else:
+        assert code == 2 and out == "" and "unrecognized arguments: --no-timing" in err, verb
+
+
 def test_zero_nmax_still_sweeps_unpointed_strata(capsys):
     # c52 and c53 start at n = 0, so --nmax 0 is a real grid
     code, out, _ = run(capsys, "verify", "c53", "--gmax", "2", "--nmax", "0", "--no-timing")

@@ -1,20 +1,22 @@
 """Opt-in deep sweeps beyond the pinned acceptance ranges.
 
-Enable with TAUCALC_DEEP=1; the module takes about 42 s on a 2-vCPU VM
-(CPython 3.11) and peaks near 210 MB: about 17 s checking Witten's KdV
-relations with spectator sums up to 12 on a cold table, about 5 s the
-two-point rows through genus 300 against the Horner oracle, about 3 s
+Enable with TAUCALC_DEEP=1; the module takes about 55 s on a 2-vCPU VM
+(CPython 3.11) and peaks near 235 MB: about 20 s checking Witten's KdV
+relations with spectator sums up to 12 on a cold table, about 6 s the
+two-point rows through genus 300 against the Horner oracle, about 4 s
 script-D from psi-brackets against the kappa recursion at genus 8 to 10,
-about 0.5 s the memo counts of script-D(10), about 5 s (peak RSS near
-45 MB) the denominator block through genus 12, about 1 s the two-point
-monotonicity rows through genus 500, and about 8 s (peak RSS near 86 MB)
-the two engines compared as ints at (3, g <= 20), (4, g <= 16) and
-(5, g <= 12).  The standard acceptance module stays authoritative; this
-is head-room validation.
+about 0.7 s the memo counts of script-D(10), about 7 s (peak RSS near
+56 MB) the factored script-D(g) for g = 10 to 13 on one table, about 7 s
+(peak RSS near 45 MB) the denominator block through genus 12, about 1 s
+the two-point monotonicity rows through genus 500, and about 14 s (peak
+RSS near 86 MB) the two engines compared as ints at (3, g <= 20),
+(4, g <= 16) and (5, g <= 12).  The standard acceptance module stays
+authoritative; this is head-room validation.
 """
 
 import os
 from functools import partial
+from math import prod
 
 import pytest
 
@@ -86,6 +88,29 @@ def test_script_D_memo_counts_genus_ten():
     compute_script_D(10, table)
     rows = (len(table._rows), sum(map(len, table._rows.values())))
     assert (len(table), table.hits, table.misses, *rows) == (13196, 59495, 13196, 3009, 9097)
+
+
+# script-D(g) for g = 10..13, factored and whole, captured before the DVV
+# step and the split sums shared one row convolution; g <= 9 is
+# tests/test_denominators.py::SCRIPT_D_GOLDEN
+SCRIPT_D_GOLDEN_DEEP = {
+    10: ("2^38 · 3^14 · 5^5 · 7^3 · 11^2 · 13 · 17 · 19", 715999613681555646028185600000),
+    11: ("2^41 · 3^15 · 5^5 · 7^3 · 11^2 · 13 · 17 · 19 · 23", 395231786752218716607558451200000),
+    12: ("2^46 · 3^17 · 5^6 · 7^4 · 11^2 · 13^2 · 17 · 19 · 23",
+         51791173336010740624254459445248000000),
+    13: ("2^49 · 3^18 · 5^6 · 7^4 · 11^2 · 13^2 · 17 · 19 · 23",
+         1242988160064257774982107026685952000000),
+}
+
+
+def test_script_D_golden_through_genus_thirteen():
+    # one table for the four genera, each descent warm from the one before
+    table = BracketTable()
+    for g, want in SCRIPT_D_GOLDEN_DEEP.items():
+        profile = compute_script_D(g, table)
+        assert (profile.rendered(), profile.value) == want, g
+        assert profile.value == prod(p**e for p, e in profile.factors.items()), g
+    assert len(table) == 88840
 
 
 def test_denominator_block_through_genus_twelve():

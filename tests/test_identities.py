@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taucalc import brackets, identities
-from taucalc.brackets import BracketTable, bracket
+from taucalc.brackets import BracketTable, bracket, convolve_rows, sigma_scale, sigma_weight
 from taucalc.identities import (
     IDENTITY_IDS,
     ParameterError,
@@ -21,6 +21,7 @@ from taucalc.identities import (
     sweep,
     verify,
 )
+from taucalc.rationals import odd_double_factorial
 from taucalc.report import Report, reports_to_json
 from oracles import bracket_sum_by_fractions, cache_dumps, conv_pairs
 
@@ -34,8 +35,6 @@ def test_alt_pair_sum_examples():
 def test_alt_pair_sum_one_point_closed_form():
     # single-insertion case: sum_j (-1)^j <tau_{2g-j} tau_j tau_g>_g
     # collapses to 1/(2^{2g} (2g+1)!!)
-    from taucalc.rationals import odd_double_factorial
-
     for g in range(1, 6):
         want = Fraction(1, 2 ** (2 * g) * odd_double_factorial(g))
         assert alt_pair_sum(g, g, (g,)) == want, g
@@ -149,14 +148,14 @@ def test_c35_default_grid_convolution_count(monkeypatch):
     # on a fresh table: neither its mirror (B, A) nor a K met again costs
     # a second one
     computed = []
-    convolution = identities._convolution
+    convolution = identities.convolve_rows
 
     def counted(*args):
         computed.append(args[1:4])
         return convolution(*args)
 
     monkeypatch.setattr(brackets, "_DEFAULT_TABLE", BracketTable())
-    monkeypatch.setattr(identities, "_convolution", counted)
+    monkeypatch.setattr(identities, "convolve_rows", counted)
     g_max, n_max, run = identities.VERIFY_TOKENS["c35"]
     assert all(r.passed for r in run(g_max, n_max))
     assert len(computed) == len(set(computed)) == 2122
@@ -208,7 +207,9 @@ def test_convolution_slot_matches_brute_force(calls):
     # K + 3 (the same (A, B) pairs one genus up) and then back at K with d
     # moved into the left extras, which reaches its (A, B) from another
     # (extras, d); a memo keyed by (A, B) alone, not by K too, would answer
-    # stale values
+    # stale values.  Between them the kernel runs on the same rows at the
+    # all-ones scale of the DVV step, against the Fraction sum over j of
+    # <tau_j prod tau_A> <tau_{K-j} prod tau_B> at the scale of its terms
     table = BracketTable()
     for K, le, re_, d in calls:
         rest = sum(le) + sum(re_) + sum(d) + 4 - len(le) - len(re_) - len(d)  # >= -2
@@ -216,6 +217,26 @@ def test_convolution_slot_matches_brute_force(calls):
         g = (K + rest) // 3
         for args in ((K, le, re_, g, d), (K + 3, le, re_, g + 1, d), (K, le + d, re_, g, ())):
             assert split_sum(*args, table) == brute(*args), args
+            k, A, B, h = args[0], tuple(sorted(args[1] + args[4])), tuple(sorted(args[2])), args[3]
+            want = sum(odd_double_factorial(j) * odd_double_factorial(k - j)
+                       * bracket(g1, (j,) + A) * bracket(h - g1, (k - j,) + B)
+                       for j in range(k + 1) for g1 in range(h + 1))
+            # the two factors' scales 2^B add up to that of 4h + |A| + |B| - 2
+            want *= sigma_weight(A + B) * 2 ** sigma_scale(h, len(A + B))
+            assert convolve_rows(table, k, A, B, h, (1,) * (k + 1)) == want, args
+
+
+def test_empty_convolution_makes_no_row():
+    # a range with no j makes neither row: tau_j tau_5 fits only j = 3g' - 6,
+    # above the total genus 1; tau_j alone and tau_j tau_0^3 need j >= 1 > K
+    table = BracketTable()
+    assert convolve_rows(table, 4, (5,), (), 1, (1,) * 5) == 0
+    assert convolve_rows(table, 0, (), (0, 0, 0), 1, (1,)) == 0
+    assert convolve_rows(table, 0, (0, 0, 0), (), 0, (1,)) == 0
+    assert not table._rows and len(table) == 0
+    # a range with j = 0 and 3 makes both
+    assert convolve_rows(table, 4, (5,), (), 4, (1,) * 5) > 0
+    assert {E: sorted(row) for E, row in table._rows.items()} == {(5,): [0, 3], (): [1, 4]}
 
 
 def test_verify_spec_examples():
